@@ -36,7 +36,6 @@ from .core import (
     fidelity_pure,
     frobenius_distance,
     kron,
-    kron_all,
     noisy_sc_state,
     psd_project,
     pure_density,

@@ -23,6 +23,7 @@ from .witness import (
     WitnessDecomposition,
     delta_f,
     fidelity_from_probabilities,
+    setting_probabilities,
 )
 
 
@@ -136,29 +137,32 @@ def _clamped(P: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
 
 
 def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConfig,
-                 rng, method: str = "inverse_cdf") -> AdaptiveState:
+                 rng) -> AdaptiveState:
     """Run the feedback protocol against a simulated state.
 
     Each round allocates with the current estimates and the round's budget,
     measures only the missing copies (settings whose targets are already
     covered are skipped), pools all counts, and refines the estimates.
+    Only each setting's hit count (corner or even-parity outcomes) is drawn
+    and pooled, since the estimates read nothing else.
     """
     n = wd.n
     m = n + 1
     gen = _as_generator(rng)
-    born = [s.born_probabilities(rho) for s in wd.settings]
-    pooled = [np.zeros(2**n, dtype=np.int64) for _ in range(m)]
-    cumulative = np.zeros(m, dtype=np.int64)
+    P_true = setting_probabilities(rho, wd).P
+
+    def measure(copies):
+        """Hit counts of one batch; settings with nothing to measure draw nothing."""
+        return np.array([sample_counts([p, 1.0 - p], int(c), gen)[0] if c > 0 else 0
+                         for p, c in zip(P_true, copies)])
 
     t_init = np.asarray(cfg.t_initial, dtype=np.int64)
     if t_init.ndim == 0:
         t_init = np.full(m, int(t_init), dtype=np.int64)
     if t_init.shape != (m,):
         raise ConfigError(f"t_initial must be scalar or length {m}")
-    for j in range(m):
-        if t_init[j] > 0:
-            pooled[j] += sample_counts(born[j], int(t_init[j]), gen, method=method)
-    cumulative += t_init
+    hits = measure(t_init)
+    cumulative = t_init.copy()
 
     if cfg.initial_P is None:
         P_used = np.full(m, 0.5)
@@ -166,11 +170,6 @@ def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConf
         P_used = np.asarray(cfg.initial_P, dtype=float)
         if P_used.shape != (m,):
             raise ConfigError(f"initial_P must have length {m}")
-
-    def pooled_estimates(cum):
-        return np.array([
-            wd.settings[j].aggregate_probability(pooled[j] / cum[j]) for j in range(m)
-        ])
 
     state = AdaptiveState(n=n)
     for idx, eps in enumerate(cfg.epsilon_schedule, start=1):
@@ -187,13 +186,10 @@ def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConf
             if increments.sum() == 0:
                 P_hat = P_used
                 break
-            for j in range(m):
-                if increments[j] > 0:
-                    pooled[j] += sample_counts(born[j], int(increments[j]), gen,
-                                               method=method)
+            hits += measure(increments)
             cumulative = cumulative + increments
             round_increments += increments
-            P_hat = pooled_estimates(cumulative)
+            P_hat = hits / cumulative
             P_used = P_hat
             if not cfg.refine_within_round:
                 break

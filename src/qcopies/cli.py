@@ -225,14 +225,13 @@ def cmd_simulate(args) -> int:
         allocations = {"uniform-match": uniform_allocation(
             args.n + 1, int(np.ceil(optimized.total / (args.n + 1)))), **allocations}
     rng = RngSeed(_resolve_seed(args.seed))
-    report = compare_distributions(rho, wd, allocations, trials=args.trials, rng=rng,
-                                   method=args.method)
+    report = compare_distributions(rho, wd, allocations, trials=args.trials, rng=rng)
     files = {"comparison.csv": report.to_csv(), "comparison.json": report.to_json()}
     if args.histogram:
         for i, (name, alloc) in enumerate(allocations.items()):
             res = run_histogram_experiment(
                 rho, wd, alloc, trials=args.trials, rng=RngSeed(rng.seed, stream=i + 1),
-                spec=HistogramSpec(bins=args.bins), method=args.method)
+                spec=HistogramSpec(bins=args.bins))
             files[f"histogram_{name}.csv"] = res.histogram.to_csv()
             files[f"histogram_{name}.json"] = res.summary_json()
     _emit(args.out, files)
@@ -259,7 +258,7 @@ def cmd_adaptive(args) -> int:
         t_initial=args.t_initial, t_min=args.t_min,
     )
     rng = RngSeed(_resolve_seed(args.seed))
-    state = adaptive_mod.run_adaptive(rho, wd, cfg, rng.generator(), method=args.method)
+    state = adaptive_mod.run_adaptive(rho, wd, cfg, rng.generator())
     files = {"rounds.csv": state.history_csv(), "final.json": state.final_report_json()}
     _emit(args.out, files)
     sys.stdout.write(state.history_csv())
@@ -277,8 +276,7 @@ def cmd_hoeffding(args) -> int:
         copies = _ints(args.copies)
         rng = RngSeed(_resolve_seed(args.seed))
         table = hoeffding_mod.coverage_experiment(
-            rho, wd, copies, delta=args.delta, repeats=args.repeats, rng=rng,
-            method=args.method)
+            rho, wd, copies, delta=args.delta, repeats=args.repeats, rng=rng)
         files = {"coverage.csv": table.to_csv()}
         _emit(args.out, files)
         sys.stdout.write(table.to_csv())
@@ -320,7 +318,7 @@ def cmd_tomography(args) -> int:
     curve = reconstruction_curve(
         rho, counts_per_setting=args.counts, setting_counts=counts,
         repeats=args.repeats, rng=rng, family=args.family,
-        opts=ReconstructOptions(max_iter=args.max_iter), method=args.method)
+        opts=ReconstructOptions(max_iter=args.max_iter))
     _emit(args.out, {"curve.csv": curve.to_csv()})
     sys.stdout.write(curve.to_csv())
     return 0
@@ -337,8 +335,22 @@ def cmd_tenphoton_cost(args) -> int:
 
 # --- parser / config plumbing ----------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that indexes its options by destination, so that
+    --config keys are checked and converted like the flags they stand for."""
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, tuple[argparse.Action, str | None]] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.options[action.dest] = (action, kwargs.get("action"))
+        return action
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcopies",
         description="Copy budgeting and simulation for SC-state certification.",
     )
@@ -348,8 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with defaults for this command")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", help="directory for report files")
-        p.add_argument("--method", default="inverse_cdf",
-                       choices=["inverse_cdf", "multinomial"])
+        p.set_defaults(config_options=p.options)
 
     def state_opt(p):
         p.add_argument("--state", default=None,
@@ -431,12 +442,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate8", type=float, help="eight-photon coincidence rate in Hz")
     p.add_argument("--copies", type=int)
     p.set_defaults(func=cmd_tenphoton_cost)
-
-    _SUBPARSERS.update(sub.choices)
     return parser
 
 
-_SUBPARSERS: dict[str, argparse.ArgumentParser] = {}
+def _config_value(key: str, action: argparse.Action, kind: str | None, value):
+    """Convert one config-file value the way argparse converts its flag."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"config key {key!r} takes true or false, got {value!r}")
+    items = value if kind == "append" and isinstance(value, list) else [value]
+    out = []
+    for item in items:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ConfigError(f"config key {key!r} takes a string or number, got {item!r}")
+        try:
+            item = action.type(str(item)) if action.type else str(item)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for config key {key!r}: {exc}") from exc
+        if action.choices is not None and item not in action.choices:
+            raise ConfigError(f"config key {key!r} must be one of {list(action.choices)}")
+        out.append(item)
+    return out if kind == "append" else out[0]
 
 
 def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
@@ -449,16 +476,15 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    subparser = _SUBPARSERS[args.command]
-    options = {a.dest: a.option_strings for a in subparser._actions}
-    passed = set(argv)
+    passed = {a.split("=", 1)[0] for a in argv}
     for key, value in config.items():
         dest = key.replace("-", "_")
-        if dest not in options or dest in ("help", "config"):
+        if dest not in args.config_options or dest in ("help", "config"):
             raise ConfigError(f"unknown config key {key!r} for command {args.command!r}")
-        if any(opt in passed for opt in options[dest]):
+        action, kind = args.config_options[dest]
+        if passed.intersection(action.option_strings):
             continue  # explicit flag wins
-        setattr(args, dest, value)
+        setattr(args, dest, _config_value(key, action, kind, value))
     return args
 
 

@@ -29,15 +29,7 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def kron_all(mats) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.array([[1.0]], dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
-
-
-def _check_qubit_count(n: int) -> None:
+def check_qubit_count(n: int) -> None:
     if not 1 <= int(n) <= MAX_QUBITS:
         raise QcopiesError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
 
@@ -70,6 +62,9 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         if validate:
+            d = m.shape[0]
+            if d < 2 or d & (d - 1):
+                raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > HERMITIAN_TOL:
                 raise QcopiesError(f"matrix is not Hermitian: max|rho - rho^dag| = {herm_dev:.3e}")
@@ -93,7 +88,7 @@ class DensityMatrix:
 
 def sc_state(n: int) -> PureState:
     """The n-qubit Schrodinger-cat state (|H...H> + |V...V>) / sqrt(2)."""
-    _check_qubit_count(n)
+    check_qubit_count(n)
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
     return PureState(amps)
@@ -183,7 +178,7 @@ def rank_two_sc_state(n: int, fidelity: float) -> DensityMatrix:
     depends on the state being low-rank, as experimentally prepared cat
     states are.
     """
-    _check_qubit_count(n)
+    check_qubit_count(n)
     if n < 2:
         raise QcopiesError("rank-two model needs at least 2 qubits")
     if not 0.0 <= fidelity <= 1.0:

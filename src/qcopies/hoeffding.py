@@ -13,7 +13,7 @@ from .core import DensityMatrix
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
-from .witness import SettingProbabilities, WitnessDecomposition
+from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
 
 
 def failure_probability(t: int, h: float) -> float:
@@ -135,11 +135,6 @@ def allocation_interval(p_hat: SettingProbabilities, spec: ConfidenceSpec,
     )
 
 
-def sc_allocation_interval_contains(interval: AllocationInterval) -> bool:
-    return bool(np.all(interval.t_minus <= interval.t_point + 1e-9)
-                and np.all(interval.t_point <= interval.t_plus + 1e-9))
-
-
 @dataclass(frozen=True)
 class CoverageRow:
     copies: int
@@ -175,15 +170,12 @@ class CoverageTable:
 
 
 def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_counts,
-                        delta: float, repeats: int, rng: RngSeed,
-                        method: str = "inverse_cdf") -> CoverageTable:
+                        delta: float, repeats: int, rng: RngSeed) -> CoverageTable:
     """Estimate the computational-corner mass repeatedly at several copy
     counts and record the Hoeffding band around the true value."""
     if repeats < 1:
         raise QcopiesError(f"repeats must be >= 1, got {repeats}")
-    setting = wd.settings[0]
-    probs = setting.born_probabilities(rho)
-    true_value = setting.aggregate_probability(probs)
+    true_value = float(setting_probabilities(rho, wd).P[0])
     rows = []
     for i, copies in enumerate(copy_counts):
         copies = int(copies)
@@ -191,8 +183,8 @@ def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_count
         estimates = []
         for rep in range(repeats):
             gen = rng.generator(i, rep)
-            counts = sample_counts(probs, copies, gen, method=method)
-            estimates.append(setting.aggregate_probability(counts / copies))
+            hits = sample_counts([true_value, 1.0 - true_value], copies, gen)[0]
+            estimates.append(float(hits / copies))
         rows.append(CoverageRow(
             copies=copies,
             lower=true_value - radius,
@@ -200,11 +192,3 @@ def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_count
             estimates=tuple(estimates),
         ))
     return CoverageTable(true_value=true_value, delta=delta, rows=tuple(rows))
-
-
-def sc_interval_for_state(rho: DensityMatrix, wd: WitnessDecomposition,
-                          spec: ConfidenceSpec, epsilon0: float) -> AllocationInterval:
-    """Convenience: allocation interval at a state's exact probabilities."""
-    from .witness import setting_probabilities
-
-    return allocation_interval(setting_probabilities(rho, wd), spec, epsilon0)

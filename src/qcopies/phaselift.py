@@ -139,8 +139,7 @@ def exact_frequencies(rho: DensityMatrix, settings) -> list[np.ndarray]:
 
 
 def sampled_frequencies(rho: DensityMatrix, settings, copies_per_setting: int,
-                        gen: np.random.Generator,
-                        method: str = "inverse_cdf") -> list[np.ndarray]:
+                        gen: np.random.Generator) -> list[np.ndarray]:
     """Simulated frequency table from finite counts per setting.
 
     A full basis draws a multinomial over its outcomes; a single-projector
@@ -151,11 +150,10 @@ def sampled_frequencies(rho: DensityMatrix, settings, copies_per_setting: int,
         probs = s.born_probabilities(rho)
         if probs.size == 1:
             p = min(1.0, max(0.0, float(probs[0])))
-            counts = sample_counts(np.array([p, 1.0 - p]), copies_per_setting, gen,
-                                   method=method)
+            counts = sample_counts([p, 1.0 - p], copies_per_setting, gen)
             rows.append(np.array([counts[0] / copies_per_setting]))
         else:
-            counts = sample_counts(probs, copies_per_setting, gen, method=method)
+            counts = sample_counts(probs, copies_per_setting, gen)
             rows.append(counts / copies_per_setting)
     return rows
 
@@ -308,8 +306,7 @@ class ReconstructionCurve:
 def reconstruction_curve(rho_true: DensityMatrix, counts_per_setting: int,
                          setting_counts, repeats: int, rng: RngSeed,
                          opts: ReconstructOptions | None = None,
-                         family: str = "projectors",
-                         method: str = "inverse_cdf") -> ReconstructionCurve:
+                         family: str = "projectors") -> ReconstructionCurve:
     """Reconstruction quality versus the number of measurement settings.
 
     Settings are consumed in a shuffled order fixed by the run seed (so the
@@ -338,8 +335,7 @@ def reconstruction_curve(rho_true: DensityMatrix, counts_per_setting: int,
     mse = np.empty((len(setting_counts), repeats))
     for rep in range(repeats):
         gen = rng.generator(1, rep)
-        freq_rows = sampled_frequencies(rho_true, settings, counts_per_setting, gen,
-                                        method=method)
+        freq_rows = sampled_frequencies(rho_true, settings, counts_per_setting, gen)
         for i, m in enumerate(setting_counts):
             sel = order[: int(m)]
             result = reconstruct([settings[j] for j in sel],

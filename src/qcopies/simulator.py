@@ -65,35 +65,26 @@ class CountTable:
         return self.counts / self.total_copies
 
 
-def sample_counts(probs: np.ndarray, copies: int, gen: np.random.Generator,
-                  method: str = "inverse_cdf") -> np.ndarray:
-    """Draw multinomial counts over outcome probabilities.
+def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
+    """Draw multinomial counts of `copies` copies over outcome probabilities.
 
-    "inverse_cdf" draws one uniform number per copy and locates its
-    sub-interval of the cumulative distribution; "multinomial" is the
-    library fast path.  Both are deterministic for a given generator state.
+    The weights need not be normalized, but must be finite, nonnegative and
+    not all zero.  One draw costs O(outcomes), independent of `copies`.
     """
     if copies < 0:
         raise QcopiesError(f"copies must be >= 0, got {copies}")
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    p = p / p.sum()
-    if copies == 0:
-        return np.zeros(p.size, dtype=np.int64)
-    if method == "inverse_cdf":
-        cdf = np.cumsum(p)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, gen.random(copies), side="right")
-        return np.bincount(np.minimum(idx, p.size - 1), minlength=p.size).astype(np.int64)
-    if method == "multinomial":
-        return gen.multinomial(copies, p).astype(np.int64)
-    raise QcopiesError(f"unknown sampling method {method!r}")
+    p = np.asarray(probs, dtype=float)
+    total = p.sum()
+    if not np.isfinite(total) or np.any(p < 0) or total <= 0:
+        raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
+    return gen.multinomial(copies, p / total).astype(np.int64)
 
 
 def sample_setting(rho: DensityMatrix, setting, copies: int, rng,
-                   method: str = "inverse_cdf", setting_index: int = 0) -> CountTable:
+                   setting_index: int = 0) -> CountTable:
     """Simulate projecting `copies` copies of the state into one setting."""
     probs = setting.born_probabilities(rho)
-    counts = sample_counts(probs, copies, _as_generator(rng), method=method)
+    counts = sample_counts(probs, copies, _as_generator(rng))
     return CountTable(setting_index=setting_index, total_copies=copies, counts=counts)
 
 
@@ -116,17 +107,20 @@ def estimate_fidelity(tables, wd: WitnessDecomposition) -> tuple[float, float]:
     return fidelity_from_probabilities(p_hat), delta_f(p_hat, totals)
 
 
-def _simulate_fidelities(born_probs, wd, allocation, trials, rng, base_path, method):
-    """One estimated fidelity per trial; per-trial RNG streams."""
-    n = wd.n
+def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):
+    """One estimated fidelity per trial; per-trial RNG streams.
+
+    The estimator reads one aggregate per setting, so each setting draws only
+    its hit count: t_j copies split between P_j and 1 - P_j.
+    """
+    t = allocation.t
     fids = np.empty(trials)
     for trial in range(trials):
         gen = rng.generator(*base_path, trial)
-        p_hat = np.empty(n + 1)
-        for j, (setting, probs) in enumerate(zip(wd.settings, born_probs)):
-            counts = sample_counts(probs, int(allocation.t[j]), gen, method=method)
-            p_hat[j] = setting.aggregate_probability(counts / allocation.t[j])
-        fids[trial] = fidelity_from_probabilities(SettingProbabilities(n=n, P=p_hat))
+        hits = [sample_counts([p, 1.0 - p], int(t_j), gen)[0]
+                for p, t_j in zip(p_true.P, t)]
+        p_hat = SettingProbabilities(n=p_true.n, P=np.array(hits) / t)
+        fids[trial] = fidelity_from_probabilities(p_hat)
     return fids
 
 
@@ -177,8 +171,7 @@ class HistogramResult:
 
 def run_histogram_experiment(rho: DensityMatrix, wd: WitnessDecomposition,
                              allocation: CopyAllocation, trials: int,
-                             rng: RngSeed, spec: HistogramSpec | None = None,
-                             method: str = "inverse_cdf") -> HistogramResult:
+                             rng: RngSeed, spec: HistogramSpec | None = None) -> HistogramResult:
     """Repeat the full measurement `trials` times and bin the fidelities.
 
     The summary carries both the empirical spread of the estimates and the
@@ -189,8 +182,7 @@ def run_histogram_experiment(rho: DensityMatrix, wd: WitnessDecomposition,
         raise QcopiesError(f"trials must be >= 1, got {trials}")
     spec = spec or HistogramSpec()
     p_true = setting_probabilities(rho, wd)
-    born = [s.born_probabilities(rho) for s in wd.settings]
-    fids = _simulate_fidelities(born, wd, allocation, trials, rng, (), method)
+    fids = _simulate_fidelities(p_true, allocation, trials, rng, ())
     events, _ = np.histogram(fids, bins=spec.bins, range=spec.value_range)
     filled = HistogramSpec(bins=spec.bins, value_range=spec.value_range, events=events)
     return HistogramResult(
@@ -248,8 +240,7 @@ class ComparisonReport:
 
 def compare_distributions(rho: DensityMatrix, wd: WitnessDecomposition,
                           allocations: dict[str, CopyAllocation], trials: int,
-                          rng: RngSeed, baseline: str | None = None,
-                          method: str = "inverse_cdf") -> ComparisonReport:
+                          rng: RngSeed, baseline: str | None = None) -> ComparisonReport:
     """Simulate several copy distributions on the same state side by side.
 
     Savings are total-copy percentages relative to the baseline (the first
@@ -262,12 +253,11 @@ def compare_distributions(rho: DensityMatrix, wd: WitnessDecomposition,
     if baseline not in allocations:
         raise QcopiesError(f"baseline {baseline!r} not among allocations")
     p_true = setting_probabilities(rho, wd)
-    born = [s.born_probabilities(rho) for s in wd.settings]
     base_total = allocations[baseline].total
     rows = []
     for i, name in enumerate(names):
         alloc = allocations[name]
-        fids = _simulate_fidelities(born, wd, alloc, trials, rng, (i,), method)
+        fids = _simulate_fidelities(p_true, alloc, trials, rng, (i,))
         rows.append(ComparisonRow(
             name=name,
             total=alloc.total,

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, fidelity_pure, sc_state
+from .core import DensityMatrix, check_qubit_count, fidelity_pure, sc_state
 from .errors import DimensionMismatchError, QcopiesError
 
 COMPUTATIONAL = "computational"
@@ -26,15 +26,19 @@ ROTATED = "rotated"
 
 
 @lru_cache(maxsize=32)
-def parity_weights(n: int) -> np.ndarray:
-    """(-1)**popcount(outcome) for every outcome index of an n-qubit setting."""
+def popcounts(n: int) -> np.ndarray:
+    """Number of set bits of every outcome index of an n-qubit setting."""
     idx = np.arange(2**n, dtype=np.uint32)
     pops = np.zeros(2**n, dtype=np.int64)
     for q in range(n):
         pops += (idx >> q) & 1
-    w = np.where(pops % 2 == 0, 1.0, -1.0)
-    w.flags.writeable = False
-    return w
+    pops.flags.writeable = False
+    return pops
+
+
+def parity_weights(n: int) -> np.ndarray:
+    """(-1)**popcount(outcome) for every outcome index of an n-qubit setting."""
+    return 1.0 - 2.0 * (popcounts(n) % 2)
 
 
 @lru_cache(maxsize=32)
@@ -94,10 +98,6 @@ class MeasurementSetting:
         elif self.theta is not None:
             raise QcopiesError("computational setting takes no angle")
 
-    @property
-    def n_outcomes(self) -> int:
-        return 2**self.n
-
     def outcome_weights(self) -> np.ndarray:
         """Parity coefficients (rotated) or corner membership flags."""
         if self.kind == COMPUTATIONAL:
@@ -148,12 +148,6 @@ class WitnessDecomposition:
     n: int
     settings: tuple[MeasurementSetting, ...]
 
-    def sign(self, j: int) -> int:
-        """Coefficient sign of setting j (1-based, j >= 2) in the fidelity sum."""
-        if not 2 <= j <= self.n + 1:
-            raise QcopiesError(f"setting index must be in [2, {self.n + 1}], got {j}")
-        return -1 if j % 2 == 0 else 1
-
     @property
     def thetas(self) -> list[float]:
         return [s.theta for s in self.settings[1:]]
@@ -170,6 +164,8 @@ class SettingProbabilities:
         arr = np.asarray(self.P, dtype=float)
         if arr.shape != (self.n + 1,):
             raise DimensionMismatchError(f"expected {self.n + 1} probabilities, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise QcopiesError("setting probabilities must be finite")
         if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
             raise QcopiesError("setting probabilities must lie in [0, 1]")
         object.__setattr__(self, "P", np.clip(arr, 0.0, 1.0))
@@ -186,18 +182,27 @@ class SettingProbabilities:
 
 def build_settings(n: int) -> WitnessDecomposition:
     """Computational setting plus rotated settings at theta = k*pi/n, k = 1..n."""
-    if not 1 <= n <= 12:
-        raise QcopiesError(f"qubit count must be in [1, 12], got {n}")
+    check_qubit_count(n)
     settings = [MeasurementSetting(n, COMPUTATIONAL)]
     settings += [MeasurementSetting(n, ROTATED, k * np.pi / n) for k in range(1, n + 1)]
     return WitnessDecomposition(n=n, settings=tuple(settings))
 
 
 def setting_probabilities(rho: DensityMatrix, wd: WitnessDecomposition) -> SettingProbabilities:
-    """Exact aggregate probabilities P_1..P_{n+1} of a state."""
+    """Exact aggregate probabilities P_1..P_{n+1} of a state.
+
+    P_1 is the corner mass on the diagonal.  M_theta^(x)n maps |a> to the
+    complementary index a' = d-1-a, so each rotated parity expectation reads
+    only the anti-diagonal: Tr(rho M_theta^(x)n) = sum_a rho[a, a'] *
+    e^{i theta (n - 2|a|)}, and P_j = (1 + that) / 2.
+    """
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
-    P = [s.aggregate_probability(s.born_probabilities(rho)) for s in wd.settings]
+    corner = wd.settings[0]
+    anti = rho.matrix[:, ::-1].diagonal()
+    phases = np.exp(1j * np.outer(wd.n - 2 * popcounts(wd.n), wd.thetas))
+    parity = (anti @ phases).real
+    P = [corner.aggregate_probability(corner.born_probabilities(rho)), *(0.5 * (1.0 + parity))]
     return SettingProbabilities(n=wd.n, P=np.array(P))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -5,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcopies.cli import main, ten_photon_cost
+from qcopies.cli import _build_parser, main, ten_photon_cost
 
 
 def run_cli(args, capsys):
@@ -80,6 +83,83 @@ class TestConfigFile:
         code, _, err = run_cli(["allocate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "unknown config key" in err
+
+
+    def test_string_values_converted_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "2", "fidelity": "0.9", "compare": "uniform:50",
+                                   "trials": "5", "seed": 3}))
+        code, from_config, _ = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 0
+        code, from_flags, _ = run_cli(
+            ["simulate", "--n", "2", "--fidelity", "0.9", "--compare", "uniform:50",
+             "--trials", "5", "--seed", "3"], capsys)
+        assert code == 0
+        assert from_config == from_flags
+
+    @pytest.mark.parametrize("config", [{"n": "abc"}, {"trials": "abc"}, {"n": 3.5},
+                                        {"n": None}, {"fidelity": [0.9]},
+                                        {"histogram": "yes"}])
+    def test_unconvertible_value_exit_2(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "config error" in err
+
+
+COMMANDS = ["allocate", "simulate", "adaptive", "hoeffding", "tomography", "tenphoton-cost"]
+
+
+def _malformed(action, kind):
+    """JSON values that no flag of this option could spell."""
+    never = st.one_of(st.none(), st.dictionaries(st.text(max_size=3), st.integers(),
+                                                 max_size=2),
+                      st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=2))
+    if action.nargs == 0:
+        return st.one_of(never, st.integers(), st.text(max_size=5))
+    bad = [never, st.booleans()]
+    if kind != "append":
+        bad.append(st.lists(st.integers(), max_size=3))
+    if action.type is int:
+        bad.append(st.text(max_size=5).filter(lambda x: not _parses(int, x)))
+        bad.append(st.floats(allow_nan=False, allow_infinity=False)
+                   .filter(lambda x: x != int(x)))
+    elif action.type is float:
+        bad.append(st.text(max_size=5).filter(lambda x: not _parses(float, x)))
+    if action.choices is not None:
+        bad.append(st.text(max_size=5).filter(lambda x: x not in action.choices))
+    return st.one_of(*bad)
+
+
+def _parses(convert, text):
+    try:
+        convert(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def malformed_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    options = _build_parser().parse_args([command]).config_options
+    dest = draw(st.sampled_from(sorted(set(options) - {"help", "config"})))
+    action, kind = options[dest]
+    return command, {dest.replace("_", "-"): draw(_malformed(action, kind))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_configs())
+def test_malformed_config_value_exits_2(tmp_path_factory, case):
+    command, config = case
+    cfg = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(cfg)])
+    assert code == 2, (command, config)
+    assert err.getvalue().startswith("config error"), err.getvalue()
 
 
 class TestSimulate:
@@ -185,6 +265,13 @@ class TestAdaptive:
             ["adaptive", "--n", "2", "--fidelity", "0.9", "--schedule", "0.01,0.002",
              "--initial-p", "target", "--seed", "4"], capsys)
         assert code == 0
+
+
+    def test_method_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "2", "--fidelity", "0.9", "--compare", "uniform:50",
+                  "--trials", "5", "--method", "multinomial"])
+        assert exc.value.code == 2
 
 
 class TestHoeffding:

@@ -192,6 +192,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(QcopiesError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_rejects_size_not_power_of_two(self, d):
+        with pytest.raises(QcopiesError):
+            DensityMatrix(np.eye(d) / d)
+
     def test_immutable(self):
         rho = depolarized_sc(2, 0.9)
         with pytest.raises(ValueError):

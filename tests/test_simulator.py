@@ -16,6 +16,7 @@ from qcopies import (
     explicit_allocation,
     pure_density,
     run_histogram_experiment,
+    sample_counts,
     sample_setting,
     sc_state,
     setting_probabilities,
@@ -72,20 +73,36 @@ class TestSampleSetting:
         sigma = np.sqrt(p * (1 - p) / copies)
         assert np.all(np.abs(table.frequencies - p) < 5 * sigma)
 
-    def test_methods_agree_distributionally(self):
-        # chi-square statistic of each sampler against the exact cell
+    def test_sampler_matches_born_distribution(self):
+        # chi-square statistic of the sampler against the exact cell
         # probabilities stays within a generous quantile band
         n = 3
         rho = depolarized_sc(n, 0.7)
         wd = build_settings(n)
         probs = wd.settings[2].born_probabilities(rho)
         copies = 20000
-        for method in ("inverse_cdf", "multinomial"):
-            table = sample_setting(rho, wd.settings[2], copies, RngSeed(5), method=method)
-            expected = probs * copies
-            chi2 = float(np.sum((table.counts - expected) ** 2 / expected))
-            # 8 cells -> 7ish dof; mean 7, sd ~3.7; allow a wide pass band
-            assert chi2 < 30, f"{method} chi2={chi2}"
+        table = sample_setting(rho, wd.settings[2], copies, RngSeed(5))
+        expected = probs * copies
+        chi2 = float(np.sum((table.counts - expected) ** 2 / expected))
+        # 8 cells -> 7ish dof; mean 7, sd ~3.7; allow a wide pass band
+        assert chi2 < 30, f"chi2={chi2}"
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("probs", [
+        [0.0, 0.0, 0.0],
+        [],
+        [0.5, -0.1, 0.6],
+        [0.5, np.nan],
+        [np.inf, 0.5],
+    ])
+    def test_bad_probabilities_rejected(self, probs):
+        with pytest.raises(QcopiesError):
+            sample_counts(np.array(probs, dtype=float), 10, RngSeed(1).generator())
+
+    def test_unnormalized_weights_accepted(self):
+        counts = sample_counts([2.0, 0.0, 6.0], 1000, RngSeed(1).generator())
+        assert counts.sum() == 1000 and counts[1] == 0
 
 
 class TestCountTable:

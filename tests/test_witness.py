@@ -9,6 +9,8 @@ from qcopies import (
     delta_f,
     depolarized_sc,
     fidelity_from_probabilities,
+    noisy_sc_state,
+    rank_two_sc_state,
     setting_probabilities,
     witness_expectation,
 )
@@ -88,16 +90,27 @@ class TestSettingProbabilities:
 
     def test_parity_identity(self, rng):
         # sum_outcomes parity * prob equals the explicit tensor expectation
-        for n in (2, 3, 4):
+        for n in range(1, 9):
             wd = build_settings(n)
-            rho = DensityMatrix(ginibre_density(2**n, rng))
-            p = setting_probabilities(rho, wd)
-            for j, setting in enumerate(wd.settings[1:], start=2):
-                probs = setting.born_probabilities(rho)
-                parity_sum = float(setting.outcome_weights() @ probs)
-                assert parity_sum == pytest.approx(2 * p.P[j - 1] - 1, abs=1e-12)
-                assert parity_sum == pytest.approx(
-                    m_tensor_expectation(rho.matrix, n, setting.theta), abs=1e-10)
+            states = [DensityMatrix(ginibre_density(2**n, rng))]
+            if n >= 2:
+                states += [noisy_sc_state(n, 0.8, 0.9), rank_two_sc_state(n, 0.7)]
+            for rho in states:
+                p = setting_probabilities(rho, wd)
+                for j, setting in enumerate(wd.settings[1:], start=2):
+                    probs = setting.born_probabilities(rho)
+                    parity_sum = float(setting.outcome_weights() @ probs)
+                    assert parity_sum == pytest.approx(2 * p.P[j - 1] - 1, abs=1e-12)
+                    assert parity_sum == pytest.approx(
+                        m_tensor_expectation(rho.matrix, n, setting.theta), abs=1e-10)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        P = np.full(4, 0.5)
+        P[2] = bad
+        with pytest.raises(QcopiesError):
+            SettingProbabilities(n=3, P=P)
 
 
 class TestFidelityFromProbabilities:
