@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from qcopies import (
-    ConfidenceSpec,
     RngSeed,
     SettingProbabilities,
     allocation_interval,
@@ -30,8 +29,7 @@ print(f"copies for h=0.2 at 1e-4 failure: {required_copies(0.2, 1e-4)}")
 
 # bracket the closed-form allocation when frequencies are known to +-h
 p_hat = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
-spec = ConfidenceSpec(h=np.full(9, 0.2), delta=1e-4)
-interval = allocation_interval(p_hat, spec, epsilon0=0.016)
+interval = allocation_interval(p_hat, h=0.2, epsilon0=0.016)
 print(f"copy-count bracket, setting 1: [{interval.t_minus[0]:.0f}, {interval.t_plus[0]:.0f}]"
       f" around {interval.t_point[0]:.0f}")
 

@@ -6,10 +6,12 @@ adaptive feedback, Hoeffding guarantees and phaselift tomography.
 from .adaptive import (
     AdaptiveConfig,
     AdaptiveState,
+    TenPhotonCost,
     geometric_schedule,
     protocol_timeline,
     run_adaptive,
     sweep_epsilon_ratio,
+    ten_photon_cost,
 )
 from .allocator import (
     BudgetProblem,
@@ -26,7 +28,7 @@ from .allocator import (
     solve_budget,
     uniform_allocation,
 )
-from .cli import TenPhotonCost, ten_photon_cost
+from . import cli  # keeps `qcopies.cli` an attribute of the package after `import qcopies`
 from .core import (
     DensityMatrix,
     PureState,
@@ -53,7 +55,6 @@ from .errors import (
 )
 from .hoeffding import (
     AllocationInterval,
-    ConfidenceSpec,
     CoverageTable,
     allocation_interval,
     coverage_experiment,

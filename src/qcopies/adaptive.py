@@ -5,6 +5,9 @@ and prepare only the incremental copies the new allocation asks for.
 Budgets in the schedule are squared bounds (eps = eps0**2), matching the
 allocation solver; a run ending at eps therefore targets a fidelity
 standard deviation of sqrt(eps).
+
+Copies also become laboratory hours here: `protocol_timeline` for a feedback
+run and `ten_photon_cost` for the ten-photon coincidence rate.
 """
 from __future__ import annotations
 
@@ -342,3 +345,44 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
             prep_hours_saved=baseline_prep - prep,
         )
     return TimelineReport(**report)
+
+
+@dataclass(frozen=True)
+class TenPhotonCost:
+    """Copy-rate arithmetic for a ten-photon coincidence experiment."""
+
+    rate8_hz: float
+    two_photon_per_hour: float
+    ten_photon_per_hour: float
+    copies: int
+    hours: float
+    days: float
+
+    def to_json(self) -> str:
+        return json.dumps(self.__dict__)
+
+
+def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
+    """Hours needed to collect ten-photon copies, scaled from the
+    eight-photon coincidence rate.
+
+    Eight-photon events need four photon pairs, so the per-hour pair rate is
+    the fourth root of the hourly eight-photon rate; ten-photon events need
+    five simultaneous pairs, hence the fifth power.
+    """
+    if not rate8_hz > 0:
+        raise QcopiesError(f"rate must be positive, got {rate8_hz}")
+    if copies < 0:
+        raise QcopiesError(f"copies must be >= 0, got {copies}")
+    per_hour8 = rate8_hz * 3600.0
+    two = per_hour8 ** 0.25
+    ten = two ** 5
+    hours = 0.0 if copies == 0 else copies / ten
+    return TenPhotonCost(
+        rate8_hz=rate8_hz,
+        two_photon_per_hour=two,
+        ten_photon_per_hour=ten,
+        copies=int(copies),
+        hours=hours,
+        days=hours / 24.0,
+    )

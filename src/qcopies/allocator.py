@@ -49,10 +49,10 @@ class BudgetProblem:
         arr = np.array(self.k, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatchError("k must be a nonempty vector")
-        if np.any(arr < 0):
-            raise QcopiesError("variance weights must be nonnegative")
-        if not self.epsilon > 0:
-            raise QcopiesError(f"error budget must be positive, got {self.epsilon}")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+            raise QcopiesError("variance weights must be finite and nonnegative")
+        if not 0 < self.epsilon < np.inf:
+            raise QcopiesError(f"error budget must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "k", arr)
         self.k.flags.writeable = False
 
@@ -117,6 +117,13 @@ def uniform_allocation(n_settings: int, per_setting: int) -> CopyAllocation:
     return explicit_allocation(np.full(n_settings, per_setting, dtype=np.int64))
 
 
+def real_optimum(k: np.ndarray, eps: float) -> np.ndarray:
+    """Unrounded minimizer t_j = sqrt(k_j) * sum_i sqrt(k_i) / eps; zero
+    weights get zero copies."""
+    roots = np.sqrt(k)
+    return roots * roots.sum() / eps
+
+
 def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     """Closed-form minimizer of total copies under sum(k_j / t_j) <= eps.
 
@@ -129,9 +136,9 @@ def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     active = k > 0
     if not active.any():
         raise DegenerateProblemError("all variance weights are zero")
-    roots = np.sqrt(k)
-    real_t = np.zeros_like(k)
-    real_t[active] = roots[active] * roots.sum() / eps
+    real_t = real_optimum(k, eps)
+    if not real_t.max() < 2.0**62:
+        raise QcopiesError("copy counts overflow: the budget is too small for these weights")
     # Guard against ties like 50.000000000000007 before rounding up.
     t = np.where(active, np.ceil(real_t * (1 - 1e-12) - 1e-12), t_min).astype(np.int64)
     t = np.maximum(t, t_min)
@@ -155,8 +162,8 @@ def allocate_sc(p: SettingProbabilities, epsilon0: float, t_min: int = 1) -> Cop
     When every probability is 0 or 1 the estimate has no variance and the
     budget is met trivially; each setting then receives t_min copies.
     """
-    if not epsilon0 > 0:
-        raise QcopiesError(f"epsilon0 must be positive, got {epsilon0}")
+    if not 0 < epsilon0 < np.inf:
+        raise QcopiesError(f"epsilon0 must be positive and finite, got {epsilon0}")
     k = sc_variance_weights(p)
     if not np.any(k > 0):
         t = np.full(k.size, t_min, dtype=np.int64)

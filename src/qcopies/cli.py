@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,47 +34,6 @@ from .phaselift import ReconstructOptions, reconstruction_curve
 from .reports import csv_text, write_text
 from .simulator import RngSeed, compare_distributions, run_histogram_experiment, HistogramSpec
 from .witness import SettingProbabilities, build_settings, delta_f, setting_probabilities
-
-
-@dataclass(frozen=True)
-class TenPhotonCost:
-    """Copy-rate arithmetic for a ten-photon coincidence experiment."""
-
-    rate8_hz: float
-    two_photon_per_hour: float
-    ten_photon_per_hour: float
-    copies: int
-    hours: float
-    days: float
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__)
-
-
-def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
-    """Hours needed to collect ten-photon copies, scaled from the
-    eight-photon coincidence rate.
-
-    Eight-photon events need four photon pairs, so the per-hour pair rate is
-    the fourth root of the hourly eight-photon rate; ten-photon events need
-    five simultaneous pairs, hence the fifth power.
-    """
-    if not rate8_hz > 0:
-        raise QcopiesError(f"rate must be positive, got {rate8_hz}")
-    if copies < 0:
-        raise QcopiesError(f"copies must be >= 0, got {copies}")
-    per_hour8 = rate8_hz * 3600.0
-    two = per_hour8 ** 0.25
-    ten = two ** 5
-    hours = 0.0 if copies == 0 else copies / ten
-    return TenPhotonCost(
-        rate8_hz=rate8_hz,
-        two_photon_per_hour=two,
-        ten_photon_per_hour=ten,
-        copies=int(copies),
-        hours=hours,
-        days=hours / 24.0,
-    )
 
 
 def _floats(text: str) -> list[float]:
@@ -327,7 +285,7 @@ def cmd_tomography(args) -> int:
 def cmd_tenphoton_cost(args) -> int:
     if args.rate8 is None or args.copies is None:
         raise ConfigError("tenphoton-cost needs --rate8 and --copies")
-    report = ten_photon_cost(args.rate8, args.copies)
+    report = adaptive_mod.ten_photon_cost(args.rate8, args.copies)
     _emit(args.out, {"cost.json": report.to_json()})
     sys.stdout.write(report.to_json() + "\n")
     return 0
@@ -476,7 +434,12 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    passed = {a.split("=", 1)[0] for a in argv}
+    # argparse takes an exact option string or a unique prefix of one.
+    tokens = {a.split("=", 1)[0] for a in argv if a.startswith("--") and a != "--"}
+    spellings = {s for action, _ in args.config_options.values() for s in action.option_strings}
+    prefixes = tokens - spellings
+    passed = (tokens & spellings) | {s for s in spellings
+                                     if any(s.startswith(t) for t in prefixes)}
     for key, value in config.items():
         dest = key.replace("-", "_")
         if dest not in args.config_options or dest in ("help", "config"):

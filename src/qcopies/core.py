@@ -153,13 +153,16 @@ def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) ->
     corners without contributing coherence, which is how experimentally
     prepared cat states differ from white-noise mixtures.
     """
+    check_qubit_count(n)
     if corner_mass is None:
         return depolarized_sc(n, fidelity)
+    if n < 2:
+        raise QcopiesError("the corner-mass model needs at least 2 qubits")
     d = 2**n
     a = 2.0 * fidelity - corner_mass
     c = (1.0 - corner_mass) / (1.0 - 2.0 / d)
     b = 1.0 - a - c
-    if min(a, b, c) < -1e-12:
+    if not min(a, b, c) >= -1e-12:  # also catches NaN weights
         raise QcopiesError(
             f"no valid state with fidelity={fidelity}, corner_mass={corner_mass} "
             f"for n={n} (weights a={a:.4f}, b={b:.4f}, c={c:.4f})"

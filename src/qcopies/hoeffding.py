@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocator import real_optimum, sc_variance_weights
 from .core import DensityMatrix
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
@@ -58,26 +59,6 @@ def hoeffding_radius(t: int, delta: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConfidenceSpec:
-    """Per-setting deviation bounds h_j, target failure rate, copy counts."""
-
-    h: np.ndarray
-    delta: float
-    t: np.ndarray | None = None
-
-    def __post_init__(self):
-        hh = np.atleast_1d(np.asarray(self.h, dtype=float))
-        # h = 0 is allowed here: it degenerates the interval to a point.
-        if np.any(hh < 0) or np.any(hh >= 1):
-            raise QcopiesError("deviation bounds must be in [0, 1)")
-        if not 0 < self.delta < 1:
-            raise QcopiesError(f"failure probability must be in (0, 1), got {self.delta}")
-        object.__setattr__(self, "h", hh)
-        if self.t is not None:
-            object.__setattr__(self, "t", np.atleast_1d(np.asarray(self.t, dtype=np.int64)))
-
-
-@dataclass(frozen=True)
 class AllocationInterval:
     """Copy-count interval induced by frequency uncertainty +-h."""
 
@@ -90,48 +71,37 @@ class AllocationInterval:
     t_point: np.ndarray
 
 
-def allocation_interval(p_hat: SettingProbabilities, spec: ConfidenceSpec,
-                        epsilon0: float) -> AllocationInterval:
+def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> AllocationInterval:
     """Bracket the closed-form allocation when each frequency is only known
-    to within +-h_j.
+    to within +-h (a scalar, or one bound per setting, each in [0, 1)).
 
-    Setting 1 is a plain probability mass, so its endpoints are p +- h.  A
-    rotated setting's frequency enters through the parity difference
-    f - (1 - f), so its endpoints are 2(p +- h) - 1; everything is clamped
-    to [0, 1] before the variance map.  The variance map is evaluated at
-    both endpoints and the min/max taken, then the closed form gives the
-    copy-count bracket.
+    Each setting's probability ranges over [P - h, P + h] clamped to [0, 1].
+    P(1-P) is concave, so the smallest variance weight sits at an end of that
+    range and the largest at the point of the range nearest 1/2.  The optimum
+    grows with every weight, so the allocation of any state in the range lies
+    between t_minus and t_plus; t_point is the allocation of p_hat itself.
     """
-    if not epsilon0 > 0:
-        raise QcopiesError(f"epsilon0 must be positive, got {epsilon0}")
-    m = p_hat.P.size
-    h = np.broadcast_to(spec.h, (m,)).astype(float)
-    n = p_hat.n
+    if not 0 < epsilon0 < np.inf:
+        raise QcopiesError(f"epsilon0 must be positive and finite, got {epsilon0}")
+    try:
+        hh = np.asarray(h, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise QcopiesError(f"h must be numeric, got {h!r}") from exc
+    if hh.ndim > 1 or hh.size not in (1, p_hat.P.size) or not np.all((hh >= 0) & (hh < 1)):
+        raise QcopiesError(f"h must be a scalar or {p_hat.P.size} bounds in [0, 1), got {h!r}")
+    lo = np.clip(p_hat.P - hh, 0.0, 1.0)
+    hi = np.clip(p_hat.P + hh, 0.0, 1.0)
+
+    def weights(P):
+        return sc_variance_weights(SettingProbabilities(n=p_hat.n, P=P))
+
+    k_minus = np.minimum(weights(lo), weights(hi))
+    k_plus = weights(np.clip(0.5, lo, hi))
     eps = epsilon0**2
-
-    lo = np.empty(m)
-    hi = np.empty(m)
-    lo[0] = np.clip(p_hat.P[0] - h[0], 0.0, 1.0)
-    hi[0] = np.clip(p_hat.P[0] + h[0], 0.0, 1.0)
-    lo[1:] = np.clip(2.0 * (p_hat.P[1:] - h[1:]) - 1.0, 0.0, 1.0)
-    hi[1:] = np.clip(2.0 * (p_hat.P[1:] + h[1:]) - 1.0, 0.0, 1.0)
-
-    coef = np.full(m, 1.0 / n**2)
-    coef[0] = 0.25
-    var_lo = coef * lo * (1.0 - lo)
-    var_hi = coef * hi * (1.0 - hi)
-    k_minus = np.minimum(var_lo, var_hi)
-    k_plus = np.maximum(var_lo, var_hi)
-
-    def closed_form(k):
-        roots = np.sqrt(k)
-        return roots * roots.sum() / eps
-
-    mid = np.clip(0.5 * (lo + hi), 0.0, 1.0)
     return AllocationInterval(
         P_minus=lo, P_plus=hi, k_minus=k_minus, k_plus=k_plus,
-        t_minus=closed_form(k_minus), t_plus=closed_form(k_plus),
-        t_point=closed_form(coef * mid * (1.0 - mid)),
+        t_minus=real_optimum(k_minus, eps), t_plus=real_optimum(k_plus, eps),
+        t_point=real_optimum(sc_variance_weights(p_hat), eps),
     )
 
 

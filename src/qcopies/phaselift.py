@@ -168,6 +168,9 @@ class ReconstructOptions:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
+    """`converged` is True when the final, narrowest smoothing phase stopped
+    on a stall rather than on its iteration budget."""
+
     rho_hat: DensityMatrix
     objective: float
     iterations: int
@@ -217,7 +220,6 @@ def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
     best_rho = rho
     history = [best_obj]
     iterations = 0
-    converged = False
 
     widths = []
     w = 1e-1
@@ -256,16 +258,12 @@ def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
                 if stall > opts.stall_limit:
                     break
             history.append(best_obj)
-        if stall > opts.stall_limit and width <= opts.huber_width * 1.0001:
-            converged = True
 
-    if iterations < opts.max_iter:
-        converged = True
     return ReconstructionResult(
         rho_hat=psd_project(best_rho),
         objective=float(best_obj),
         iterations=iterations,
-        converged=converged,
+        converged=stall > opts.stall_limit,  # the narrowest phase stalled
         objective_history=np.asarray(history),
     )
 

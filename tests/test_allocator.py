@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcopies import (
     BudgetProblem,
@@ -93,6 +94,49 @@ class TestSolveBudget:
             bumped[j] *= 1.5
             grown = solve_budget(BudgetProblem(k=bumped, epsilon=1e-3)).real_t
             assert np.all(grown >= base - 1e-9)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("k", [[np.inf, 0.01], [np.nan, 0.01, 0.01], [0.01, -np.inf]])
+    def test_weights_rejected(self, k):
+        with pytest.raises(QcopiesError):
+            BudgetProblem(k=np.array(k), epsilon=1e-3)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan, -1e-3])
+    def test_budget_rejected(self, eps):
+        with pytest.raises(QcopiesError):
+            BudgetProblem(k=np.array([0.01, 0.01]), epsilon=eps)
+
+    def test_overflowing_plan_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(QcopiesError):
+            solve_budget(BudgetProblem(k=np.array([1e300, 1e300]), epsilon=1e-300))
+
+    def test_infinite_epsilon0_rejected_on_noiseless_profile(self):
+        # every weight is zero here, so the budget solver is never reached
+        p = SettingProbabilities(n=2, P=np.array([1.0, 0.0, 1.0]))
+        with pytest.raises(QcopiesError):
+            allocate_sc(p, epsilon0=np.inf)
+
+    def test_tomography_allocators_reject_non_finite(self):
+        with pytest.raises(QcopiesError):
+            allocate_tomography_orthogonal([np.array([np.nan, 0.5])], epsilon0=0.05)
+        for bad in (np.inf, np.nan):
+            km = np.diag([0.02, 0.01])
+            km[0, 1] = bad
+            with pytest.raises(QcopiesError):
+                allocate_tomography_nonorthogonal(km, epsilon0=0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda k: max(k) > 0),
+       st.floats(1e-4, 1.0), st.floats(0.01, 1.0), st.integers(1, 5))
+def test_solve_budget_feasible_near_minimal_and_monotone(k, eps, shrink, t_min):
+    k = np.array(k)
+    plan = solve_budget(BudgetProblem(k=k, epsilon=eps), t_min=t_min)
+    assert np.sum(k / plan.t) <= eps * (1 + 1e-9)
+    assert np.all(plan.t <= np.maximum(t_min, np.ceil(plan.real_t)) + 1)
+    tighter = solve_budget(BudgetProblem(k=k, epsilon=eps * shrink), t_min=t_min)
+    assert tighter.total >= plan.total
 
 
 class TestAllocateSc:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcopies.cli import _build_parser, main, ten_photon_cost
+from qcopies import ten_photon_cost
+from qcopies.cli import _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -55,6 +56,16 @@ class TestAllocate:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("budget", [
+        ["--k", "inf,0.01", "--epsilon", "0.001"],
+        ["--k", "nan,0.01,0.01", "--epsilon", "0.001"],
+        ["--k", "0.01,0.01", "--epsilon", "inf"],
+    ])
+    def test_non_finite_budget_exit_3(self, budget, capsys):
+        code, out, err = run_cli(["allocate", *budget], capsys)
+        assert code == 3
+        assert "error" in err and out == ""
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -76,6 +87,15 @@ class TestConfigFile:
             ["allocate", "--config", str(cfg), "--epsilon", "0.0005"], capsys)
         assert code == 0
         assert "total=80" in out  # halving the budget doubles every count
+
+    @pytest.mark.parametrize("flag", [["--fid", "0.9"], ["--fid=0.9"], ["--fidel", "0.9"]])
+    def test_abbreviated_flag_overrides_config(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"fidelity": 0.5}))
+        argv = ["simulate", "--n", "2", "--epsilon0", "0.05", "--trials", "5"]
+        code, out, _ = run_cli([*argv, "--config", str(cfg), *flag], capsys)
+        assert code == 0
+        assert "optimized_total=57 " in out  # as without the config; 0.5 gives 201
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -218,6 +238,12 @@ class TestSimulate:
         assert code == 0
         savings = float(out.rsplit("savings_pct=", 1)[1])
         assert abs(savings - 22.45) <= 5.0
+
+    def test_one_qubit_corner_mass_exit_3(self, capsys):
+        code, _, err = run_cli(["simulate", "--n", "1", "--fidelity", "0.9",
+                                "--corner-mass", "0.9", "--epsilon0", "0.1"], capsys)
+        assert code == 3
+        assert "at least 2 qubits" in err
 
     def test_needs_budget_or_comparison(self, capsys):
         code, _, _ = run_cli(

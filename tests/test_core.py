@@ -118,6 +118,17 @@ class TestNoisyScState:
         with pytest.raises(QcopiesError):
             noisy_sc_state(4, 0.5, corner_mass=0.2)  # corner mass below 2F-1 bound
 
+    @pytest.mark.parametrize("fidelity,corner_mass", [(np.nan, 0.9), (0.9, np.nan)])
+    def test_non_finite_profile_rejected(self, fidelity, corner_mass):
+        with pytest.raises(QcopiesError):
+            noisy_sc_state(4, fidelity, corner_mass=corner_mass)
+
+    @pytest.mark.parametrize("n", [0, 1, 13])
+    def test_corner_mass_needs_two_to_twelve_qubits(self, n):
+        # at n=1 the corner component equals white noise and 1 - 2/d is 0
+        with pytest.raises(QcopiesError):
+            noisy_sc_state(n, 0.9, corner_mass=0.9)
+
 
 class TestFidelityPure:
     def test_projector_is_one(self, rng):

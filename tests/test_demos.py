@@ -1,0 +1,26 @@
+"""Smoke test for the narrative scripts in demos/: each must run to exit 0
+against the library in src/.  phaselift_reconstruction.py is left out
+because it takes several seconds."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", [
+    "adaptive_feedback",
+    "eight_photon_budget",
+    "hoeffding_guarantees",
+    "ten_photon_savings",
+])
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcopies import (
-    ConfidenceSpec,
     EIGHT_PHOTON_MEASURED_P,
     QcopiesError,
     RngSeed,
     SettingProbabilities,
+    allocate_sc,
     allocation_interval,
     build_settings,
     coverage_experiment,
+    depolarized_sc,
     failure_probability,
     hoeffding_radius,
     joint_success,
     noisy_sc_state,
     required_copies,
+    setting_probabilities,
 )
 
 
@@ -93,7 +96,7 @@ class TestRequiredCopies:
 
 class TestAllocationInterval:
     def _spec(self, h, m=9):
-        return ConfidenceSpec(h=np.full(m, h), delta=1e-4)
+        return np.full(m, h)
 
     def test_zero_h_degenerates_to_point(self):
         p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
@@ -101,14 +104,15 @@ class TestAllocationInterval:
         assert iv.t_minus == pytest.approx(iv.t_plus, abs=1e-9)
         assert iv.t_minus == pytest.approx(iv.t_point, abs=1e-9)
 
-    def test_half_probability_keeps_endpoint_nearer_half(self):
+    def test_half_probability_range_contains_half(self):
         p = SettingProbabilities(n=3, P=np.full(4, 0.5))
         iv = allocation_interval(p, self._spec(0.1, m=4), 0.02)
-        # rotated settings map to endpoints {0, 0.2}; max variance at 0.2
-        assert iv.P_minus[1] == pytest.approx(0.0)
-        assert iv.P_plus[1] == pytest.approx(0.2)
-        assert iv.k_plus[1] == pytest.approx(0.2 * 0.8 / 9, rel=1e-12)
-        assert iv.k_minus[1] == pytest.approx(0.0, abs=1e-15)
+        # a rotated setting ranges over [0.4, 0.6] like setting 1; the
+        # largest weight is at 1/2, the smallest at either end
+        assert iv.P_minus[1] == pytest.approx(0.4)
+        assert iv.P_plus[1] == pytest.approx(0.6)
+        assert iv.k_plus[1] == pytest.approx(0.25 / 9, rel=1e-12)
+        assert iv.k_minus[1] == pytest.approx(0.24 / 9, rel=1e-12)
 
     def test_measured_profile_brackets_point(self):
         p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
@@ -131,6 +135,64 @@ class TestAllocationInterval:
                 assert np.all(iv.t_minus <= prev.t_minus + 1e-9)
                 assert np.all(iv.t_plus >= prev.t_plus - 1e-9)
             prev = iv
+
+    @pytest.mark.parametrize("p", [
+        setting_probabilities(depolarized_sc(4, 0.8), build_settings(4)),
+        SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P)),
+    ], ids=["depolarized-n4", "eight-photon"])
+    def test_zero_h_collapses_onto_allocate_sc(self, p):
+        eps0 = 0.05 if p.n == 4 else 0.016
+        real_t = allocate_sc(p, eps0).real_t
+        iv = allocation_interval(p, 0.0, eps0)
+        for t in (iv.t_minus, iv.t_plus, iv.t_point):
+            assert t == pytest.approx(real_t, rel=1e-12)
+
+    def test_zero_h_depolarized_hand_values(self):
+        p = setting_probabilities(depolarized_sc(4, 0.8), build_settings(4))
+        iv = allocation_interval(p, 0.0, 0.05)
+        assert iv.t_point == pytest.approx([39.24] + [15.54] * 4, abs=0.005)
+
+    def test_measured_profile_bracket_holds_setting_one_plan(self):
+        p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
+        iv = allocation_interval(p, 0.2, 0.016)
+        assert allocate_sc(p, 0.016).t[0] == 458
+        assert iv.t_minus[0] <= 458 <= iv.t_plus[0]
+        assert np.all(iv.t_plus > 0)
+
+    @pytest.mark.parametrize("h", [1.0, -0.1, np.nan, [0.1] * 3, [[0.1] * 9], "x"])
+    def test_bad_h_rejected(self, h):
+        p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
+        with pytest.raises(QcopiesError):
+            allocation_interval(p, h, 0.016)
+
+    def test_infinite_epsilon0_rejected(self):
+        p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
+        with pytest.raises(QcopiesError):
+            allocation_interval(p, 0.1, np.inf)
+
+
+@st.composite
+def _state_in_box(draw):
+    n = draw(st.integers(1, 9))
+    unit = st.floats(0.0, 1.0)
+    P = np.array(draw(st.lists(unit, min_size=n + 1, max_size=n + 1)))
+    h = np.array(draw(st.lists(st.floats(0.0, 0.3, exclude_max=True),
+                               min_size=n + 1, max_size=n + 1)))
+    where = np.array(draw(st.lists(unit, min_size=n + 1, max_size=n + 1)))
+    eps0 = draw(st.floats(0.005, 0.2))
+    return n, P, h, where, eps0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_state_in_box())
+def test_interval_brackets_every_state_in_the_box(case):
+    n, P, h, where, eps0 = case
+    iv = allocation_interval(SettingProbabilities(n=n, P=P), h, eps0)
+    inside = iv.P_minus + where * (iv.P_plus - iv.P_minus)
+    real_t = allocate_sc(SettingProbabilities(n=n, P=inside), eps0).real_t
+    slack = 1e-9 * (1.0 + real_t)
+    assert np.all(iv.t_minus <= real_t + slack)
+    assert np.all(real_t <= iv.t_plus + slack)
 
 
 class TestCoverage:

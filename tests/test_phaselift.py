@@ -97,6 +97,21 @@ class TestReconstruct:
         res = reconstruct(settings, freqs)
         assert np.all(np.diff(res.objective_history) <= 1e-12)
 
+    def test_budget_cut_solve_not_converged(self):
+        # 400 iterations over 6 smoothing widths leave 66 per phase, too few
+        # for the last phase to stall
+        settings = pauli_settings(3)
+        freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 2000,
+                                    np.random.default_rng(0))
+        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=400))
+        assert result.iterations < 400
+        assert not result.converged
+
+    def test_exact_mixed_data_converges(self):
+        settings = pauli_settings(3)
+        mixed = DensityMatrix(np.eye(8) / 8)
+        assert reconstruct(settings, exact_frequencies(mixed, settings)).converged
+
     def test_rejects_bad_frequencies(self):
         settings = pauli_settings(1)
         with pytest.raises(QcopiesError):
