@@ -72,7 +72,6 @@ from .phaselift import (
     exact_frequencies,
     pauli_settings,
     reconstruct,
-    reconstruct_elements,
     reconstruction_curve,
     sampled_frequencies,
     tomography_projectors,

@@ -49,7 +49,7 @@ class AdaptiveConfig:
 
     initial_P seeds the first allocation (defaults to 1/2 everywhere, or
     the target's own probabilities if you know the state is close to pure);
-    t_initial copies per setting are measured up front so the pooled
+    t_initial copies per setting (>= 0) are measured up front so the pooled
     estimates never start from nothing.
     """
 
@@ -57,7 +57,6 @@ class AdaptiveConfig:
     initial_P: np.ndarray | None = None
     t_initial: int | np.ndarray = 5
     t_min: int = 1
-    refine_within_round: bool = True
 
     def __post_init__(self):
         sched = tuple(float(e) for e in self.epsilon_schedule)
@@ -67,6 +66,8 @@ class AdaptiveConfig:
             raise ConfigError("budgets must be positive")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly decreasing")
+        if np.any(np.asarray(self.t_initial) < 0):
+            raise ConfigError("t_initial must be >= 0")
         object.__setattr__(self, "epsilon_schedule", sched)
 
     @classmethod
@@ -179,7 +180,6 @@ def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConf
         eps0 = float(np.sqrt(eps))
         entry_P = P_used.copy()
         round_increments = np.zeros(m, dtype=np.int64)
-        P_hat = P_used
         # Top up within the round until the budget is met by the cumulative
         # counts at the refreshed estimates (one pass when nothing drifts).
         for _ in range(64):
@@ -187,23 +187,18 @@ def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConf
             alloc = allocate_sc(p_in, epsilon0=eps0, t_min=cfg.t_min)
             increments = np.maximum(alloc.t - cumulative, 0)
             if increments.sum() == 0:
-                P_hat = P_used
                 break
             hits += measure(increments)
             cumulative = cumulative + increments
             round_increments += increments
-            P_hat = hits / cumulative
-            P_used = P_hat
-            if not cfg.refine_within_round:
-                break
-            p_chk = SettingProbabilities(n=n, P=_clamped(P_hat, cumulative))
+            P_used = hits / cumulative
+            p_chk = SettingProbabilities(n=n, P=_clamped(P_used, cumulative))
             if delta_f(p_chk, cumulative.astype(float)) <= eps0 * (1 + 1e-9):
                 break
         state.rounds.append(RoundRecord(
             index=idx, epsilon=float(eps), P_used=entry_P, target_t=alloc.t.copy(),
-            increments=round_increments, cumulative_t=cumulative.copy(), P_hat=P_hat,
+            increments=round_increments, cumulative_t=cumulative.copy(), P_hat=P_used,
         ))
-        P_used = P_hat
 
     state.cumulative_t = cumulative
     state.current_P = P_used
@@ -236,14 +231,12 @@ class SweepResult:
 
 
 def sweep_epsilon_ratio(rho: DensityMatrix, wd: WitnessDecomposition, ratios,
-                        repeats: int, rng: RngSeed, start: float = 0.01,
-                        stop: float = 0.0003, prior_range=(0.25, 0.75),
-                        pilot_range=(4, 7), t_min: int = 1) -> SweepResult:
+                        repeats: int, rng: RngSeed) -> SweepResult:
     """Total copies consumed per schedule-shrink ratio.
 
-    Each repeat starts from a random prior vector in `prior_range` and a
-    random pilot size in `pilot_range` per setting, runs the protocol until
-    the budget drops past `stop`, and reports the cumulative copies.
+    Each repeat starts from a random prior in [0.25, 0.75] and a random
+    pilot of 4 to 7 copies per setting, runs the protocol from budget 0.01
+    until it drops past 0.0003, and reports the cumulative copies.
     """
     m = wd.n + 1
     rows = []
@@ -253,10 +246,9 @@ def sweep_epsilon_ratio(rho: DensityMatrix, wd: WitnessDecomposition, ratios,
         for rep in range(repeats):
             setup = rng.generator(i, rep, 0)
             cfg = AdaptiveConfig(
-                epsilon_schedule=geometric_schedule(start, float(ratio), stop),
-                initial_P=setup.uniform(prior_range[0], prior_range[1], size=m),
-                t_initial=setup.integers(pilot_range[0], pilot_range[1] + 1, size=m),
-                t_min=t_min,
+                epsilon_schedule=geometric_schedule(0.01, float(ratio), 0.0003),
+                initial_P=setup.uniform(0.25, 0.75, size=m),
+                t_initial=setup.integers(4, 8, size=m),
             )
             state = run_adaptive(rho, wd, cfg, rng.generator(i, rep, 1))
             totals[rep] = state.total_copies

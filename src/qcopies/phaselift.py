@@ -8,9 +8,10 @@ settings built from per-qubit H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2,
 the waveplate-style family where one setting estimates one frequency.
 
 The solver is projected gradient descent on a graduated sequence of
-Huber-smoothed objectives (width shrinking down to `huber_width`) with
-Nesterov momentum, PSD/trace projection after every step and best-iterate
-tracking, so the sequence of accepted objectives never increases.
+Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
+a stall or its share of the iteration budget) with Nesterov momentum,
+PSD/trace projection after every step and best-iterate tracking, so the
+sequence of accepted objectives never increases.
 """
 from __future__ import annotations
 
@@ -145,6 +146,8 @@ def sampled_frequencies(rho: DensityMatrix, settings, copies_per_setting: int,
     A full basis draws a multinomial over its outcomes; a single-projector
     setting draws the binomial hit count of its one operator.
     """
+    if copies_per_setting < 1:
+        raise QcopiesError(f"copies per setting must be >= 1, got {copies_per_setting}")
     rows = []
     for s in settings:
         probs = s.born_probabilities(rho)
@@ -158,12 +161,17 @@ def sampled_frequencies(rho: DensityMatrix, settings, copies_per_setting: int,
     return rows
 
 
+# Graduated Huber widths, widest first.  A phase ends after more than
+# _STALL_LIMIT steps in a row that each improve the best objective by less
+# than _MIN_GAIN.
+_HUBER_WIDTHS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_STALL_LIMIT = 60
+_MIN_GAIN = 1e-9
+
+
 @dataclass(frozen=True)
 class ReconstructOptions:
     max_iter: int = 5000
-    objective_tol: float = 1e-6
-    huber_width: float = 1e-6
-    stall_limit: int = 60
 
 
 @dataclass(frozen=True)
@@ -178,34 +186,25 @@ class ReconstructionResult:
     objective_history: np.ndarray = field(repr=False)
 
 
-def _flatten(povms, freqs):
+def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
+    """Recover a density matrix from measurement settings and one row of
+    frequencies per setting (one entry per element of the setting)."""
+    opts = opts or ReconstructOptions()
+    rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
+    if len(settings) != len(rows):
+        raise DimensionMismatchError(f"{len(settings)} settings but {len(rows)} frequency rows")
+    if not rows:
+        raise QcopiesError("need at least one measurement setting")
     elements = []
-    values = []
-    freqs = list(freqs)
-    if len(povms) != len(freqs):
-        raise DimensionMismatchError(f"{len(povms)} groups but {len(freqs)} frequency rows")
-    for group, row in zip(povms, freqs):
-        els = group.elements() if hasattr(group, "elements") else list(group)
-        row = np.atleast_1d(np.asarray(row, dtype=float))
+    for setting, row in zip(settings, rows):
+        els = setting.elements()
         if row.shape != (len(els),):
             raise DimensionMismatchError(
-                f"group has {len(els)} elements but {row.size} frequencies")
+                f"setting has {len(els)} elements but {row.size} frequencies")
         elements.extend(els)
-        values.append(row)
-    return elements, np.concatenate(values) if values else np.array([])
-
-
-def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
-                         ) -> ReconstructionResult:
-    """Recover a density matrix from individual (operator, frequency) pairs."""
-    opts = opts or ReconstructOptions()
-    freqs = np.asarray(freqs, dtype=float)
-    if len(elements) == 0:
-        raise QcopiesError("need at least one measurement operator")
-    if freqs.shape != (len(elements),):
-        raise DimensionMismatchError(f"{len(elements)} operators but {freqs.size} frequencies")
-    if np.any(freqs < 0) or np.any(freqs > 1):
-        raise QcopiesError("frequencies must lie in [0, 1]")
+    freqs = np.concatenate(rows)
+    if not np.all((freqs >= 0) & (freqs <= 1)):
+        raise QcopiesError("frequencies must be finite and lie in [0, 1]")
     d = 2 ** elements[0].n
 
     # Row i holds vec(M_i^T) so that predictions are A @ vec(rho).
@@ -220,16 +219,9 @@ def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
     best_rho = rho
     history = [best_obj]
     iterations = 0
+    per_phase = max(50, opts.max_iter // len(_HUBER_WIDTHS))
 
-    widths = []
-    w = 1e-1
-    while w > opts.huber_width * 1.0001:
-        widths.append(w)
-        w /= 10.0
-    widths.append(opts.huber_width)
-    per_phase = max(50, opts.max_iter // len(widths))
-
-    for width in widths:
+    for width in _HUBER_WIDTHS:
         step = width / lipschitz_base
         y = best_rho
         prev = best_rho
@@ -248,14 +240,14 @@ def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
             y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
             prev, momentum = cur, m_next
             obj = objective(cur)
-            if obj < best_obj - opts.objective_tol * 1e-3:
+            if obj < best_obj - _MIN_GAIN:
                 best_obj, best_rho = obj, cur
                 stall = 0
             else:
                 if obj < best_obj:
                     best_obj, best_rho = obj, cur
                 stall += 1
-                if stall > opts.stall_limit:
+                if stall > _STALL_LIMIT:
                     break
             history.append(best_obj)
 
@@ -263,15 +255,9 @@ def reconstruct_elements(elements, freqs, opts: ReconstructOptions | None = None
         rho_hat=psd_project(best_rho),
         objective=float(best_obj),
         iterations=iterations,
-        converged=stall > opts.stall_limit,  # the narrowest phase stalled
+        converged=stall > _STALL_LIMIT,  # the narrowest phase stalled
         objective_history=np.asarray(history),
     )
-
-
-def reconstruct(povms, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
-    """Recover a density matrix from grouped settings and their frequencies."""
-    elements, values = _flatten(povms, freqs)
-    return reconstruct_elements(elements, values, opts)
 
 
 @dataclass(frozen=True)

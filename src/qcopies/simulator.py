@@ -113,7 +113,11 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
     The estimator reads one aggregate per setting, so each setting draws only
     its hit count: t_j copies split between P_j and 1 - P_j.
     """
+    if trials < 1:
+        raise QcopiesError(f"trials must be >= 1, got {trials}")
     t = allocation.t
+    if t.shape != p_true.P.shape:
+        raise DimensionMismatchError(f"allocation has {t.size} settings, expected {p_true.P.size}")
     fids = np.empty(trials)
     for trial in range(trials):
         gen = rng.generator(*base_path, trial)
@@ -126,15 +130,18 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
 
 @dataclass
 class HistogramSpec:
-    """Binned fidelity events over a fixed range."""
+    """Fidelity events binned over [0, 1]."""
 
     bins: int = 50
-    value_range: tuple[float, float] = (0.0, 1.0)
     events: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.bins < 1:
+            raise QcopiesError(f"bins must be >= 1, got {self.bins}")
 
     @property
     def bin_edges(self) -> np.ndarray:
-        return np.linspace(self.value_range[0], self.value_range[1], self.bins + 1)
+        return np.linspace(0.0, 1.0, self.bins + 1)
 
     def to_csv(self) -> str:
         from .reports import csv_text
@@ -165,7 +172,7 @@ class HistogramResult:
             "std": self.std,
             "predicted_delta_f": self.predicted_delta_f,
             "bins": self.histogram.bins,
-            "range": list(self.histogram.value_range),
+            "range": [0.0, 1.0],
         })
 
 
@@ -178,13 +185,11 @@ def run_histogram_experiment(rho: DensityMatrix, wd: WitnessDecomposition,
     binomial-formula prediction evaluated at the true probabilities, so the
     two can be compared.
     """
-    if trials < 1:
-        raise QcopiesError(f"trials must be >= 1, got {trials}")
     spec = spec or HistogramSpec()
     p_true = setting_probabilities(rho, wd)
     fids = _simulate_fidelities(p_true, allocation, trials, rng, ())
-    events, _ = np.histogram(fids, bins=spec.bins, range=spec.value_range)
-    filled = HistogramSpec(bins=spec.bins, value_range=spec.value_range, events=events)
+    events, _ = np.histogram(fids, bins=spec.bins, range=(0.0, 1.0))
+    filled = HistogramSpec(bins=spec.bins, events=events)
     return HistogramResult(
         histogram=filled,
         fidelities=fids,
@@ -240,18 +245,16 @@ class ComparisonReport:
 
 def compare_distributions(rho: DensityMatrix, wd: WitnessDecomposition,
                           allocations: dict[str, CopyAllocation], trials: int,
-                          rng: RngSeed, baseline: str | None = None) -> ComparisonReport:
+                          rng: RngSeed) -> ComparisonReport:
     """Simulate several copy distributions on the same state side by side.
 
-    Savings are total-copy percentages relative to the baseline (the first
-    entry unless named).
+    Savings are total-copy percentages relative to the first entry, the
+    baseline.
     """
     if len(allocations) < 2:
         raise QcopiesError("need at least two allocations to compare")
     names = list(allocations)
-    baseline = baseline or names[0]
-    if baseline not in allocations:
-        raise QcopiesError(f"baseline {baseline!r} not among allocations")
+    baseline = names[0]
     p_true = setting_probabilities(rho, wd)
     base_total = allocations[baseline].total
     rows = []

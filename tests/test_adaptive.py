@@ -5,8 +5,10 @@ from qcopies import (
     AdaptiveConfig,
     ConfigError,
     RngSeed,
+    SettingProbabilities,
     allocate_sc,
     build_settings,
+    delta_f,
     depolarized_sc,
     geometric_schedule,
     protocol_timeline,
@@ -37,18 +39,27 @@ class TestSchedule:
 
 class TestRunAdaptive:
     def test_single_round_equals_one_shot_allocation(self):
-        # with a one-entry schedule, known priors, no pilot and no top-ups,
-        # the protocol is exactly allocate once + sample once
+        # with a one-entry schedule, known priors and no pilot, the first
+        # pass is the one-shot allocation; top-ups only add to it, until the
+        # spread at the final estimates meets the budget
         n = 3
         wd = build_settings(n)
         rho = depolarized_sc(n, 0.75)
         p_true = setting_probabilities(rho, wd)
-        cfg = AdaptiveConfig(epsilon_schedule=(4e-4,), initial_P=p_true.P,
-                             t_initial=0, refine_within_round=False)
+        cfg = AdaptiveConfig(epsilon_schedule=(4e-4,), initial_P=p_true.P, t_initial=0)
         state = run_adaptive(rho, wd, cfg, RngSeed(5).generator())
         oneshot = allocate_sc(p_true, epsilon0=np.sqrt(4e-4))
-        assert list(state.cumulative_t) == list(oneshot.t)
+        assert np.all(state.cumulative_t >= oneshot.t)
+        spread = delta_f(SettingProbabilities(n=n, P=state.current_P),
+                         state.cumulative_t.astype(float))
+        assert spread <= 0.02 * (1 + 1e-9)
         assert state.round == 1
+
+    def test_negative_pilot_rejected(self):
+        with pytest.raises(ConfigError):
+            AdaptiveConfig(epsilon_schedule=(0.01,), t_initial=-1)
+        with pytest.raises(ConfigError):
+            AdaptiveConfig(epsilon_schedule=(0.01,), t_initial=np.array([5, -1, 5]))
 
     def test_monotone_cumulative_and_nonnegative_increments(self):
         n = 4
@@ -98,8 +109,6 @@ class TestRunAdaptive:
         assert hits >= 95
 
     def test_round_budgets_met_by_cumulative_counts(self):
-        from qcopies import SettingProbabilities, delta_f
-
         n = 4
         wd = build_settings(n)
         rho = depolarized_sc(n, 0.9374)

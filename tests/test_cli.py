@@ -245,6 +245,19 @@ class TestSimulate:
         assert code == 3
         assert "at least 2 qubits" in err
 
+    def test_zero_trials_exit_3(self, capsys):
+        code, _, err = run_cli(["simulate", "--n", "2", "--fidelity", "0.9",
+                                "--epsilon0", "0.05", "--trials", "0"], capsys)
+        assert code == 3
+        assert "trials" in err
+
+    def test_zero_bins_exit_3(self, capsys):
+        code, _, err = run_cli(["simulate", "--n", "2", "--fidelity", "0.9",
+                                "--epsilon0", "0.05", "--trials", "5", "--histogram",
+                                "--bins", "0"], capsys)
+        assert code == 3
+        assert "bins" in err
+
     def test_needs_budget_or_comparison(self, capsys):
         code, _, _ = run_cli(
             ["simulate", "--n", "2", "--fidelity", "0.9", "--trials", "5"], capsys)
@@ -285,6 +298,12 @@ class TestAdaptive:
         assert final["rounds"] == 2
         assert final["fidelity_std"] <= np.sqrt(0.001) * 1.001
         assert "round,epsilon,setting,increment,cumulative,P_hat" in out
+
+    def test_negative_pilot_exit_2(self, capsys):
+        code, _, err = run_cli(["adaptive", "--n", "2", "--fidelity", "0.9",
+                                "--t-initial", "-1"], capsys)
+        assert code == 2
+        assert "t_initial" in err
 
     def test_explicit_schedule_and_target_prior(self, capsys):
         code, _, _ = run_cli(
@@ -337,6 +356,13 @@ class TestTomography:
         lines = (tmp_path / "curve.csv").read_text().strip().split("\n")
         assert lines[0].startswith("settings_used,")
         assert len(lines) == 3
+
+    def test_zero_counts_exit_3(self, capsys):
+        code, _, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.9",
+                                "--counts", "0", "--settings", "4", "--repeats", "1"],
+                               capsys)
+        assert code == 3
+        assert "copies per setting" in err
 
 
 class TestTenPhotonCost:

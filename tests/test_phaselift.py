@@ -13,7 +13,6 @@ from qcopies import (
     pauli_settings,
     rank_two_sc_state,
     reconstruct,
-    reconstruct_elements,
     reconstruction_curve,
     sampled_frequencies,
     sc_state,
@@ -117,6 +116,15 @@ class TestReconstruct:
         with pytest.raises(QcopiesError):
             reconstruct(settings, [np.array([1.2, -0.2])] * 3)
 
+    def test_rejects_nan_frequencies(self):
+        with pytest.raises(QcopiesError):
+            reconstruct(pauli_settings(1), [np.array([np.nan, 0.5])] * 3)
+
+    def test_sampling_needs_copies(self):
+        with pytest.raises(QcopiesError):
+            sampled_frequencies(DensityMatrix(np.eye(4) / 4), pauli_settings(2), 0,
+                                np.random.default_rng(0))
+
     def test_rejects_shape_mismatch(self):
         settings = pauli_settings(1)
         with pytest.raises(QcopiesError):
@@ -183,4 +191,3 @@ class TestSmallCopyBias:
 def test_reconstruct_options_defaults():
     opts = ReconstructOptions()
     assert opts.max_iter == 5000
-    assert opts.huber_width == pytest.approx(1e-6)

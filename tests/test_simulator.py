@@ -4,6 +4,7 @@ import pytest
 from qcopies import (
     CountTable,
     DensityMatrix,
+    DimensionMismatchError,
     HistogramSpec,
     QcopiesError,
     RngSeed,
@@ -217,6 +218,7 @@ class TestHistogram:
         summary = json.loads(res.summary_json())
         assert summary["trials"] == 10
         assert summary["bins"] == 50
+        assert summary["range"] == [0.0, 1.0]
 
     def test_csv_shape(self):
         n = 2
@@ -227,6 +229,15 @@ class TestHistogram:
         lines = res.histogram.to_csv().strip().split("\n")
         assert lines[0] == "bin_low,bin_high,events"
         assert len(lines) == 51
+
+    def test_bins_must_be_positive(self):
+        with pytest.raises(QcopiesError):
+            HistogramSpec(bins=0)
+
+    def test_wrong_length_allocation_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            run_histogram_experiment(depolarized_sc(2, 0.9), build_settings(2),
+                                     uniform_allocation(4, 10), trials=5, rng=RngSeed(1))
 
 
 class TestPredictedSpread:
@@ -288,6 +299,23 @@ class TestCompareDistributions:
         report = compare_distributions(rho, wd, {"a": a, "b": a}, trials=20,
                                        rng=RngSeed(8))
         assert report.row("b").savings_pct == 0.0
+
+    def test_first_entry_is_baseline(self):
+        wd = build_settings(2)
+        report = compare_distributions(depolarized_sc(2, 0.8), wd,
+                                       {"small": uniform_allocation(3, 50),
+                                        "large": uniform_allocation(3, 100)},
+                                       trials=5, rng=RngSeed(3))
+        assert report.baseline == "small"
+        assert report.row("small").savings_pct == 0.0
+        assert report.row("large").savings_pct == -100.0
+
+    def test_trials_must_be_positive(self):
+        wd = build_settings(2)
+        a = uniform_allocation(3, 10)
+        with pytest.raises(QcopiesError):
+            compare_distributions(depolarized_sc(2, 0.8), wd, {"a": a, "b": a},
+                                  trials=0, rng=RngSeed(1))
 
     def test_requires_two_allocations(self):
         n = 2
