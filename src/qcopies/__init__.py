@@ -28,7 +28,6 @@ from .allocator import (
     solve_budget,
     uniform_allocation,
 )
-from . import cli  # keeps `qcopies.cli` an attribute of the package after `import qcopies`
 from .core import (
     DensityMatrix,
     PureState,
@@ -100,3 +99,13 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `qcopies.cli` loads on first use, so `python -m qcopies.cli` does not
+    # find it imported already
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

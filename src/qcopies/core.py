@@ -195,30 +195,42 @@ def rank_two_sc_state(n: int, fidelity: float) -> DensityMatrix:
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto {x >= 0, sum(x) = 1}."""
-    u = np.sort(values)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, values.size + 1)
-    rho = int(np.max(np.nonzero(u - css / idx > 0)[0])) + 1
-    tau = css[rho - 1] / rho
-    return np.maximum(values - tau, 0.0)
+    """Euclidean projection of each row of a real array onto {x >= 0, sum(x) = 1}."""
+    rows = values.reshape(-1, values.shape[-1])
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    k = np.arange(1, u.shape[1] + 1)
+    # rho = the largest k with u_k > css_k / k
+    rho = u.shape[1] - np.argmax((u - css / k > 0)[:, ::-1], axis=-1)
+    tau = css[np.arange(len(rows)), rho - 1] / rho
+    return np.maximum(values - tau.reshape(values.shape[:-1] + (1,)), 0.0)
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def psd_project_stack(m: np.ndarray) -> np.ndarray:
+    """Nearest (Frobenius) trace-one PSD matrix to each Hermitian matrix of a
+    (..., d, d) stack.
+
+    Eigendecomposes, projects each eigenvalue vector onto the probability
+    simplex and reconstructs in the same eigenbasis.  Each matrix of the
+    stack comes out bit for bit as it would on its own.
+    """
+    m = np.asarray(m, dtype=complex)
+    h = 0.5 * (m + _dagger(m))
+    vals, vecs = np.linalg.eigh(h)
+    out = (vecs * _project_to_simplex(vals)[..., None, :]) @ _dagger(vecs)
+    return 0.5 * (out + _dagger(out))
 
 
 def psd_project(m: np.ndarray) -> DensityMatrix:
-    """Nearest (Frobenius) trace-one PSD matrix to a Hermitian input.
-
-    Eigendecomposes, projects the eigenvalue vector onto the probability
-    simplex and reconstructs in the same eigenbasis.
-    """
+    """Nearest (Frobenius) trace-one PSD matrix to a Hermitian input."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    h = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    proj = _project_to_simplex(vals)
-    out = (vecs * proj) @ vecs.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, validate=False)
+    return DensityMatrix(psd_project_stack(m), validate=False)
 
 
 def density_to_json(rho: DensityMatrix) -> str:

@@ -11,16 +11,22 @@ The solver is projected gradient descent on a graduated sequence of
 Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
 a stall or its share of the iteration budget) with Nesterov momentum,
 PSD/trace projection after every step and best-iterate tracking, so the
-sequence of accepted objectives never increases.
+sequence of accepted objectives never increases.  It solves a batch of
+problems in lockstep: `reconstruct` passes one problem, while
+`reconstruction_curve` passes every setting count and repeat of the curve
+at once, so that each step makes one stacked eigendecomposition for all
+of them.  Each problem's result is bit for bit the one it gets alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
-from .core import DensityMatrix, fidelity_pure, frobenius_distance, psd_project, sc_state
+from .core import (DensityMatrix, fidelity_pure, frobenius_distance, psd_project,
+                   psd_project_stack, sc_state)
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
@@ -173,6 +179,10 @@ _MIN_GAIN = 1e-9
 class ReconstructOptions:
     max_iter: int = 5000
 
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise QcopiesError(f"max_iter must be >= 1, got {self.max_iter}")
+
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -186,6 +196,12 @@ class ReconstructionResult:
     objective_history: np.ndarray = field(repr=False)
 
 
+def _operator_rows(setting) -> np.ndarray:
+    """Row i holds vec(M_i^T) for the setting's i-th element, so that the
+    predictions for a state are rows @ vec(rho)."""
+    return np.array([el.operator().T.ravel() for el in setting.elements()])
+
+
 def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
     """Recover a density matrix from measurement settings and one row of
     frequencies per setting (one entry per element of the setting)."""
@@ -195,69 +211,120 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
         raise DimensionMismatchError(f"{len(settings)} settings but {len(rows)} frequency rows")
     if not rows:
         raise QcopiesError("need at least one measurement setting")
-    elements = []
     for setting, row in zip(settings, rows):
-        els = setting.elements()
-        if row.shape != (len(els),):
+        n_el = len(setting.elements())
+        if row.shape != (n_el,):
             raise DimensionMismatchError(
-                f"setting has {len(els)} elements but {row.size} frequencies")
-        elements.extend(els)
+                f"setting has {n_el} elements but {row.size} frequencies")
     freqs = np.concatenate(rows)
     if not np.all((freqs >= 0) & (freqs <= 1)):
         raise QcopiesError("frequencies must be finite and lie in [0, 1]")
-    d = 2 ** elements[0].n
+    A = np.concatenate([_operator_rows(s) for s in settings])
+    return _solve([(A, freqs)], opts.max_iter)[0]
 
-    # Row i holds vec(M_i^T) so that predictions are A @ vec(rho).
-    A = np.array([el.operator().T.ravel() for el in elements])
-    lipschitz_base = float(np.linalg.norm(A, 2) ** 2)
 
-    def objective(mat):
-        return float(np.abs((A @ mat.ravel()).real - freqs).sum())
+class _Problem:
+    """One misfit problem and its own place in the graduated solve: Huber
+    phase, step, momentum, stall count, best objective and history."""
 
-    rho = np.eye(d, dtype=complex) / d
-    best_obj = objective(rho)
-    best_rho = rho
-    history = [best_obj]
-    iterations = 0
-    per_phase = max(50, opts.max_iter // len(_HUBER_WIDTHS))
+    def __init__(self, A: np.ndarray, freqs: np.ndarray, start: np.ndarray):
+        self.A, self.freqs = A, freqs
+        self.lipschitz = float(np.linalg.norm(A, 2) ** 2)
+        self.best_obj = self.objective(start)
+        self.history = [self.best_obj]
+        self.iterations = 0
+        self.phase = -1
+        self.result: ReconstructionResult | None = None  # set when it drops out
 
-    for width in _HUBER_WIDTHS:
-        step = width / lipschitz_base
-        y = best_rho
-        prev = best_rho
-        momentum = 1.0
-        stall = 0
-        for _ in range(per_phase):
-            if iterations >= opts.max_iter:
-                break
-            iterations += 1
-            residual = (A @ y.ravel()).real - freqs
-            wts = residual / np.maximum(np.abs(residual), width)
-            grad = (wts @ A).reshape(d, d).T
-            grad = 0.5 * (grad + grad.conj().T)
-            cur = psd_project(y - step * grad).matrix
-            m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-            y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
-            prev, momentum = cur, m_next
-            obj = objective(cur)
-            if obj < best_obj - _MIN_GAIN:
-                best_obj, best_rho = obj, cur
-                stall = 0
-            else:
-                if obj < best_obj:
-                    best_obj, best_rho = obj, cur
-                stall += 1
-                if stall > _STALL_LIMIT:
-                    break
-            history.append(best_obj)
+    def objective(self, mat: np.ndarray) -> float:
+        return float(np.abs((self.A @ mat.ravel()).real - self.freqs).sum())
 
-    return ReconstructionResult(
-        rho_hat=psd_project(best_rho),
-        objective=float(best_obj),
-        iterations=iterations,
-        converged=stall > _STALL_LIMIT,  # the narrowest phase stalled
-        objective_history=np.asarray(history),
-    )
+    def start_phase(self) -> None:
+        self.phase += 1
+        self.width = _HUBER_WIDTHS[self.phase]
+        self.step = self.width / self.lipschitz
+        self.momentum = 1.0
+        self.stall = 0
+        self.phase_iter = 0
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        """Gradient of the Huber-smoothed misfit at y, before symmetrizing."""
+        residual = (self.A @ y.ravel()).real - self.freqs
+        wts = residual / np.maximum(np.abs(residual), self.width)
+        d = y.shape[-1]
+        return (wts @ self.A).reshape(d, d).T
+
+    def accept(self, obj: float) -> bool:
+        """Record one step's objective; True when it is the best so far."""
+        self.iterations += 1
+        self.phase_iter += 1
+        better = obj < self.best_obj
+        if obj < self.best_obj - _MIN_GAIN:
+            self.stall = 0
+        else:
+            self.stall += 1
+        if better:
+            self.best_obj = obj
+        if self.stall <= _STALL_LIMIT:
+            self.history.append(self.best_obj)
+        return better
+
+
+def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
+    """Projected gradient descent over graduated Huber widths for every
+    (A, freqs) problem at once.
+
+    Problems advance in lockstep on stacked (R, d, d) arrays: each step
+    makes one batched eigendecomposition and simplex projection for all
+    live problems, while A @ y, w @ A and the objective stay one BLAS call
+    per problem so that every problem's iterates are bit for bit those of
+    solving it alone.  A problem drops out when its last phase ends or it
+    reaches max_iter.
+    """
+    d = isqrt(problems[0][0].shape[1])
+    start = np.eye(d, dtype=complex) / d
+    live = [_Problem(A, f, start) for A, f in problems]
+    solved = list(live)
+    best = np.stack([start] * len(live))
+    per_phase = max(50, max_iter // len(_HUBER_WIDTHS))
+    for p in live:
+        p.start_phase()
+    y, prev = best.copy(), best.copy()
+    while live:
+        grad = np.stack([p.gradient(y[i]) for i, p in enumerate(live)])
+        grad = 0.5 * (grad + grad.conj().swapaxes(-1, -2))
+        steps = np.array([p.step for p in live])[:, None, None]
+        cur = psd_project_stack(y - steps * grad)
+        coef = np.empty(len(live))
+        for i, p in enumerate(live):
+            m_next = (1.0 + np.sqrt(1.0 + 4.0 * p.momentum**2)) / 2.0
+            coef[i] = (p.momentum - 1.0) / m_next
+            p.momentum = m_next
+        y = cur + coef[:, None, None] * (cur - prev)
+        prev = cur
+        keep = []
+        for i, p in enumerate(live):
+            if p.accept(p.objective(cur[i])):
+                best[i] = cur[i]
+            phase_over = p.stall > _STALL_LIMIT or p.phase_iter == per_phase
+            last = p.phase == len(_HUBER_WIDTHS) - 1
+            if p.iterations >= max_iter or (phase_over and last):
+                p.result = ReconstructionResult(
+                    rho_hat=psd_project(best[i]),
+                    objective=float(p.best_obj),
+                    iterations=p.iterations,
+                    converged=last and p.stall > _STALL_LIMIT,
+                    objective_history=np.asarray(p.history),
+                )
+                continue
+            if phase_over:
+                p.start_phase()
+                y[i] = prev[i] = best[i]
+            keep.append(i)
+        if len(keep) < len(live):
+            live = [live[i] for i in keep]
+            best, y, prev = best[keep], y[keep], prev[keep]
+    return [p.result for p in solved]
 
 
 @dataclass(frozen=True)
@@ -267,6 +334,8 @@ class CurveRow:
     std_fidelity: float
     mean_mse: float
     std_mse: float
+    iterations: tuple[int, ...]  # one per repeat, like `converged`
+    converged: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
@@ -314,26 +383,34 @@ def reconstruction_curve(rho_true: DensityMatrix, counts_per_setting: int,
         raise QcopiesError(f"setting counts must lie in [1, {total}]")
     order = rng.generator(0).permutation(total)
     target = sc_state(n)
+    opts = opts or ReconstructOptions()
 
-    fid = np.empty((len(setting_counts), repeats))
-    mse = np.empty((len(setting_counts), repeats))
+    # Every subset is a prefix of one setting order, so each problem's
+    # operator and frequencies are leading rows of these.
+    blocks = [_operator_rows(settings[j]) for j in order]
+    A = np.concatenate(blocks)
+    ends = np.cumsum([len(b) for b in blocks])
+    problems = []
     for rep in range(repeats):
-        gen = rng.generator(1, rep)
-        freq_rows = sampled_frequencies(rho_true, settings, counts_per_setting, gen)
-        for i, m in enumerate(setting_counts):
-            sel = order[: int(m)]
-            result = reconstruct([settings[j] for j in sel],
-                                 [freq_rows[j] for j in sel], opts)
-            fid[i, rep] = fidelity_pure(result.rho_hat, target)
-            mse[i, rep] = frobenius_distance(result.rho_hat, rho_true) ** 2
-    rows = [
-        CurveRow(
+        freq_rows = sampled_frequencies(rho_true, settings, counts_per_setting,
+                                        rng.generator(1, rep))
+        freqs = np.concatenate([freq_rows[j] for j in order])
+        problems += [(A[:ends[int(m) - 1]], freqs[:ends[int(m) - 1]]) for m in setting_counts]
+    results = _solve(problems, opts.max_iter)
+    # results[rep * len(setting_counts) + i] solves setting count i of repeat rep
+    by_count = [results[i::len(setting_counts)] for i in range(len(setting_counts))]
+
+    rows = []
+    for m, solves in zip(setting_counts, by_count):
+        fid = np.array([fidelity_pure(r.rho_hat, target) for r in solves])
+        mse = np.array([frobenius_distance(r.rho_hat, rho_true) ** 2 for r in solves])
+        rows.append(CurveRow(
             settings_used=int(m),
-            mean_fidelity=float(fid[i].mean()),
-            std_fidelity=float(fid[i].std(ddof=1)) if repeats > 1 else 0.0,
-            mean_mse=float(mse[i].mean()),
-            std_mse=float(mse[i].std(ddof=1)) if repeats > 1 else 0.0,
-        )
-        for i, m in enumerate(setting_counts)
-    ]
+            mean_fidelity=float(fid.mean()),
+            std_fidelity=float(fid.std(ddof=1)) if repeats > 1 else 0.0,
+            mean_mse=float(mse.mean()),
+            std_mse=float(mse.std(ddof=1)) if repeats > 1 else 0.0,
+            iterations=tuple(r.iterations for r in solves),
+            converged=tuple(r.converged for r in solves),
+        ))
     return ReconstructionCurve(rows=tuple(rows))

@@ -112,3 +112,61 @@ def minimize_budget_numeric(k, eps, iters=200000, tol=1e-12):
             stall = 0
         y, fy = cand, fc
     return k / (eps * y)
+
+
+def _project_density(m):
+    """Nearest trace-one PSD matrix, one matrix at a time."""
+    h = 0.5 * (m + m.conj().T)
+    vals, vecs = np.linalg.eigh(h)
+    u = np.sort(vals)[::-1]
+    css = np.cumsum(u) - 1.0
+    r = int(np.max(np.nonzero(u - css / np.arange(1, u.size + 1) > 0)[0])) + 1
+    out = (vecs * np.maximum(vals - css[r - 1] / r, 0.0)) @ vecs.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
+                          stall_limit=60, min_gain=1e-9):
+    """The documented reconstruction scheme for one problem, as plain nested
+    loops: one projected-gradient phase per Huber width, Nesterov momentum
+    restarted from the best iterate, a phase ending after more than
+    `stall_limit` steps that each gain less than `min_gain`, or after its
+    share of max_iter.  Uses the same floating-point operations as the
+    library, so results agree bit for bit.
+
+    Returns (rho, objective, iterations, converged, history).
+    """
+    d = int(round(np.sqrt(A.shape[1])))
+    lipschitz = float(np.linalg.norm(A, 2) ** 2)
+
+    def objective(mat):
+        return float(np.abs((A @ mat.ravel()).real - freqs).sum())
+
+    best = np.eye(d, dtype=complex) / d
+    best_obj = objective(best)
+    history = [best_obj]
+    iterations = 0
+    per_phase = max(50, max_iter // len(widths))
+    for width in widths:
+        y = prev = best
+        momentum = 1.0
+        stall = 0
+        for _ in range(per_phase):
+            if iterations >= max_iter:
+                break
+            iterations += 1
+            residual = (A @ y.ravel()).real - freqs
+            wts = residual / np.maximum(np.abs(residual), width)
+            grad = (wts @ A).reshape(d, d).T
+            cur = _project_density(y - (width / lipschitz) * (0.5 * (grad + grad.conj().T)))
+            m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+            y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
+            prev, momentum = cur, m_next
+            obj = objective(cur)
+            stall = 0 if obj < best_obj - min_gain else stall + 1
+            if obj < best_obj:
+                best, best_obj = cur, obj
+            if stall > stall_limit:
+                break
+            history.append(best_obj)
+    return _project_density(best), best_obj, iterations, stall > stall_limit, np.array(history)

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +366,14 @@ class TestTomography:
         assert code == 3
         assert "copies per setting" in err
 
+    def test_zero_max_iter_exit_3(self, capsys):
+        code, out, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.9",
+                                  "--counts", "100", "--settings", "4", "--repeats", "1",
+                                  "--max-iter", "0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "max_iter" in err
+
 
 class TestTenPhotonCost:
     def test_reference_numbers(self, capsys):
@@ -408,3 +418,24 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "total=40" in proc.stdout
+
+
+def _python(*args):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_cli_module_runs_without_warning():
+    proc = _python("-m", "qcopies.cli", "tenphoton-cost", "--rate8", "2.8e-5", "--copies", "110")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_cli_attribute_loads_on_first_use():
+    proc = _python("-c", "import sys, qcopies; assert 'qcopies.cli' not in sys.modules; "
+                         "print(qcopies.cli.main.__module__)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "qcopies.cli"

@@ -18,7 +18,7 @@ from qcopies import (
     white_noise_mix,
     white_noise_weight_for_fidelity,
 )
-from qcopies.core import PAULI_X
+from qcopies.core import PAULI_X, psd_project_stack
 
 from _oracles import ginibre_density, kron_loop
 
@@ -187,6 +187,16 @@ class TestPsdProject:
             assert np.max(np.abs(out.matrix - out.matrix.conj().T)) <= 1e-10
             assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
+
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_stack_matches_matrix_by_matrix(self, rng, d):
+        g = rng.standard_normal((2, 12, d, d)) + 1j * rng.standard_normal((2, 12, d, d))
+        stack = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+        out = psd_project_stack(stack)
+        assert out.shape == stack.shape
+        for h, o in zip(stack.reshape(-1, d, d), out.reshape(-1, d, d)):
+            assert np.array_equal(o, psd_project(h).matrix)
 
 
 class TestDensityMatrixValidation:

@@ -19,8 +19,9 @@ from qcopies import (
     tomography_projectors,
 )
 from qcopies.core import PAULI_X, PAULI_Y, PAULI_Z
+from qcopies.phaselift import _operator_rows, _solve
 
-from _oracles import ginibre_density
+from _oracles import ginibre_density, graduated_reconstruct
 
 
 class TestPauliSettings:
@@ -131,6 +132,71 @@ class TestReconstruct:
             reconstruct(settings, [np.array([0.5, 0.5])] * 2)
 
 
+def _same_result(a, b):
+    return (a.rho_hat.matrix.tobytes() == b.rho_hat.matrix.tobytes()
+            and a.objective == b.objective and a.iterations == b.iterations
+            and a.converged == b.converged
+            and a.objective_history.tobytes() == b.objective_history.tobytes())
+
+
+class TestLockstep:
+    """Solving problems together gives each the bits it gets alone."""
+
+    @staticmethod
+    def _problems(rng):
+        rank_two = rank_two_sc_state(3, 0.7068)
+        mixed = DensityMatrix(np.eye(8) / 8)
+        pauli, proj = pauli_settings(3), tomography_projectors(3)
+        cases = [
+            (pauli, exact_frequencies(mixed, pauli)),
+            (proj[:8], sampled_frequencies(rank_two, proj[:8], 2000, rng)),
+            (proj, sampled_frequencies(rank_two, proj, 20000, rng)),
+            (pauli[:5], sampled_frequencies(DensityMatrix(ginibre_density(8, rng)),
+                                            pauli[:5], 500, rng)),
+        ]
+        return [(settings, freqs, np.concatenate([_operator_rows(s) for s in settings]),
+                 np.concatenate(freqs)) for settings, freqs in cases]
+
+    @pytest.mark.parametrize("max_iter", [5000, 400])
+    def test_matches_separate_solves(self, rng, max_iter):
+        problems = self._problems(rng)
+        opts = ReconstructOptions(max_iter=max_iter)
+        alone = [reconstruct(settings, freqs, opts) for settings, freqs, _, _ in problems]
+        together = _solve([(A, f) for _, _, A, f in problems], max_iter)
+        assert all(_same_result(a, b) for a, b in zip(alone, together))
+        for r, (_, _, A, f) in zip(alone, problems):
+            rho, obj, iterations, converged, history = graduated_reconstruct(A, f, max_iter)
+            assert r.rho_hat.matrix.tobytes() == rho.tobytes()
+            assert (r.objective, r.iterations, r.converged) == (obj, iterations, converged)
+            assert r.objective_history.tobytes() == history.tobytes()
+        if max_iter == 400:  # one is cut by the budget, the others stall first
+            assert [r.converged for r in alone] == [True, True, False, True]
+        else:  # they drop out far apart
+            iterations = [r.iterations for r in alone]
+            assert max(iterations) > 3 * min(iterations)
+
+    def test_curve_keeps_each_solve(self):
+        rho = rank_two_sc_state(2, 0.8)
+        setting_counts, repeats = [4, 9, 16], 2
+        curve = reconstruction_curve(rho, counts_per_setting=1000,
+                                     setting_counts=setting_counts, repeats=repeats,
+                                     rng=RngSeed(3))
+        settings = tomography_projectors(2)
+        rng = RngSeed(3)
+        order = rng.generator(0).permutation(len(settings))
+        tables = [sampled_frequencies(rho, settings, 1000, rng.generator(1, rep))
+                  for rep in range(repeats)]
+        for m, row in zip(setting_counts, curve.rows):
+            sel = order[:m]
+            alone = [reconstruct([settings[j] for j in sel], [table[j] for j in sel])
+                     for table in tables]
+            assert row.iterations == tuple(r.iterations for r in alone)
+            assert row.converged == tuple(r.converged for r in alone)
+            fid = [fidelity_pure(r.rho_hat, sc_state(2)) for r in alone]
+            assert row.mean_fidelity == float(np.mean(fid))
+            assert row.std_fidelity == float(np.std(fid, ddof=1))
+
+
 class TestReconstructionCurve:
     def test_mse_shrinks_with_more_settings(self):
         rho = rank_two_sc_state(3, 0.7068)
@@ -191,3 +257,9 @@ class TestSmallCopyBias:
 def test_reconstruct_options_defaults():
     opts = ReconstructOptions()
     assert opts.max_iter == 5000
+
+
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_reconstruct_options_need_an_iteration(max_iter):
+    with pytest.raises(QcopiesError):
+        ReconstructOptions(max_iter=max_iter)

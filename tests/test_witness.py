@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcopies import (
     DensityMatrix,
     QcopiesError,
+    RngSeed,
     SettingProbabilities,
+    allocate_sc,
     build_settings,
     delta_f,
     depolarized_sc,
     fidelity_from_probabilities,
+    fidelity_pure,
     noisy_sc_state,
+    pure_density,
     rank_two_sc_state,
+    run_histogram_experiment,
+    sc_state,
     setting_probabilities,
     witness_expectation,
 )
@@ -133,6 +140,20 @@ class TestFidelityFromProbabilities:
                 assert abs(f_path - fidelity_direct(rho.matrix, n)) < 1e-10
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_decomposition_equals_direct_fidelity(n, rank, cat_weight, seed):
+    # a random rank-limited state mixed with the cat, so the fidelity spans [0, 1]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    noise = g @ g.conj().T
+    m = (cat_weight * pure_density(sc_state(n)).matrix
+         + (1.0 - cat_weight) * noise / np.trace(noise).real)
+    rho = DensityMatrix(m)
+    via_settings = fidelity_from_probabilities(setting_probabilities(rho, build_settings(n)))
+    assert via_settings == pytest.approx(fidelity_pure(rho, sc_state(n)), abs=1e-10)
+
+
 class TestDeltaF:
     def test_zero_variance(self):
         p = SettingProbabilities(n=2, P=np.array([1.0, 0.0, 1.0]))
@@ -161,6 +182,20 @@ class TestDeltaF:
         p = SettingProbabilities(n=2, P=np.array([0.5, 0.5, 0.5]))
         with pytest.raises(QcopiesError):
             delta_f(p, [10, 0, 10])
+
+
+# Fixed examples: the tolerance is statistical, as in acceptance 11.
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(2, 6), st.sampled_from([depolarized_sc, rank_two_sc_state]),
+       st.floats(0.3, 0.85), st.floats(0.01, 0.05), st.integers(0, 2**32 - 1))
+def test_delta_f_matches_simulated_spread(n, model, fidelity, epsilon0, seed):
+    rho = model(n, fidelity)
+    wd = build_settings(n)
+    p = setting_probabilities(rho, wd)
+    assume(np.all((p.P >= 0.05) & (p.P <= 0.95)))
+    res = run_histogram_experiment(rho, wd, allocate_sc(p, epsilon0=epsilon0), trials=550,
+                                   rng=RngSeed(seed))
+    assert abs(res.std - res.predicted_delta_f) <= 0.15 * res.predicted_delta_f
 
 
 class TestWitnessExpectation:
