@@ -36,7 +36,6 @@ from .core import (
     depolarized_sc,
     fidelity_pure,
     frobenius_distance,
-    kron,
     noisy_sc_state,
     psd_project,
     pure_density,
@@ -77,15 +76,11 @@ from .phaselift import (
 )
 from .simulator import (
     ComparisonReport,
-    CountTable,
     HistogramSpec,
     RngSeed,
     compare_distributions,
-    estimate_fidelity,
-    probabilities_from_tables,
     run_histogram_experiment,
     sample_counts,
-    sample_setting,
 )
 from .witness import (
     MeasurementSetting,
@@ -95,7 +90,6 @@ from .witness import (
     delta_f,
     fidelity_from_probabilities,
     setting_probabilities,
-    witness_expectation,
 )
 
 __version__ = "0.1.0"

@@ -62,8 +62,8 @@ class AdaptiveConfig:
         sched = tuple(float(e) for e in self.epsilon_schedule)
         if not sched:
             raise ConfigError("schedule must not be empty")
-        if any(e <= 0 for e in sched):
-            raise ConfigError("budgets must be positive")
+        if not all(0 < e < np.inf for e in sched):
+            raise ConfigError("budgets must be positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly decreasing")
         if np.any(np.asarray(self.t_initial) < 0):
@@ -238,6 +238,10 @@ def sweep_epsilon_ratio(rho: DensityMatrix, wd: WitnessDecomposition, ratios,
     pilot of 4 to 7 copies per setting, runs the protocol from budget 0.01
     until it drops past 0.0003, and reports the cumulative copies.
     """
+    if repeats < 1:
+        raise QcopiesError(f"repeats must be >= 1, got {repeats}")
+    if len(ratios) == 0:
+        raise QcopiesError("need at least one ratio")
     m = wd.n + 1
     rows = []
     for i, ratio in enumerate(ratios):

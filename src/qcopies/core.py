@@ -1,5 +1,5 @@
-"""Complex linear algebra substrate: pure states, density matrices, tensor
-products, synthetic noise models, fidelity and norms.
+"""Complex linear algebra substrate: pure states, density matrices,
+synthetic noise models, fidelity, norms and PSD/trace-one projection.
 
 Conventions: qubit basis states are |H> = (1,0) and |V> = (0,1); a register
 of n qubits lives in dimension 2**n with qubit 0 as the most significant bit
@@ -22,11 +22,6 @@ PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (a kron b)[i*p+k, j*q+l] = a[i,j] * b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def check_qubit_count(n: int) -> None:

@@ -145,6 +145,8 @@ def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_count
     counts and record the Hoeffding band around the true value."""
     if repeats < 1:
         raise QcopiesError(f"repeats must be >= 1, got {repeats}")
+    if len(copy_counts) == 0:
+        raise QcopiesError("need at least one copy count")
     true_value = float(setting_probabilities(rho, wd).P[0])
     rows = []
     for i, copies in enumerate(copy_counts):

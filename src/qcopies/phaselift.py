@@ -50,11 +50,11 @@ MAX_PAULI_QUBITS = 4
 
 @dataclass(frozen=True)
 class PovmElement:
-    """One rank-1 measurement operator, held implicitly as a label.
+    """One rank-1 measurement operator, held implicitly by its bases.
 
-    For a Pauli basis element the label is the basis string plus the
-    outcome bits; for a single-projector setting the outcome is 0 and the
-    basis string spells the per-qubit kets directly (e.g. 'HDR').
+    For a Pauli basis element the outcome bits pick each qubit's eigenvector;
+    for a single-projector setting the outcome is 0 and the basis string
+    spells the per-qubit kets directly (e.g. 'HDR').
     """
 
     bases: str
@@ -63,14 +63,6 @@ class PovmElement:
     @property
     def n(self) -> int:
         return len(self.bases)
-
-    @property
-    def label(self) -> str:
-        if set(self.bases) <= set("XYZ"):
-            signs = "".join("-" if (self.outcome >> (self.n - 1 - q)) & 1 else "+"
-                            for q in range(self.n))
-            return f"{self.bases}:{signs}"
-        return self.bases
 
     def ket(self) -> np.ndarray:
         v = np.array([1.0], dtype=complex)
@@ -211,6 +203,8 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
         raise DimensionMismatchError(f"{len(settings)} settings but {len(rows)} frequency rows")
     if not rows:
         raise QcopiesError("need at least one measurement setting")
+    if len({s.n for s in settings}) != 1:
+        raise DimensionMismatchError("settings act on different numbers of qubits")
     for setting, row in zip(settings, rows):
         n_el = len(setting.elements())
         if row.shape != (n_el,):
@@ -379,6 +373,8 @@ def reconstruction_curve(rho_true: DensityMatrix, counts_per_setting: int,
     else:
         raise QcopiesError(f"unknown measurement family {family!r}")
     total = len(settings)
+    if len(setting_counts) == 0:
+        raise QcopiesError("need at least one setting count")
     if any(not 1 <= int(m) <= total for m in setting_counts):
         raise QcopiesError(f"setting counts must lie in [1, {total}]")
     order = rng.generator(0).permutation(total)

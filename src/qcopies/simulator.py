@@ -1,6 +1,6 @@
-"""Monte Carlo simulation of the measurement process: Born-rule sampling of
-count tables, fidelity estimation from counts, histogram experiments and
-copy-distribution comparisons.
+"""Monte Carlo simulation of the measurement process: seeded multinomial
+sampling, fidelity estimates from one hit count per setting, histogram
+experiments and copy-distribution comparisons.
 """
 from __future__ import annotations
 
@@ -41,30 +41,6 @@ def _as_generator(rng) -> np.random.Generator:
     raise QcopiesError(f"expected RngSeed or numpy Generator, got {type(rng).__name__}")
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Per-outcome event counts for one measurement setting."""
-
-    setting_index: int
-    total_copies: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        if np.any(c < 0):
-            raise QcopiesError("counts must be nonnegative")
-        if int(c.sum()) != self.total_copies:
-            raise QcopiesError(f"counts sum to {int(c.sum())}, expected {self.total_copies}")
-        object.__setattr__(self, "counts", c)
-        self.counts.flags.writeable = False
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        if self.total_copies == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / self.total_copies
-
-
 def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
     """Draw multinomial counts of `copies` copies over outcome probabilities.
 
@@ -78,33 +54,6 @@ def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
     if not np.isfinite(total) or np.any(p < 0) or total <= 0:
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
     return gen.multinomial(copies, p / total).astype(np.int64)
-
-
-def sample_setting(rho: DensityMatrix, setting, copies: int, rng,
-                   setting_index: int = 0) -> CountTable:
-    """Simulate projecting `copies` copies of the state into one setting."""
-    probs = setting.born_probabilities(rho)
-    counts = sample_counts(probs, copies, _as_generator(rng))
-    return CountTable(setting_index=setting_index, total_copies=copies, counts=counts)
-
-
-def probabilities_from_tables(tables, wd: WitnessDecomposition) -> SettingProbabilities:
-    """Aggregate P-hat estimates from one count table per setting."""
-    if len(tables) != wd.n + 1:
-        raise DimensionMismatchError(f"need {wd.n + 1} tables, got {len(tables)}")
-    P = []
-    for table, setting in zip(tables, wd.settings):
-        if table.total_copies == 0:
-            raise QcopiesError("cannot estimate probabilities from an empty table")
-        P.append(setting.aggregate_probability(table.frequencies))
-    return SettingProbabilities(n=wd.n, P=np.array(P))
-
-
-def estimate_fidelity(tables, wd: WitnessDecomposition) -> tuple[float, float]:
-    """(F-hat, dF-hat) from one count table per setting."""
-    p_hat = probabilities_from_tables(tables, wd)
-    totals = np.array([t.total_copies for t in tables], dtype=float)
-    return fidelity_from_probabilities(p_hat), delta_f(p_hat, totals)
 
 
 def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):

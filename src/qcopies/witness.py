@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, check_qubit_count, fidelity_pure, sc_state
+from .core import DensityMatrix, check_qubit_count
 from .errors import DimensionMismatchError, QcopiesError
 
 COMPUTATIONAL = "computational"
@@ -34,20 +34,6 @@ def popcounts(n: int) -> np.ndarray:
         pops += (idx >> q) & 1
     pops.flags.writeable = False
     return pops
-
-
-def parity_weights(n: int) -> np.ndarray:
-    """(-1)**popcount(outcome) for every outcome index of an n-qubit setting."""
-    return 1.0 - 2.0 * (popcounts(n) % 2)
-
-
-@lru_cache(maxsize=32)
-def corner_flags(n: int) -> np.ndarray:
-    """Membership flags for the all-H and all-V outcomes."""
-    w = np.zeros(2**n)
-    w[0] = w[-1] = 1.0
-    w.flags.writeable = False
-    return w
 
 
 def rotated_bras(theta: float) -> np.ndarray:
@@ -78,7 +64,7 @@ def basis_probabilities(rho: DensityMatrix, bras_per_qubit) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One complete projective product basis plus its parity bookkeeping."""
+    """One complete projective product basis: computational, or rotated by theta."""
 
     n: int
     kind: str
@@ -98,32 +84,6 @@ class MeasurementSetting:
         elif self.theta is not None:
             raise QcopiesError("computational setting takes no angle")
 
-    def outcome_weights(self) -> np.ndarray:
-        """Parity coefficients (rotated) or corner membership flags."""
-        if self.kind == COMPUTATIONAL:
-            return corner_flags(self.n)
-        return parity_weights(self.n)
-
-    def outcome_labels(self) -> list[str]:
-        """Sign-pattern label of every outcome, e.g. 'HVH' or '+-+'."""
-        chars = "HV" if self.kind == COMPUTATIONAL else "+-"
-        return [
-            "".join(chars[(i >> (self.n - 1 - q)) & 1] for q in range(self.n))
-            for i in range(2**self.n)
-        ]
-
-    def projector_ket(self, outcome: int) -> np.ndarray:
-        """State vector of one outcome; built on demand, never stored."""
-        if self.kind == COMPUTATIONAL:
-            single = [np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)]
-        else:
-            b = rotated_bras(self.theta).conj()
-            single = [b[0], b[1]]
-        ket = np.array([1.0], dtype=complex)
-        for q in range(self.n):
-            ket = np.kron(ket, single[(outcome >> (self.n - 1 - q)) & 1])
-        return ket
-
     def born_probabilities(self, rho: DensityMatrix) -> np.ndarray:
         if rho.n_qubits != self.n:
             raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
@@ -132,13 +92,6 @@ class MeasurementSetting:
             np.clip(probs, 0.0, None, out=probs)
             return probs
         return basis_probabilities(rho, [rotated_bras(self.theta)] * self.n)
-
-    def aggregate_probability(self, probs: np.ndarray) -> float:
-        """Corner mass (computational) or even-parity mass (rotated)."""
-        w = self.outcome_weights()
-        if self.kind == COMPUTATIONAL:
-            return float(w @ probs)
-        return float((1.0 + w @ probs) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -198,11 +151,11 @@ def setting_probabilities(rho: DensityMatrix, wd: WitnessDecomposition) -> Setti
     """
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
-    corner = wd.settings[0]
+    corners = wd.settings[0].born_probabilities(rho)
     anti = rho.matrix[:, ::-1].diagonal()
     phases = np.exp(1j * np.outer(wd.n - 2 * popcounts(wd.n), wd.thetas))
     parity = (anti @ phases).real
-    P = [corner.aggregate_probability(corner.born_probabilities(rho)), *(0.5 * (1.0 + parity))]
+    P = [corners[0] + corners[-1], *(0.5 * (1.0 + parity))]
     return SettingProbabilities(n=wd.n, P=np.array(P))
 
 
@@ -229,10 +182,3 @@ def delta_f(p: SettingProbabilities, t) -> float:
     var = p.P * (1.0 - p.P)
     n = p.n
     return float(np.sqrt(var[0] / (4.0 * counts[0]) + np.sum(var[1:] / counts[1:]) / n**2))
-
-
-def witness_expectation(rho: DensityMatrix, n: int) -> float:
-    """<w> = 1/2 - F; negative value certifies genuine entanglement."""
-    if rho.n_qubits != n:
-        raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, expected {n}")
-    return 0.5 - fidelity_pure(rho, sc_state(n))

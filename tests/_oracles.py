@@ -10,20 +10,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 
-def kron_loop(a, b):
-    """Kronecker product by explicit double loop over all index pairs."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    p, q = b.shape
-    out = np.zeros((a.shape[0] * p, a.shape[1] * q), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            for k in range(p):
-                for l in range(q):
-                    out[i * p + k, j * q + l] = a[i, j] * b[k, l]
-    return out
-
-
 def ginibre_density(d, rng):
     """Random full-rank density matrix G G^dag / Tr."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -4,6 +4,7 @@ import pytest
 from qcopies import (
     AdaptiveConfig,
     ConfigError,
+    QcopiesError,
     RngSeed,
     SettingProbabilities,
     allocate_sc,
@@ -33,6 +34,9 @@ class TestSchedule:
             AdaptiveConfig(epsilon_schedule=(0.01, 0.02))
         with pytest.raises(ConfigError):
             AdaptiveConfig(epsilon_schedule=(0.01, -0.001))
+        for schedule in [(np.nan,), (np.inf, 0.01), (0.01, np.nan)]:
+            with pytest.raises(ConfigError):
+                AdaptiveConfig(epsilon_schedule=schedule)
         with pytest.raises(ConfigError):
             geometric_schedule(0.01, 1.2, 0.0001)
 
@@ -146,6 +150,12 @@ class TestSweep:
         res = sweep_epsilon_ratio(rho, wd, [0.1, 0.2], repeats=2, rng=RngSeed(4))
         assert res.rows[0].mean_rounds == 3.0
         assert res.rows[1].mean_rounds == 4.0
+
+    @pytest.mark.parametrize("ratios, repeats", [([0.1], 0), ([], 2)])
+    def test_empty_sweep_rejected(self, ratios, repeats):
+        with pytest.raises(QcopiesError):
+            sweep_epsilon_ratio(depolarized_sc(2, 0.9), build_settings(2), ratios,
+                                repeats=repeats, rng=RngSeed(4))
 
 
 class TestTimeline:

@@ -307,6 +307,13 @@ class TestAdaptive:
         assert code == 2
         assert "t_initial" in err
 
+    def test_non_finite_schedule_exit_2(self, capsys):
+        code, out, err = run_cli(["adaptive", "--n", "2", "--fidelity", "0.9",
+                                  "--schedule", "nan"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
     def test_explicit_schedule_and_target_prior(self, capsys):
         code, _, _ = run_cli(
             ["adaptive", "--n", "2", "--fidelity", "0.9", "--schedule", "0.01,0.002",
@@ -347,6 +354,13 @@ class TestHoeffding:
     def test_joint_needs_inputs(self, capsys):
         assert run_cli(["hoeffding"], capsys)[0] == 2
 
+    def test_empty_copies_exit_3(self, capsys):
+        code, out, err = run_cli(["hoeffding", "--coverage", "--n", "3", "--fidelity", "0.8",
+                                  "--copies", ","], capsys)
+        assert code == 3
+        assert out == ""
+        assert "copy count" in err
+
 
 class TestTomography:
     def test_curve_csv(self, tmp_path, capsys):
@@ -373,6 +387,14 @@ class TestTomography:
         assert code == 3
         assert out == ""
         assert "max_iter" in err
+
+    def test_empty_settings_exit_3(self, capsys):
+        code, out, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.9",
+                                  "--settings", ",", "--counts", "100", "--repeats", "1"],
+                                 capsys)
+        assert code == 3
+        assert out == ""
+        assert "setting count" in err
 
 
 class TestTenPhotonCost:

@@ -10,7 +10,6 @@ from qcopies import (
     depolarized_sc,
     fidelity_pure,
     frobenius_distance,
-    kron,
     noisy_sc_state,
     psd_project,
     pure_density,
@@ -18,32 +17,9 @@ from qcopies import (
     white_noise_mix,
     white_noise_weight_for_fidelity,
 )
-from qcopies.core import PAULI_X, psd_project_stack
+from qcopies.core import psd_project_stack
 
-from _oracles import ginibre_density, kron_loop
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_x_pair_is_antidiagonal(self):
-        got = kron(PAULI_X, PAULI_X)
-        assert np.allclose(got, np.fliplr(np.eye(4)))
-
-    def test_trace_multiplicative_against_double_loop(self, rng):
-        for _ in range(10):
-            a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            ref = kron_loop(a, b)
-            assert np.allclose(kron(a, b), ref, atol=1e-12)
-            assert np.trace(ref) == pytest.approx(np.trace(a) * np.trace(b), abs=1e-12)
-
-    def test_associativity(self, rng):
-        for _ in range(10):
-            a, b, c = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                       for _ in range(3))
-            assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
+from _oracles import ginibre_density
 
 
 class TestScState:

@@ -1,6 +1,5 @@
 """Smoke test for the narrative scripts in demos/: each must run to exit 0
-against the library in src/.  phaselift_reconstruction.py is left out
-because it takes several seconds."""
+against the library in src/."""
 import os
 import subprocess
 import sys
@@ -15,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "adaptive_feedback",
     "eight_photon_budget",
     "hoeffding_guarantees",
+    "phaselift_reconstruction",
     "ten_photon_savings",
 ])
 def test_demo_runs(demo):

@@ -229,6 +229,11 @@ class TestCoverage:
         assert row.upper - row.lower == pytest.approx(2 * hoeffding_radius(100, 0.01),
                                                       abs=1e-12)
 
+    def test_empty_copy_counts(self):
+        with pytest.raises(QcopiesError):
+            coverage_experiment(noisy_sc_state(2, 0.9), build_settings(2), [], delta=0.01,
+                                repeats=1, rng=RngSeed(5))
+
 
 class TestEmpiricalCoverageOfBound:
     def test_binomial_frequencies_respect_band(self):

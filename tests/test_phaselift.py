@@ -3,6 +3,7 @@ import pytest
 
 from qcopies import (
     DensityMatrix,
+    DimensionMismatchError,
     PovmElement,
     QcopiesError,
     ReconstructOptions,
@@ -131,6 +132,11 @@ class TestReconstruct:
         with pytest.raises(QcopiesError):
             reconstruct(settings, [np.array([0.5, 0.5])] * 2)
 
+    def test_rejects_mixed_qubit_counts(self):
+        with pytest.raises(DimensionMismatchError):
+            reconstruct([pauli_settings(1)[0], pauli_settings(2)[0]],
+                        [[0.5, 0.5], [0.25] * 4])
+
 
 def _same_result(a, b):
     return (a.rho_hat.matrix.tobytes() == b.rho_hat.matrix.tobytes()
@@ -237,6 +243,9 @@ class TestReconstructionCurve:
         with pytest.raises(QcopiesError):
             reconstruction_curve(rho, counts_per_setting=100, setting_counts=[17],
                                  repeats=1, rng=RngSeed(1), family="pauli")
+        with pytest.raises(QcopiesError):
+            reconstruction_curve(rho, counts_per_setting=100, setting_counts=[],
+                                 repeats=1, rng=RngSeed(1))
 
 
 class TestSmallCopyBias:

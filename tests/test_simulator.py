@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qcopies import (
-    CountTable,
     DensityMatrix,
     DimensionMismatchError,
     HistogramSpec,
@@ -13,41 +12,45 @@ from qcopies import (
     compare_distributions,
     delta_f,
     depolarized_sc,
-    estimate_fidelity,
     explicit_allocation,
     pure_density,
     run_histogram_experiment,
     sample_counts,
-    sample_setting,
     sc_state,
     setting_probabilities,
     uniform_allocation,
 )
 from qcopies.core import PureState
+from qcopies.witness import popcounts
+
+
+def outcome_counts(rho, setting, copies, rng):
+    """Per-outcome counts of `copies` copies measured in one setting."""
+    return sample_counts(setting.born_probabilities(rho), copies, rng.generator())
 
 
 class TestRngSeed:
     def test_replay_is_byte_identical(self):
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        t1 = sample_setting(rho, wd.settings[1], 500, RngSeed(42, stream=7))
-        t2 = sample_setting(rho, wd.settings[1], 500, RngSeed(42, stream=7))
-        assert np.array_equal(t1.counts, t2.counts)
+        c1 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=7))
+        c2 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=7))
+        assert np.array_equal(c1, c2)
 
     def test_streams_differ(self):
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        t1 = sample_setting(rho, wd.settings[1], 500, RngSeed(42, stream=0))
-        t2 = sample_setting(rho, wd.settings[1], 500, RngSeed(42, stream=1))
-        assert not np.array_equal(t1.counts, t2.counts)
+        c1 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=0))
+        c2 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=1))
+        assert not np.array_equal(c1, c2)
 
 
 class TestSampleSetting:
     def test_zero_copies(self):
         wd = build_settings(2)
-        table = sample_setting(depolarized_sc(2, 0.9), wd.settings[0], 0, RngSeed(1))
-        assert table.total_copies == 0
-        assert table.counts.sum() == 0
+        counts = outcome_counts(depolarized_sc(2, 0.9), wd.settings[0], 0, RngSeed(1))
+        assert counts.shape == (4,)
+        assert counts.sum() == 0
 
     def test_deterministic_product_state(self):
         # |H..H> measured computationally always lands on outcome 0
@@ -56,23 +59,23 @@ class TestSampleSetting:
         amps[0] = 1.0
         rho = pure_density(PureState(amps))
         wd = build_settings(n)
-        table = sample_setting(rho, wd.settings[0], 1000, RngSeed(3))
-        assert table.counts[0] == 1000
+        counts = outcome_counts(rho, wd.settings[0], 1000, RngSeed(3))
+        assert counts[0] == 1000
 
     def test_negative_copies_rejected(self):
         wd = build_settings(2)
         with pytest.raises(QcopiesError):
-            sample_setting(depolarized_sc(2, 0.9), wd.settings[0], -1, RngSeed(1))
+            outcome_counts(depolarized_sc(2, 0.9), wd.settings[0], -1, RngSeed(1))
 
     def test_concentration_on_maximally_mixed(self):
         n = 3
         copies = 10**6
         rho = DensityMatrix(np.eye(2**n) / 2**n)
         wd = build_settings(n)
-        table = sample_setting(rho, wd.settings[0], copies, RngSeed(11))
+        counts = outcome_counts(rho, wd.settings[0], copies, RngSeed(11))
         p = 1 / 2**n
         sigma = np.sqrt(p * (1 - p) / copies)
-        assert np.all(np.abs(table.frequencies - p) < 5 * sigma)
+        assert np.all(np.abs(counts / copies - p) < 5 * sigma)
 
     def test_sampler_matches_born_distribution(self):
         # chi-square statistic of the sampler against the exact cell
@@ -82,9 +85,9 @@ class TestSampleSetting:
         wd = build_settings(n)
         probs = wd.settings[2].born_probabilities(rho)
         copies = 20000
-        table = sample_setting(rho, wd.settings[2], copies, RngSeed(5))
+        counts = outcome_counts(rho, wd.settings[2], copies, RngSeed(5))
         expected = probs * copies
-        chi2 = float(np.sum((table.counts - expected) ** 2 / expected))
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # 8 cells -> 7ish dof; mean 7, sd ~3.7; allow a wide pass band
         assert chi2 < 30, f"chi2={chi2}"
 
@@ -106,52 +109,7 @@ class TestSampleCounts:
         assert counts.sum() == 1000 and counts[1] == 0
 
 
-class TestCountTable:
-    def test_frequency_invariant(self):
-        table = CountTable(setting_index=1, total_copies=10,
-                           counts=np.array([4, 6, 0, 0]))
-        assert table.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_mismatched_total_rejected(self):
-        with pytest.raises(QcopiesError):
-            CountTable(setting_index=1, total_copies=9, counts=np.array([4, 6]))
-
-
 class TestEstimateFidelity:
-    def test_exact_pure_tables(self):
-        # counts exactly proportional to the pure-SC probabilities
-        n = 2
-        wd = build_settings(n)
-        rho = depolarized_sc(n, 1.0)
-        tables = []
-        for j, s in enumerate(wd.settings):
-            counts = np.round(s.born_probabilities(rho) * 100).astype(np.int64)
-            tables.append(CountTable(setting_index=j, total_copies=int(counts.sum()),
-                                     counts=counts))
-        f_hat, df_hat = estimate_fidelity(tables, wd)
-        assert f_hat == pytest.approx(1.0, abs=1e-12)
-        assert df_hat == pytest.approx(0.0, abs=1e-12)
-
-    def test_corner_counts_from_experiment(self):
-        # 148 all-H, 136 all-V, 68 elsewhere -> corner mass 284/352
-        n = 8
-        wd = build_settings(n)
-        counts = np.zeros(2**n, dtype=np.int64)
-        counts[0] = 148
-        counts[-1] = 136
-        counts[1:69] += 1
-        table = CountTable(setting_index=0, total_copies=352, counts=counts)
-        p1 = wd.settings[0].aggregate_probability(table.frequencies)
-        assert p1 == pytest.approx(284 / 352, abs=1e-12)
-        assert p1 == pytest.approx(0.8068, abs=5e-5)
-
-    def test_empty_table_rejected(self):
-        wd = build_settings(2)
-        tables = [CountTable(setting_index=j, total_copies=0,
-                             counts=np.zeros(4, dtype=np.int64)) for j in range(3)]
-        with pytest.raises(QcopiesError):
-            estimate_fidelity(tables, wd)
-
     def test_estimator_is_unbiased_within_noise(self):
         # mean of F-hat over 550 trials stays within 3 sigma of truth
         n = 3
@@ -172,14 +130,16 @@ class TestLawOfLargeNumbers:
         wd = build_settings(n)
         rho = depolarized_sc(n, 0.7)
         p_true = setting_probabilities(rho, wd).P
+        even = popcounts(n) % 2 == 0
         hits = 0
         reps = 100
         for rep in range(reps):
             gen = RngSeed(23).generator(rep)
             ok = True
             for j, s in enumerate(wd.settings):
-                table = sample_setting(rho, s, copies, gen)
-                est = s.aggregate_probability(table.frequencies)
+                counts = sample_counts(s.born_probabilities(rho), copies, gen)
+                # corner mass (computational) or even-parity mass (rotated)
+                est = (counts[0] + counts[-1] if j == 0 else counts[even].sum()) / copies
                 bound = 5 * np.sqrt(p_true[j] * (1 - p_true[j]) / copies)
                 ok &= abs(est - p_true[j]) <= bound
             hits += ok

@@ -19,9 +19,8 @@ from qcopies import (
     run_histogram_experiment,
     sc_state,
     setting_probabilities,
-    witness_expectation,
 )
-from qcopies.witness import MeasurementSetting, ROTATED
+from qcopies.witness import MeasurementSetting, ROTATED, popcounts
 
 from _oracles import fidelity_direct, ginibre_density, m_tensor_expectation, rotated_projovers
 
@@ -38,12 +37,6 @@ class TestBuildSettings:
         assert len(wd.settings) == 9
         assert wd.thetas == pytest.approx([k * np.pi / 8 for k in range(1, 9)])
 
-    def test_projectors_complete(self):
-        for setting in build_settings(3).settings:
-            total = sum(np.outer(setting.projector_ket(i), setting.projector_ket(i).conj())
-                        for i in range(8))
-            assert np.allclose(total, np.eye(8), atol=1e-10)
-
     @pytest.mark.parametrize("n", [0, 13])
     def test_range(self, n):
         with pytest.raises(QcopiesError):
@@ -52,11 +45,6 @@ class TestBuildSettings:
     def test_rotated_angle_validated(self):
         with pytest.raises(QcopiesError):
             MeasurementSetting(4, ROTATED, 0.123)
-
-    def test_outcome_labels(self):
-        wd = build_settings(2)
-        assert wd.settings[0].outcome_labels() == ["HH", "HV", "VH", "VV"]
-        assert wd.settings[1].outcome_labels() == ["++", "+-", "-+", "--"]
 
 
 class TestSettingProbabilities:
@@ -99,6 +87,7 @@ class TestSettingProbabilities:
         # sum_outcomes parity * prob equals the explicit tensor expectation
         for n in range(1, 9):
             wd = build_settings(n)
+            parity = 1 - 2 * (popcounts(n) % 2)
             states = [DensityMatrix(ginibre_density(2**n, rng))]
             if n >= 2:
                 states += [noisy_sc_state(n, 0.8, 0.9), rank_two_sc_state(n, 0.7)]
@@ -106,7 +95,7 @@ class TestSettingProbabilities:
                 p = setting_probabilities(rho, wd)
                 for j, setting in enumerate(wd.settings[1:], start=2):
                     probs = setting.born_probabilities(rho)
-                    parity_sum = float(setting.outcome_weights() @ probs)
+                    parity_sum = float(parity @ probs)
                     assert parity_sum == pytest.approx(2 * p.P[j - 1] - 1, abs=1e-12)
                     assert parity_sum == pytest.approx(
                         m_tensor_expectation(rho.matrix, n, setting.theta), abs=1e-10)
@@ -196,21 +185,6 @@ def test_delta_f_matches_simulated_spread(n, model, fidelity, epsilon0, seed):
     res = run_histogram_experiment(rho, wd, allocate_sc(p, epsilon0=epsilon0), trials=550,
                                    rng=RngSeed(seed))
     assert abs(res.std - res.predicted_delta_f) <= 0.15 * res.predicted_delta_f
-
-
-class TestWitnessExpectation:
-    def test_pure_sc(self):
-        assert witness_expectation(depolarized_sc(3, 1.0), 3) == pytest.approx(-0.5, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        rho = DensityMatrix(np.eye(8) / 8)
-        assert witness_expectation(rho, 3) == pytest.approx(0.5 - 1 / 8, abs=1e-12)
-
-    def test_certification_threshold(self):
-        # negative expectation exactly when fidelity exceeds one half
-        for f in (0.45, 0.55):
-            rho = depolarized_sc(3, f)
-            assert (witness_expectation(rho, 3) < 0) == (f > 0.5)
 
 
 class TestSerialization:
