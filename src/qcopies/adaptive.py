@@ -47,10 +47,11 @@ def geometric_schedule(start: float = 0.01, ratio: float = 0.1,
 class AdaptiveConfig:
     """Schedule of squared budgets plus the starting priors.
 
-    initial_P seeds the first allocation (defaults to 1/2 everywhere, or
-    the target's own probabilities if you know the state is close to pure);
-    t_initial copies per setting (>= 0) are measured up front so the pooled
-    estimates never start from nothing.
+    initial_P seeds the first allocation (values in [0, 1]; defaults to 1/2
+    everywhere, or the target's own probabilities if you know the state is
+    close to pure); t_initial copies per setting (>= 0) are measured up
+    front so the pooled estimates never start from nothing; every
+    allocation gives each setting at least t_min >= 1 copies.
     """
 
     epsilon_schedule: tuple[float, ...]
@@ -68,6 +69,12 @@ class AdaptiveConfig:
             raise ConfigError("schedule must be strictly decreasing")
         if np.any(np.asarray(self.t_initial) < 0):
             raise ConfigError("t_initial must be >= 0")
+        if self.t_min < 1:
+            raise ConfigError(f"t_min must be >= 1, got {self.t_min}")
+        if self.initial_P is not None:
+            P = np.asarray(self.initial_P, dtype=float)
+            if not np.all((P >= 0) & (P <= 1)):
+                raise ConfigError("initial_P must be finite and lie in [0, 1]")
         object.__setattr__(self, "epsilon_schedule", sched)
 
     @classmethod
@@ -131,13 +138,10 @@ class AdaptiveState:
 
 
 def _clamped(P: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
-    """Clip estimates to [1/t, 1-1/t] so one lucky streak cannot freeze a
-    setting at zero variance forever."""
-    out = P.copy()
-    for j, t in enumerate(cumulative):
-        if t >= 2:
-            out[j] = min(max(out[j], 1.0 / t), 1.0 - 1.0 / t)
-    return out
+    """Clip estimates to [1/t, 1-1/t] where t >= 2, so one lucky streak
+    cannot freeze a setting at zero variance forever."""
+    lo = 1.0 / np.maximum(cumulative, 1)
+    return np.where(cumulative >= 2, np.minimum(np.maximum(P, lo), 1.0 - lo), P)
 
 
 def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConfig,

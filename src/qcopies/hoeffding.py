@@ -6,6 +6,7 @@ experiment that checks the bound empirically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,9 +113,10 @@ class CoverageRow:
     upper: float
     estimates: tuple[float, ...]
 
-    @property
+    @cached_property
     def n_inside(self) -> int:
-        return sum(self.lower <= e <= self.upper for e in self.estimates)
+        e = np.asarray(self.estimates)
+        return int(np.count_nonzero((self.lower <= e) & (e <= self.upper)))
 
 
 @dataclass(frozen=True)
@@ -142,25 +144,25 @@ class CoverageTable:
 def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_counts,
                         delta: float, repeats: int, rng: RngSeed) -> CoverageTable:
     """Estimate the computational-corner mass repeatedly at several copy
-    counts and record the Hoeffding band around the true value."""
+    counts and record the Hoeffding band around the true value.
+
+    Copy count i reads the stream `rng.generator(i)` and draws all its
+    repeats in one call."""
     if repeats < 1:
         raise QcopiesError(f"repeats must be >= 1, got {repeats}")
     if len(copy_counts) == 0:
         raise QcopiesError("need at least one copy count")
     true_value = float(setting_probabilities(rho, wd).P[0])
+    outcomes = np.broadcast_to([true_value, 1.0 - true_value], (repeats, 2))
     rows = []
     for i, copies in enumerate(copy_counts):
         copies = int(copies)
         radius = hoeffding_radius(copies, delta)
-        estimates = []
-        for rep in range(repeats):
-            gen = rng.generator(i, rep)
-            hits = sample_counts([true_value, 1.0 - true_value], copies, gen)[0]
-            estimates.append(float(hits / copies))
+        hits = sample_counts(outcomes, copies, rng.generator(i))[:, 0]
         rows.append(CoverageRow(
             copies=copies,
             lower=true_value - radius,
             upper=true_value + radius,
-            estimates=tuple(estimates),
+            estimates=tuple((hits / copies).tolist()),
         ))
     return CoverageTable(true_value=true_value, delta=delta, rows=tuple(rows))

@@ -1,6 +1,10 @@
 """Monte Carlo simulation of the measurement process: seeded multinomial
 sampling, fidelity estimates from one hit count per setting, histogram
 experiments and copy-distribution comparisons.
+
+An experiment (one histogram, or one allocation of a comparison) reads one
+random stream.  Setting by setting, in setting order, it draws the hit
+counts of all its trials in one call; a trial is one row of those draws.
 """
 from __future__ import annotations
 
@@ -14,8 +18,8 @@ from .errors import DimensionMismatchError, QcopiesError
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
+    _fidelities,
     delta_f,
-    fidelity_from_probabilities,
     setting_probabilities,
 )
 
@@ -44,37 +48,41 @@ def _as_generator(rng) -> np.random.Generator:
 def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
     """Draw multinomial counts of `copies` copies over outcome probabilities.
 
-    The weights need not be normalized, but must be finite, nonnegative and
-    not all zero.  One draw costs O(outcomes), independent of `copies`.
+    The last axis of `probs` holds the outcomes; each row along the leading
+    axes is one independent draw, so a stack of k rows costs one call and
+    gives the same counts as k single-row calls on the same generator.  A
+    row's weights need not be normalized, but must be finite, nonnegative
+    and not all zero.  One draw costs O(outcomes), independent of `copies`.
     """
     if copies < 0:
         raise QcopiesError(f"copies must be >= 0, got {copies}")
     p = np.asarray(probs, dtype=float)
-    total = p.sum()
-    if not np.isfinite(total) or np.any(p < 0) or total <= 0:
+    if p.ndim == 0:
+        raise QcopiesError("probabilities need an outcome axis")
+    total = p.sum(axis=-1, keepdims=True)
+    if not ((p >= 0).all() and ((total > 0) & (total < np.inf)).all()):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
     return gen.multinomial(copies, p / total).astype(np.int64)
 
 
 def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):
-    """One estimated fidelity per trial; per-trial RNG streams.
+    """One estimated fidelity per trial, all drawn from the stream at
+    `base_path`.
 
-    The estimator reads one aggregate per setting, so each setting draws only
-    its hit count: t_j copies split between P_j and 1 - P_j.
+    The estimator reads one aggregate per setting, so each setting draws
+    only its hit counts: t_j copies split between P_j and 1 - P_j, one row
+    per trial, in one call.
     """
     if trials < 1:
         raise QcopiesError(f"trials must be >= 1, got {trials}")
     t = allocation.t
     if t.shape != p_true.P.shape:
         raise DimensionMismatchError(f"allocation has {t.size} settings, expected {p_true.P.size}")
-    fids = np.empty(trials)
-    for trial in range(trials):
-        gen = rng.generator(*base_path, trial)
-        hits = [sample_counts([p, 1.0 - p], int(t_j), gen)[0]
-                for p, t_j in zip(p_true.P, t)]
-        p_hat = SettingProbabilities(n=p_true.n, P=np.array(hits) / t)
-        fids[trial] = fidelity_from_probabilities(p_hat)
-    return fids
+    gen = rng.generator(*base_path)
+    hits = np.column_stack([
+        sample_counts(np.broadcast_to([p, 1.0 - p], (trials, 2)), int(t_j), gen)[:, 0]
+        for p, t_j in zip(p_true.P, t)])
+    return _fidelities(p_true.n, hits / t)
 
 
 @dataclass
@@ -130,9 +138,10 @@ def run_histogram_experiment(rho: DensityMatrix, wd: WitnessDecomposition,
                              rng: RngSeed, spec: HistogramSpec | None = None) -> HistogramResult:
     """Repeat the full measurement `trials` times and bin the fidelities.
 
-    The summary carries both the empirical spread of the estimates and the
-    binomial-formula prediction evaluated at the true probabilities, so the
-    two can be compared.
+    The trials draw from the stream `rng.generator()`.  The summary carries
+    both the empirical spread of the estimates and the binomial-formula
+    prediction evaluated at the true probabilities, so the two can be
+    compared.
     """
     spec = spec or HistogramSpec()
     p_true = setting_probabilities(rho, wd)
@@ -198,7 +207,8 @@ def compare_distributions(rho: DensityMatrix, wd: WitnessDecomposition,
     """Simulate several copy distributions on the same state side by side.
 
     Savings are total-copy percentages relative to the first entry, the
-    baseline.
+    baseline.  Allocation i draws its trials from the stream
+    `rng.generator(i)`.
     """
     if len(allocations) < 2:
         raise QcopiesError("need at least two allocations to compare")

@@ -159,14 +159,23 @@ def setting_probabilities(rho: DensityMatrix, wd: WitnessDecomposition) -> Setti
     return SettingProbabilities(n=wd.n, P=np.array(P))
 
 
+def _fidelities(n: int, P: np.ndarray) -> np.ndarray:
+    """F of every row of P, whose last axis holds the n+1 aggregates.
+
+    Each row's rotated sum is its own 1 x n by n x 1 product, the dot
+    product a lone row gets, so a row's F has the same bytes stacked or not.
+    """
+    signs = np.array([(-1) ** (j - 1) for j in range(2, n + 2)], dtype=float)
+    rotated = (P[..., None, 1:] - 0.5) @ signs[:, None]
+    return P[..., 0] / 2.0 + rotated[..., 0, 0] / n
+
+
 def fidelity_from_probabilities(p: SettingProbabilities) -> float:
     """Fidelity with the pure SC state from the n+1 aggregate probabilities.
 
     F = P_1/2 + sum_{j=2}^{n+1} (-1)^{j-1} (P_j - 1/2) / n.
     """
-    n = p.n
-    signs = np.array([(-1) ** (j - 1) for j in range(2, n + 2)], dtype=float)
-    return float(p.P[0] / 2.0 + signs @ (p.P[1:] - 0.5) / n)
+    return float(_fidelities(p.n, p.P))
 
 
 def delta_f(p: SettingProbabilities, t) -> float:

@@ -17,7 +17,7 @@ from qcopies import (
     setting_probabilities,
     sweep_epsilon_ratio,
 )
-from qcopies.adaptive import AdaptiveState, RoundRecord
+from qcopies.adaptive import AdaptiveState, RoundRecord, _clamped
 
 
 class TestSchedule:
@@ -64,6 +64,34 @@ class TestRunAdaptive:
             AdaptiveConfig(epsilon_schedule=(0.01,), t_initial=-1)
         with pytest.raises(ConfigError):
             AdaptiveConfig(epsilon_schedule=(0.01,), t_initial=np.array([5, -1, 5]))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_min": 0},
+        {"t_min": -3},
+        {"initial_P": [np.nan, 0.5, 0.5]},
+        {"initial_P": [0.5, np.inf, 0.5]},
+        {"initial_P": [2.0, 0.5, 0.5]},
+        {"initial_P": [0.5, -0.1, 0.5]},
+    ])
+    def test_bad_config_rejected_before_any_draw(self, kwargs):
+        with pytest.raises(ConfigError):
+            AdaptiveConfig(epsilon_schedule=(0.01,), **kwargs)
+
+    def test_edge_priors_accepted(self):
+        cfg = AdaptiveConfig(epsilon_schedule=(0.01,), initial_P=[0.0, 1.0, 0.5])
+        state = run_adaptive(depolarized_sc(2, 0.9), build_settings(2), cfg,
+                             RngSeed(1).generator())
+        assert state.round == 1
+
+    def test_clamp_matches_per_setting_rule(self):
+        gen = np.random.default_rng(3)
+        P = np.concatenate([gen.random(40), [0.0, 1.0, 0.0, 1.0, 0.5, 0.0, 1.0]])
+        t = np.concatenate([gen.integers(0, 12, size=40), [0, 1, 2, 2, 2, 1000, 1000]])
+        expected = P.copy()
+        for j, t_j in enumerate(t):
+            if t_j >= 2:
+                expected[j] = min(max(P[j], 1.0 / t_j), 1.0 - 1.0 / t_j)
+        assert np.array_equal(_clamped(P, t), expected)
 
     def test_monotone_cumulative_and_nonnegative_increments(self):
         n = 4

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -314,6 +315,19 @@ class TestAdaptive:
         assert out == ""
         assert "finite" in err
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--t-min", "0"], "t_min"),
+        (["--initial-p", "2,0.5,0.5"], "initial_P"),
+        (["--initial-p", "0.5,nan,0.5"], "initial_P"),
+        (["--initial-p", "0.5,0.5,inf"], "initial_P"),
+    ])
+    def test_bad_config_exit_2_before_sampling(self, flags, name, capsys):
+        code, out, err = run_cli(["adaptive", "--n", "2", "--fidelity", "0.9", *flags],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert name in err
+
     def test_explicit_schedule_and_target_prior(self, capsys):
         code, _, _ = run_cli(
             ["adaptive", "--n", "2", "--fidelity", "0.9", "--schedule", "0.01,0.002",
@@ -419,6 +433,32 @@ class TestTenPhotonCost:
     def test_function_api(self):
         rep = ten_photon_cost(2.8e-5, 110)
         assert rep.two_photon_per_hour == pytest.approx((2.8e-5 * 3600) ** 0.25, rel=1e-12)
+
+
+# SHA-256 of the stdout of README commands whose output no sampler change
+# may move: closed-form allocations, the adaptive protocol (its draws are
+# per setting, per round), the joint Hoeffding bound and the rate arithmetic.
+README_STDOUT_DIGESTS = [
+    ("allocate --n 8 --epsilon0 0.016 --p " + MEASURED_P,
+     "b9d2a37d60954c508d8d4c55f4c5117e773421cb406d62c698e641bfc5e99957"),
+    ("allocate --k 0.01,0.01,0.01,0.01,0.01 --epsilon 0.001",
+     "584d185e0275eb168094dbad2053a0a4b3ede44a04f5283425365b44b29dfcec"),
+    ("adaptive --n 4 --fidelity 0.9374 --schedule 0.01:0.1:0.00001 --seed 0",
+     "22cad60361d7140e71cc28fb9894bf152dae0360886f0f867635195857717ecd"),
+    ("hoeffding --t 110 --h 0.2 --settings 9",
+     "6ad0247f0e09e4d9a9c14cfc6b97b5e14c5b740e3c3694bf846909b3bbd3a1d2"),
+    ("tenphoton-cost --rate8 2.8e-5 --copies 110",
+     "babdd1f9ac412fe999aba33d4ac73ebd33d4f60f8c3777737ed1ef7ebe2a4487"),
+]
+
+
+@pytest.mark.parametrize("command, digest", README_STDOUT_DIGESTS,
+                         ids=[c.split()[0] + str(i) for i, (c, _) in
+                              enumerate(README_STDOUT_DIGESTS)])
+def test_readme_stdout_is_pinned(command, digest, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSeedFallback:

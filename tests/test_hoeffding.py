@@ -19,6 +19,7 @@ from qcopies import (
     required_copies,
     setting_probabilities,
 )
+from qcopies.hoeffding import CoverageRow, CoverageTable
 
 
 class TestFailureProbability:
@@ -228,6 +229,25 @@ class TestCoverage:
         row = table.rows[0]
         assert row.upper - row.lower == pytest.approx(2 * hoeffding_radius(100, 0.01),
                                                       abs=1e-12)
+
+    def test_each_copy_count_draws_its_repeats_from_one_stream(self):
+        wd = build_settings(3)
+        rho = noisy_sc_state(3, 0.8, corner_mass=0.9)
+        counts, repeats = [30, 70], 15
+        table = coverage_experiment(rho, wd, counts, delta=0.01, repeats=repeats,
+                                    rng=RngSeed(8))
+        v = table.true_value
+        for i, (c, row) in enumerate(zip(counts, table.rows)):
+            hits = RngSeed(8).generator(i).multinomial(c, [v, 1.0 - v], size=repeats)[:, 0]
+            assert row.estimates == tuple(float(h / c) for h in hits)
+
+    def test_n_inside_counts_the_closed_band(self):
+        row = CoverageRow(copies=10, lower=0.2, upper=0.6,
+                          estimates=(0.1, 0.2, 0.4, 0.6, 0.7, 0.6))
+        assert row.n_inside == 4
+        table = CoverageTable(true_value=0.4, delta=0.01, rows=(row,))
+        assert not table.all_inside
+        assert table.empirical_coverage == pytest.approx(4 / 6)
 
     def test_empty_copy_counts(self):
         with pytest.raises(QcopiesError):

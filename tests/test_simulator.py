@@ -7,12 +7,14 @@ from qcopies import (
     HistogramSpec,
     QcopiesError,
     RngSeed,
+    SettingProbabilities,
     allocate_sc,
     build_settings,
     compare_distributions,
     delta_f,
     depolarized_sc,
     explicit_allocation,
+    fidelity_from_probabilities,
     pure_density,
     run_histogram_experiment,
     sample_counts,
@@ -21,7 +23,8 @@ from qcopies import (
     uniform_allocation,
 )
 from qcopies.core import PureState
-from qcopies.witness import popcounts
+from qcopies.simulator import _simulate_fidelities
+from qcopies.witness import _fidelities, popcounts
 
 
 def outcome_counts(rho, setting, copies, rng):
@@ -107,6 +110,91 @@ class TestSampleCounts:
     def test_unnormalized_weights_accepted(self):
         counts = sample_counts([2.0, 0.0, 6.0], 1000, RngSeed(1).generator())
         assert counts.sum() == 1000 and counts[1] == 0
+
+    @pytest.mark.parametrize("probs, copies", [
+        ([0.3, 0.7], 137),
+        ([2.0, 0.0, 6.0], 1000),
+        ([1.0, 0.0], 50),
+        ([0.1, 0.2, 0.3, 0.4], 0),
+    ])
+    def test_one_row_is_plain_multinomial(self, probs, copies):
+        p = np.array(probs)
+        counts = sample_counts(p, copies, RngSeed(4).generator())
+        expected = RngSeed(4).generator().multinomial(copies, p / p.sum())
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+
+    def test_stacked_rows_match_size_draws(self):
+        p = np.array([0.2, 0.5, 0.3])
+        counts = sample_counts(np.broadcast_to(3 * p, (40, 3)), 90, RngSeed(6).generator())
+        expected = RngSeed(6).generator().multinomial(90, p, size=40)
+        assert counts.shape == (40, 3)
+        assert np.array_equal(counts, expected)
+
+    def test_each_row_normalized_on_its_own(self):
+        rows = np.array([[1.0, 3.0], [5.0, 5.0], [0.0, 2.0]])
+        counts = sample_counts(rows, 200, RngSeed(7).generator())
+        gen = RngSeed(7).generator()
+        expected = [gen.multinomial(200, r / r.sum()) for r in rows]
+        assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("bad_row", [[0.0, 0.0], [0.5, -0.1], [np.nan, 0.5],
+                                         [np.inf, 1.0]])
+    def test_bad_row_rejected(self, bad_row):
+        rows = np.array([[0.3, 0.7], bad_row, [0.5, 0.5]])
+        with pytest.raises(QcopiesError):
+            sample_counts(rows, 10, RngSeed(1).generator())
+
+    def test_scalar_rejected(self):
+        with pytest.raises(QcopiesError):
+            sample_counts(0.5, 10, RngSeed(1).generator())
+
+
+class TestSimulateFidelities:
+    def test_one_stream_drawn_setting_by_setting(self):
+        # the trials of an experiment read one stream: each setting draws
+        # all its trials' hit counts in turn, in setting order
+        n, trials = 3, 25
+        wd = build_settings(n)
+        rho = depolarized_sc(n, 0.75)
+        p = setting_probabilities(rho, wd)
+        alloc = explicit_allocation([40, 17, 23, 31])
+        res = run_histogram_experiment(rho, wd, alloc, trials=trials, rng=RngSeed(12, 3))
+        gen = RngSeed(12, 3).generator()
+        hits = np.column_stack([gen.multinomial(t_j, [p_j, 1.0 - p_j], size=trials)[:, 0]
+                                for p_j, t_j in zip(p.P, alloc.t)])
+        expected = [fidelity_from_probabilities(SettingProbabilities(n, h / alloc.t))
+                    for h in hits]
+        assert np.array_equal(res.fidelities, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 24])
+    def test_stacked_estimates_equal_single_rows(self, n):
+        P = np.random.default_rng(n).random((300, n + 1))
+        rows = [fidelity_from_probabilities(SettingProbabilities(n, r)) for r in P]
+        assert np.array_equal(_fidelities(n, P), rows)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_pure_cat_estimates_one_every_trial(self, n):
+        wd = build_settings(n)
+        rho = depolarized_sc(n, 1.0)
+        p = setting_probabilities(rho, wd)
+        assert np.all((p.P < 1e-12) | (p.P > 1 - 1e-12))
+        res = run_histogram_experiment(rho, wd, uniform_allocation(n + 1, 30), trials=50,
+                                       rng=RngSeed(n))
+        assert np.all(res.fidelities == 1.0)
+
+    def test_replays_and_paths_differ(self):
+        n = 3
+        wd = build_settings(n)
+        p = setting_probabilities(depolarized_sc(n, 0.8), wd)
+        alloc = uniform_allocation(n + 1, 60)
+
+        def run(path):
+            return _simulate_fidelities(p, alloc, 40, RngSeed(5, stream=2), path)
+
+        assert np.array_equal(run((0,)), run((0,)))
+        assert not np.array_equal(run((0,)), run((1,)))
+        assert not np.array_equal(run(()), run((0,)))
 
 
 class TestEstimateFidelity:
