@@ -31,6 +31,7 @@ from .allocator import (
 from .core import (
     DensityMatrix,
     PureState,
+    XState,
     density_from_json,
     density_to_json,
     depolarized_sc,

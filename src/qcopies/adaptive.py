@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import allocate_sc
-from .core import DensityMatrix
+from .core import DensityMatrix, XState
 from .errors import ConfigError, QcopiesError
 from .reports import csv_text
 from .simulator import RngSeed, _as_generator, sample_counts
@@ -144,7 +144,7 @@ def _clamped(P: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
     return np.where(cumulative >= 2, np.minimum(np.maximum(P, lo), 1.0 - lo), P)
 
 
-def run_adaptive(rho: DensityMatrix, wd: WitnessDecomposition, cfg: AdaptiveConfig,
+def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: AdaptiveConfig,
                  rng) -> AdaptiveState:
     """Run the feedback protocol against a simulated state.
 
@@ -234,7 +234,7 @@ class SweepResult:
                          for r in self.rows])
 
 
-def sweep_epsilon_ratio(rho: DensityMatrix, wd: WitnessDecomposition, ratios,
+def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, ratios,
                         repeats: int, rng: RngSeed) -> SweepResult:
     """Total copies consumed per schedule-shrink ratio.
 

@@ -1,13 +1,21 @@
 """Complex linear algebra substrate: pure states, density matrices,
-synthetic noise models, fidelity, norms and PSD/trace-one projection.
+X-states, synthetic noise models, fidelity, norms and PSD/trace-one
+projection.
 
 Conventions: qubit basis states are |H> = (1,0) and |V> = (0,1); a register
 of n qubits lives in dimension 2**n with qubit 0 as the most significant bit
 of the computational index.
+
+The three synthetic noise models are X-states: zero off the diagonal and
+the anti-diagonal.  `XState` holds just those 2 * 2**n entries, so the
+models build states of up to MAX_QUBITS = 20 qubits in O(2**n) time and
+memory.  A dense 2**n x 2**n matrix, `DensityMatrix` or an X-state's
+`matrix` view, exists only up to MAX_DENSE_QUBITS = 12 qubits.
 """
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
 import numpy as np
 
@@ -16,7 +24,8 @@ from .errors import DimensionMismatchError, QcopiesError
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
-MAX_QUBITS = 12
+MAX_QUBITS = 20
+MAX_DENSE_QUBITS = 12
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -27,6 +36,12 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def check_qubit_count(n: int) -> None:
     if not 1 <= int(n) <= MAX_QUBITS:
         raise QcopiesError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+
+
+def _check_dense(n: int) -> None:
+    if n > MAX_DENSE_QUBITS:
+        raise QcopiesError(f"a dense {n}-qubit matrix needs {16 * 4**n} bytes; "
+                           f"dense matrices go up to {MAX_DENSE_QUBITS} qubits")
 
 
 class PureState:
@@ -77,8 +92,85 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return int(round(np.log2(self.dim)))
 
+    def diagonal(self) -> np.ndarray:
+        """rho[a, a], real."""
+        return self.matrix.diagonal().real
+
+    def anti_diagonal(self) -> np.ndarray:
+        """rho[a, d-1-a]."""
+        return self.matrix[:, ::-1].diagonal()
+
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
+
+
+class XState:
+    """Density matrix that is zero off its diagonal and anti-diagonal.
+
+    Holds the real diagonal `diag[a] = rho[a, a]` and the anti-diagonal
+    `anti[a] = rho[a, d-1-a]`, 2 * 2**n entries.  Such a matrix is a direct
+    sum of the 2x2 blocks on the index pairs (a, d-1-a), so validation is
+    O(2**n): finite entries, Hermitian pairing anti[a] = conj(anti[d-1-a]),
+    trace one, and each block's smaller eigenvalue above the floor (which
+    also makes the diagonal nonnegative).
+    """
+
+    def __init__(self, diag: np.ndarray, anti: np.ndarray, validate: bool = True):
+        diag = np.asarray(diag).ravel()
+        anti = np.array(anti, dtype=complex).ravel()
+        if diag.shape != anti.shape:
+            raise DimensionMismatchError(
+                f"diagonal has {diag.size} entries, anti-diagonal {anti.size}")
+        if validate:
+            d = diag.size
+            if d < 2 or d & (d - 1):
+                raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
+            if not (np.isfinite(diag).all() and np.isfinite(anti).all()):
+                raise QcopiesError("X-state entries must be finite")
+            if np.abs(diag.imag).max() > HERMITIAN_TOL:
+                raise QcopiesError("diagonal is not real")
+            herm_dev = float(np.abs(anti - anti[::-1].conj()).max())
+            if herm_dev > HERMITIAN_TOL:
+                raise QcopiesError(f"matrix is not Hermitian: max|rho - rho^dag| = {herm_dev:.3e}")
+            x, y = diag.real, diag.real[::-1]
+            tr = float(x.sum())
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise QcopiesError(f"trace = {tr!r}, expected 1")
+            lo = float((0.5 * (x + y - np.hypot(x - y, 2.0 * np.abs(anti)))).min())
+            if lo < EIGENVALUE_FLOOR:
+                raise QcopiesError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
+        self._diag = np.array(diag.real, dtype=float)
+        self._anti = anti
+        self._diag.flags.writeable = False
+        self._anti.flags.writeable = False
+        self.dim = diag.size
+
+    @property
+    def n_qubits(self) -> int:
+        return int(round(np.log2(self.dim)))
+
+    def diagonal(self) -> np.ndarray:
+        """rho[a, a], real."""
+        return self._diag
+
+    def anti_diagonal(self) -> np.ndarray:
+        """rho[a, d-1-a]."""
+        return self._anti
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense read-only 2**n x 2**n view, built on first use; raises
+        QcopiesError past MAX_DENSE_QUBITS."""
+        _check_dense(self.n_qubits)
+        m = np.zeros((self.dim, self.dim), dtype=complex)
+        idx = np.arange(self.dim)
+        m[idx, idx] = self._diag
+        m[idx, idx[::-1]] = self._anti
+        m.flags.writeable = False
+        return m
+
+    def __repr__(self):
+        return f"XState(dim={self.dim})"
 
 
 def sc_state(n: int) -> PureState:
@@ -91,6 +183,7 @@ def sc_state(n: int) -> PureState:
 
 def pure_density(psi: PureState) -> DensityMatrix:
     """Rank-one projector |psi><psi|."""
+    _check_dense(psi.n_qubits)
     return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
 
 
@@ -128,13 +221,29 @@ def white_noise_weight_for_fidelity(n: int, fidelity: float) -> float:
     return (fidelity - 1.0 / d) / (1.0 - 1.0 / d)
 
 
-def depolarized_sc(n: int, fidelity: float) -> DensityMatrix:
+def _x_parts(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and anti-diagonal of |amps><amps|, entry for entry as
+    np.outer(amps, amps.conj()) computes them."""
+    return amps * amps.conj(), amps * amps[::-1].conj()
+
+
+def _x_mix(combine, *parts) -> XState:
+    """X-state whose diagonal and anti-diagonal each come from one
+    entrywise formula over the matching parts of its components."""
+    return XState(*(combine(*ps) for ps in zip(*parts)), validate=False)
+
+
+def depolarized_sc(n: int, fidelity: float) -> XState:
     """White-noise-mixed SC state whose fidelity with the pure SC state is exact."""
+    check_qubit_count(n)
     p = white_noise_weight_for_fidelity(n, fidelity)
-    return white_noise_mix(pure_density(sc_state(n)), p)
+    d = 2**n
+    eye = (np.ones(d), np.zeros(d))
+    return _x_mix(lambda s, e: p * s + (1.0 - p) * e / d,
+                  _x_parts(sc_state(n).amplitudes), eye)
 
 
-def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) -> DensityMatrix:
+def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) -> XState:
     """Synthetic noisy SC state with a prescribed measurement profile.
 
     With corner_mass=None this is the plain white-noise mixture at the given
@@ -162,13 +271,15 @@ def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) ->
             f"no valid state with fidelity={fidelity}, corner_mass={corner_mass} "
             f"for n={n} (weights a={a:.4f}, b={b:.4f}, c={c:.4f})"
         )
-    corners = np.zeros((d, d), dtype=complex)
-    corners[0, 0] = corners[-1, -1] = 0.5
-    m = a * pure_density(sc_state(n)).matrix + b * corners + c * np.eye(d) / d
-    return DensityMatrix(m, validate=False)
+    corner_diag = np.zeros(d, dtype=complex)
+    corner_diag[0] = corner_diag[-1] = 0.5
+    corners = (corner_diag, np.zeros(d, dtype=complex))
+    eye = (np.ones(d), np.zeros(d))
+    return _x_mix(lambda s, k, e: a * s + b * k + c * e / d,
+                  _x_parts(sc_state(n).amplitudes), corners, eye)
 
 
-def rank_two_sc_state(n: int, fidelity: float) -> DensityMatrix:
+def rank_two_sc_state(n: int, fidelity: float) -> XState:
     """Rank-two noisy SC state: the lost population sits in one orthogonal
     cat mode (last qubit flipped) instead of spreading as white noise.
 
@@ -184,9 +295,8 @@ def rank_two_sc_state(n: int, fidelity: float) -> DensityMatrix:
     d = 2**n
     flipped = np.zeros(d, dtype=complex)
     flipped[1] = flipped[d - 2] = 1.0 / np.sqrt(2.0)
-    m = (fidelity * pure_density(sc_state(n)).matrix
-         + (1.0 - fidelity) * np.outer(flipped, flipped.conj()))
-    return DensityMatrix(m, validate=False)
+    return _x_mix(lambda s, f: fidelity * s + (1.0 - fidelity) * f,
+                  _x_parts(sc_state(n).amplitudes), _x_parts(flipped))
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:

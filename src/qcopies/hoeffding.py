@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .allocator import real_optimum, sc_variance_weights
-from .core import DensityMatrix
+from .core import DensityMatrix, XState
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
@@ -141,7 +141,7 @@ class CoverageTable:
         return csv_text(header, [(r.copies, r.lower, r.upper, *r.estimates) for r in self.rows])
 
 
-def coverage_experiment(rho: DensityMatrix, wd: WitnessDecomposition, copy_counts,
+def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, copy_counts,
                         delta: float, repeats: int, rng: RngSeed) -> CoverageTable:
     """Estimate the computational-corner mass repeatedly at several copy
     counts and record the Hoeffding band around the true value.

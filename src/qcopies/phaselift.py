@@ -25,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .core import (DensityMatrix, fidelity_pure, frobenius_distance, psd_project,
+from .core import (DensityMatrix, XState, fidelity_pure, frobenius_distance, psd_project,
                    psd_project_stack, sc_state)
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
@@ -93,7 +93,7 @@ class PauliSetting:
     def elements(self) -> list[PovmElement]:
         return [PovmElement(self.bases, i) for i in range(2**self.n)]
 
-    def born_probabilities(self, rho: DensityMatrix) -> np.ndarray:
+    def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
         from .witness import basis_probabilities
 
         return basis_probabilities(rho, [_PAULI_BRAS[b] for b in self.bases])
@@ -112,7 +112,7 @@ class ProjectorSetting:
     def elements(self) -> list[PovmElement]:
         return [PovmElement(self.bases)]
 
-    def born_probabilities(self, rho: DensityMatrix) -> np.ndarray:
+    def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
         el = PovmElement(self.bases)
         k = el.ket()
         return np.array([float(np.real(k.conj() @ rho.matrix @ k))])
@@ -132,12 +132,12 @@ def tomography_projectors(n: int) -> list[ProjectorSetting]:
     return [ProjectorSetting("".join(p)) for p in product("HVDR", repeat=n)]
 
 
-def exact_frequencies(rho: DensityMatrix, settings) -> list[np.ndarray]:
+def exact_frequencies(rho: DensityMatrix | XState, settings) -> list[np.ndarray]:
     """Noiseless frequency table: one row of Born probabilities per setting."""
     return [s.born_probabilities(rho) for s in settings]
 
 
-def sampled_frequencies(rho: DensityMatrix, settings, copies_per_setting: int,
+def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_setting: int,
                         gen: np.random.Generator) -> list[np.ndarray]:
     """Simulated frequency table from finite counts per setting.
 
@@ -350,7 +350,7 @@ class ReconstructionCurve:
         )
 
 
-def reconstruction_curve(rho_true: DensityMatrix, counts_per_setting: int,
+def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: int,
                          setting_counts, repeats: int, rng: RngSeed,
                          opts: ReconstructOptions | None = None,
                          family: str = "projectors") -> ReconstructionCurve:

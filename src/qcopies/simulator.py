@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocator import CopyAllocation
-from .core import DensityMatrix
+from .core import DensityMatrix, XState
 from .errors import DimensionMismatchError, QcopiesError
 from .witness import (
     SettingProbabilities,
@@ -133,7 +133,7 @@ class HistogramResult:
         })
 
 
-def run_histogram_experiment(rho: DensityMatrix, wd: WitnessDecomposition,
+def run_histogram_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition,
                              allocation: CopyAllocation, trials: int,
                              rng: RngSeed, spec: HistogramSpec | None = None) -> HistogramResult:
     """Repeat the full measurement `trials` times and bin the fidelities.
@@ -201,7 +201,7 @@ class ComparisonReport:
         })
 
 
-def compare_distributions(rho: DensityMatrix, wd: WitnessDecomposition,
+def compare_distributions(rho: DensityMatrix | XState, wd: WitnessDecomposition,
                           allocations: dict[str, CopyAllocation], trials: int,
                           rng: RngSeed) -> ComparisonReport:
     """Simulate several copy distributions on the same state side by side.

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, check_qubit_count
+from .core import DensityMatrix, XState, check_qubit_count
 from .errors import DimensionMismatchError, QcopiesError
 
 COMPUTATIONAL = "computational"
@@ -42,13 +42,14 @@ def rotated_bras(theta: float) -> np.ndarray:
     return np.array([[1.0, e], [1.0, -e]], dtype=complex) / np.sqrt(2.0)
 
 
-def basis_probabilities(rho: DensityMatrix, bras_per_qubit) -> np.ndarray:
+def basis_probabilities(rho: DensityMatrix | XState, bras_per_qubit) -> np.ndarray:
     """Born probabilities of all 2**n outcomes of a product basis.
 
     `bras_per_qubit` is a length-n sequence of 2x2 matrices whose rows are
     the measurement bras of each qubit.  The contraction is done qubit by
     qubit on the reshaped density tensor, so no 2**n x 2**n projectors are
-    ever materialized.
+    ever materialized; the state itself is read as a dense matrix, which
+    an X-state has only up to MAX_DENSE_QUBITS qubits.
     """
     n = rho.n_qubits
     if len(bras_per_qubit) != n:
@@ -84,11 +85,11 @@ class MeasurementSetting:
         elif self.theta is not None:
             raise QcopiesError("computational setting takes no angle")
 
-    def born_probabilities(self, rho: DensityMatrix) -> np.ndarray:
+    def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
         if rho.n_qubits != self.n:
             raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
         if self.kind == COMPUTATIONAL:
-            probs = np.diag(rho.matrix).real.copy()
+            probs = rho.diagonal().copy()
             np.clip(probs, 0.0, None, out=probs)
             return probs
         return basis_probabilities(rho, [rotated_bras(self.theta)] * self.n)
@@ -141,20 +142,22 @@ def build_settings(n: int) -> WitnessDecomposition:
     return WitnessDecomposition(n=n, settings=tuple(settings))
 
 
-def setting_probabilities(rho: DensityMatrix, wd: WitnessDecomposition) -> SettingProbabilities:
+def setting_probabilities(rho: DensityMatrix | XState,
+                          wd: WitnessDecomposition) -> SettingProbabilities:
     """Exact aggregate probabilities P_1..P_{n+1} of a state.
 
     P_1 is the corner mass on the diagonal.  M_theta^(x)n maps |a> to the
     complementary index a' = d-1-a, so each rotated parity expectation reads
     only the anti-diagonal: Tr(rho M_theta^(x)n) = sum_a rho[a, a'] *
-    e^{i theta (n - 2|a|)}, and P_j = (1 + that) / 2.
+    e^{i theta (n - 2|a|)}, and P_j = (1 + that) / 2.  A phase depends on a
+    only through the popcount |a|, so the 2**n x n phase table is gathered
+    from its n+1 distinct rows.
     """
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
     corners = wd.settings[0].born_probabilities(rho)
-    anti = rho.matrix[:, ::-1].diagonal()
-    phases = np.exp(1j * np.outer(wd.n - 2 * popcounts(wd.n), wd.thetas))
-    parity = (anti @ phases).real
+    rows = np.exp(1j * np.outer(wd.n - 2 * np.arange(wd.n + 1), wd.thetas))
+    parity = (rho.anti_diagonal() @ rows[popcounts(wd.n)]).real
     P = [corners[0] + corners[-1], *(0.5 * (1.0 + parity))]
     return SettingProbabilities(n=wd.n, P=np.array(P))
 

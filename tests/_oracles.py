@@ -23,6 +23,33 @@ def sc_projector(n):
     return np.outer(v, v.conj())
 
 
+def dense_depolarized_sc(n, fidelity):
+    """White-noise-mixed SC state as a dense matrix, with the floating-point
+    operations the library used when its noise models were dense."""
+    d = 2**n
+    p = (fidelity - 1.0 / d) / (1.0 - 1.0 / d)
+    return p * sc_projector(n) + (1.0 - p) * np.eye(d) / d
+
+
+def dense_noisy_sc_state(n, fidelity, corner_mass):
+    """Corner-mass SC state a |SC><SC| + b corners/2 + c I/d as a dense matrix."""
+    d = 2**n
+    a = 2.0 * fidelity - corner_mass
+    c = (1.0 - corner_mass) / (1.0 - 2.0 / d)
+    b = 1.0 - a - c
+    corners = np.zeros((d, d), dtype=complex)
+    corners[0, 0] = corners[-1, -1] = 0.5
+    return a * sc_projector(n) + b * corners + c * np.eye(d) / d
+
+
+def dense_rank_two_sc_state(n, fidelity):
+    """F |SC><SC| + (1-F) |SC'><SC'| with SC' the last-qubit-flipped cat."""
+    d = 2**n
+    flipped = np.zeros(d, dtype=complex)
+    flipped[1] = flipped[d - 2] = 1.0 / np.sqrt(2.0)
+    return fidelity * sc_projector(n) + (1.0 - fidelity) * np.outer(flipped, flipped.conj())
+
+
 def fidelity_direct(rho_matrix, n):
     """Tr(rho |SC><SC|) by plain matrix contraction."""
     return float(np.trace(rho_matrix @ sc_projector(n)).real)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -265,6 +266,31 @@ class TestSimulate:
         code, _, _ = run_cli(
             ["simulate", "--n", "2", "--fidelity", "0.9", "--trials", "5"], capsys)
         assert code == 2
+
+    def test_one_past_the_qubit_cap_exit_3(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--n", "21", "--fidelity", "0.8414", "--corner-mass", "0.947",
+             "--compare", "uniform:100", "--trials", "20", "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: qubit count must be in [1, 20], got 21\n"
+
+    def test_sixteen_qubits_in_o_of_two_to_the_n_memory(self):
+        # its own process, so the peak RSS is this run's; a dense 16-qubit
+        # state alone would take 16 * 4**16 bytes = 64 GiB
+        argv = ["simulate", "--n", "16", "--fidelity", "0.8414", "--corner-mass", "0.947",
+                "--compare", "uniform:100", "--trials", "20", "--seed", "1"]
+        proc = _python("-c", "import resource, sys; from qcopies.cli import main; "
+                             f"code = main({argv!r}); "
+                             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+                             "sys.exit(code)")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        rows = list(csv.DictReader(lines[:3]))
+        assert [r["name"] for r in rows] == ["uniform", "optimized"]
+        for r in rows:
+            assert abs(float(r["mean_fidelity"]) - 0.8414) < 0.03
+        peak_mb = int(lines[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 200
 
 
 class TestAdaptive:

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcopies import (
     DensityMatrix,
     PureState,
     QcopiesError,
+    XState,
+    build_settings,
     density_from_json,
     density_to_json,
     depolarized_sc,
@@ -13,13 +18,17 @@ from qcopies import (
     noisy_sc_state,
     psd_project,
     pure_density,
+    rank_two_sc_state,
     sc_state,
+    setting_probabilities,
     white_noise_mix,
     white_noise_weight_for_fidelity,
 )
-from qcopies.core import psd_project_stack
+from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS, psd_project_stack
+from qcopies.witness import basis_probabilities, rotated_bras
 
-from _oracles import ginibre_density
+from _oracles import (dense_depolarized_sc, dense_noisy_sc_state, dense_rank_two_sc_state,
+                      ginibre_density)
 
 
 class TestScState:
@@ -36,7 +45,7 @@ class TestScState:
         psi = sc_state(8)
         assert fidelity_pure(pure_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [0, 13, -1])
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, -1])
     def test_out_of_range(self, n):
         with pytest.raises(QcopiesError):
             sc_state(n)
@@ -206,3 +215,129 @@ class TestJson:
         back = density_from_json(density_to_json(rho))
         assert frobenius_distance(rho, back) < 1e-12
         assert back.n_qubits == 3
+
+
+# (library model, dense oracle, fewest qubits) of each synthetic noise model
+NOISE_MODELS = {
+    "depolarized": (lambda n, f, cm: depolarized_sc(n, f),
+                    lambda n, f, cm: dense_depolarized_sc(n, f), 1),
+    "corner-mass": (noisy_sc_state, dense_noisy_sc_state, 2),
+    "rank-two": (lambda n, f, cm: rank_two_sc_state(n, f),
+                 lambda n, f, cm: dense_rank_two_sc_state(n, f), 2),
+}
+
+
+@st.composite
+def model_profiles(draw, max_qubits):
+    """(model name, n, fidelity, corner mass) that the model accepts."""
+    name = draw(st.sampled_from(sorted(NOISE_MODELS)))
+    n = draw(st.integers(NOISE_MODELS[name][2], max_qubits))
+    d = 2**n
+    if name == "corner-mass":
+        # weight c <= 1 of I/d, then a of |SC><SC| with a + c <= 1
+        corner_mass = draw(st.floats(2.0 / d, 1.0))
+        c = (1.0 - corner_mass) / (1.0 - 2.0 / d)
+        a = draw(st.floats(0.0, 1.0)) * (1.0 - c)
+        return name, n, (a + corner_mass) / 2.0, corner_mass
+    low = 1.0 / d if name == "depolarized" else 0.0
+    return name, n, draw(st.floats(low, 1.0)), None
+
+
+def _model_and_oracle(name, n, fidelity, corner_mass):
+    model, oracle, _ = NOISE_MODELS[name]
+    return model(n, fidelity, corner_mass), oracle(n, fidelity, corner_mass)
+
+
+def _same_setting_probabilities(rho, dense, n):
+    wd = build_settings(n)
+    return (setting_probabilities(rho, wd).P.tobytes()
+            == setting_probabilities(DensityMatrix(dense, validate=False), wd).P.tobytes())
+
+
+class TestXState:
+    @settings(max_examples=150, deadline=None)
+    @given(model_profiles(max_qubits=10))
+    def test_setting_probabilities_match_dense_oracle_bytes(self, profile):
+        name, n, fidelity, corner_mass = profile
+        rho, dense = _model_and_oracle(name, n, fidelity, corner_mass)
+        assert isinstance(rho, XState)
+        assert _same_setting_probabilities(rho, dense, n)
+
+    @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_setting_probabilities_match_dense_oracle_bytes_up_to_dense_cap(self, name, n):
+        rho, dense = _model_and_oracle(name, n, 0.8414, 0.947)
+        assert _same_setting_probabilities(rho, dense, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(model_profiles(max_qubits=8))
+    def test_dense_view_equals_oracle(self, profile):
+        rho, dense = _model_and_oracle(*profile)
+        assert np.array_equal(rho.matrix, dense)
+        assert rho.matrix is rho.matrix
+        assert np.array_equal(rho.diagonal(), dense.diagonal().real)
+        assert np.array_equal(rho.anti_diagonal(), dense[:, ::-1].diagonal())
+
+    def test_validated_state_matches_dense_validation(self):
+        rho = noisy_sc_state(4, 0.8, corner_mass=0.9)
+        again = XState(rho.diagonal(), rho.anti_diagonal())
+        assert np.array_equal(again.matrix, DensityMatrix(rho.matrix).matrix)
+        assert again.n_qubits == 4
+
+    @pytest.mark.parametrize("case", ["hermitian", "trace", "psd", "nan", "complex-diagonal"])
+    def test_validation_rejects(self, case):
+        diag = np.array([0.4, 0.1, 0.1, 0.4])
+        anti = np.array([0.3 + 0.1j, 0.05, 0.05, 0.3 - 0.1j])
+        XState(diag, anti)
+        if case == "hermitian":
+            anti[3] = 0.3 + 0.1j
+        elif case == "trace":
+            diag = diag * 1.1
+        elif case == "psd":
+            anti[0], anti[3] = 0.45, 0.45  # 0.4 * 0.4 < 0.45**2
+        elif case == "nan":
+            diag[1] = np.nan
+        else:
+            diag = diag + 1e-3j
+        with pytest.raises(QcopiesError):
+            XState(diag, anti)
+
+    @pytest.mark.parametrize("diag, anti", [(np.full(4, 0.25), np.zeros(2)),
+                                            (np.full(3, 1 / 3), np.zeros(3))])
+    def test_rejects_bad_sizes(self, diag, anti):
+        with pytest.raises(QcopiesError):
+            XState(diag, anti)
+
+    def test_immutable(self):
+        rho = noisy_sc_state(3, 0.9, corner_mass=0.95)
+        for arr in (rho.diagonal(), rho.anti_diagonal(), rho.matrix):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_no_dense_view_past_the_dense_cap(self):
+        n = 16
+        rho = noisy_sc_state(n, 0.8414, corner_mass=0.947)
+        assert rho.diagonal()[0] + rho.diagonal()[-1] == pytest.approx(0.947, abs=1e-12)
+        for dense_use in (lambda: rho.matrix,
+                          lambda: fidelity_pure(rho, sc_state(n)),
+                          lambda: basis_probabilities(rho, [rotated_bras(np.pi / n)] * n),
+                          lambda: pure_density(sc_state(n))):
+            with pytest.raises(QcopiesError, match=f"up to {MAX_DENSE_QUBITS} qubits"):
+                dense_use()
+
+    @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
+    def test_models_allocate_no_dense_matrix(self, name):
+        n = 12  # a dense state would take 16 * 4**12 bytes = 268 MB
+        tracemalloc.start()
+        try:
+            NOISE_MODELS[name][0](n, 0.8414, 0.947)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**n * 16
+
+    @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 2000])
+    def test_models_check_the_qubit_count_first(self, name, n):
+        with pytest.raises(QcopiesError, match="qubit count must be in"):
+            NOISE_MODELS[name][0](n, 0.9, 0.95)

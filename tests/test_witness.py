@@ -7,6 +7,7 @@ from qcopies import (
     QcopiesError,
     RngSeed,
     SettingProbabilities,
+    XState,
     allocate_sc,
     build_settings,
     delta_f,
@@ -20,6 +21,7 @@ from qcopies import (
     sc_state,
     setting_probabilities,
 )
+from qcopies.core import MAX_QUBITS
 from qcopies.witness import MeasurementSetting, ROTATED, popcounts
 
 from _oracles import fidelity_direct, ginibre_density, m_tensor_expectation, rotated_projovers
@@ -37,7 +39,7 @@ class TestBuildSettings:
         assert len(wd.settings) == 9
         assert wd.thetas == pytest.approx([k * np.pi / 8 for k in range(1, 9)])
 
-    @pytest.mark.parametrize("n", [0, 13])
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
     def test_range(self, n):
         with pytest.raises(QcopiesError):
             build_settings(n)
@@ -100,6 +102,26 @@ class TestSettingProbabilities:
                     assert parity_sum == pytest.approx(
                         m_tensor_expectation(rho.matrix, n, setting.theta), abs=1e-10)
 
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_rotated_masses_against_the_full_phase_table(self, rng, n):
+        # the 2**n x n phase table computed entry by entry, not gathered
+        # from its n+1 distinct rows, gives the same bytes
+        wd = build_settings(n)
+        diag = rng.uniform(size=2**n)
+        diag /= diag.sum()
+        half = np.sqrt(diag * diag[::-1]) * np.exp(1j * rng.uniform(0, 2 * np.pi, size=2**n))
+        anti = np.where(np.arange(2**n) < 2 ** (n - 1), half, half[::-1].conj())
+        rho = XState(diag, anti * rng.uniform())
+        phases = np.exp(1j * np.outer(n - 2 * popcounts(n), wd.thetas))
+        parity = (rho.anti_diagonal() @ phases).real
+        assert setting_probabilities(rho, wd).P[1:].tobytes() == (0.5 * (1.0 + parity)).tobytes()
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_past_the_dense_cap(self, n):
+        p = setting_probabilities(noisy_sc_state(n, 0.8414, 0.947), build_settings(n))
+        assert p.P[0] == pytest.approx(0.947, abs=1e-12)
+        assert fidelity_from_probabilities(p) == pytest.approx(0.8414, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
