@@ -6,6 +6,14 @@ Budgets in the schedule are squared bounds (eps = eps0**2), matching the
 allocation solver; a run ending at eps therefore targets a fidelity
 standard deviation of sqrt(eps).
 
+One lockstep core runs the protocol: it advances R runs of one schedule
+together on (R, n+1) arrays of hits, cumulative copies and estimates, each
+run with its own random stream, and every run gets the bytes it would get
+alone.  `run_adaptive` is the core with one run; `sweep_epsilon_ratio`
+passes all the repeats of a ratio at once.  Allocation, the spread check and
+the draws use the allocator's closed form, `delta_f`'s formula and
+`sample_counts` row-wise, one `sample_counts` call per run and pass.
+
 Copies also become laboratory hours here: `protocol_timeline` for a feedback
 run and `ten_photon_cost` for the ten-photon coincidence rate.
 """
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import allocate_sc
+from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
 from .errors import ConfigError, QcopiesError
 from .reports import csv_text
@@ -24,6 +32,7 @@ from .simulator import RngSeed, _as_generator, sample_counts
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
+    _spreads,
     delta_f,
     fidelity_from_probabilities,
     setting_probabilities,
@@ -67,7 +76,10 @@ class AdaptiveConfig:
             raise ConfigError("budgets must be positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly decreasing")
-        if np.any(np.asarray(self.t_initial) < 0):
+        t0 = np.asarray(self.t_initial)
+        if t0.dtype.kind not in "iuf" or not np.all(np.isfinite(t0) & (t0 == np.floor(t0))):
+            raise ConfigError(f"t_initial must be whole copy counts, got {self.t_initial!r}")
+        if np.any(t0 < 0):
             raise ConfigError("t_initial must be >= 0")
         if self.t_min < 1:
             raise ConfigError(f"t_min must be >= 1, got {self.t_min}")
@@ -85,7 +97,11 @@ class AdaptiveConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """What one allocate-measure-update cycle did."""
+    """What one allocate-measure-update cycle did.
+
+    budget_met is False when the round ran out of top-up passes before its
+    cumulative counts met the budget at the refreshed estimates.
+    """
 
     index: int
     epsilon: float
@@ -94,6 +110,7 @@ class RoundRecord:
     increments: np.ndarray
     cumulative_t: np.ndarray
     P_hat: np.ndarray
+    budget_met: bool = True
 
 
 @dataclass
@@ -144,6 +161,78 @@ def _clamped(P: np.ndarray, cumulative: np.ndarray) -> np.ndarray:
     return np.where(cumulative >= 2, np.minimum(np.maximum(P, lo), 1.0 - lo), P)
 
 
+# Top-up passes a round may take before it ends short of its budget.
+_TOP_UP_PASSES = 64
+
+
+@dataclass(frozen=True)
+class _Round:
+    """One round of every run, as (R, n+1) arrays."""
+
+    entry_P: np.ndarray
+    target_t: np.ndarray
+    increments: np.ndarray
+    cumulative_t: np.ndarray
+    P_hat: np.ndarray
+    budget_met: np.ndarray
+
+
+def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
+                  t_initial: np.ndarray, t_min: int, gens):
+    """Advance R feedback runs through one schedule together, on (R, n+1)
+    arrays.
+
+    Run r starts from prior `initial_P[r]` and pilot `t_initial[r]` and
+    draws from `gens[r]` in the order it would alone: its pilot, then in
+    each top-up pass all its settings in one `sample_counts` call.  The
+    allocation, the budget check and the sampler act row-wise, so every
+    run gets the bytes it would get alone.  Returns the final cumulative
+    copies and estimates, and one `_Round` per budget of the schedule.
+    """
+    probs = np.column_stack([P_true, 1.0 - P_true])
+
+    def measure(rows, copies):
+        """Hit counts of one batch; a setting with no copies draws nothing."""
+        return np.array([sample_counts(probs, c, gens[r])[:, 0] for r, c in zip(rows, copies)])
+
+    hits = measure(range(len(gens)), t_initial)
+    cumulative = t_initial.astype(np.int64)
+    P = initial_P.astype(float)
+    target = np.zeros_like(cumulative)
+    rounds = []
+    for eps in schedule:
+        eps0 = float(np.sqrt(eps))
+        entry_P = P.copy()
+        round_increments = np.zeros_like(cumulative)
+        met = np.zeros(len(gens), dtype=bool)
+        live = np.arange(len(gens))
+        # Top up until each run's cumulative counts meet the budget at its
+        # refreshed estimates (one pass when nothing drifts).
+        for _ in range(_TOP_UP_PASSES):
+            k = _sc_weights(n, _clamped(P[live], cumulative[live]))
+            target[live] = _round_up(k, eps0**2, t_min)[1]
+            increments = np.maximum(target[live] - cumulative[live], 0)
+            drawing = increments.any(axis=1)
+            met[live[~drawing]] = True
+            live, increments = live[drawing], increments[drawing]
+            if live.size == 0:
+                break
+            hits[live] += measure(live, increments)
+            cumulative[live] += increments
+            round_increments[live] += increments
+            P[live] = hits[live] / cumulative[live]
+            spread = _spreads(n, _clamped(P[live], cumulative[live]),
+                              cumulative[live].astype(float))
+            done = spread <= eps0 * (1 + 1e-9)
+            met[live[done]] = True
+            live = live[~done]
+            if live.size == 0:
+                break
+        rounds.append(_Round(entry_P, target.copy(), round_increments, cumulative.copy(),
+                             P.copy(), met))
+    return cumulative, P, rounds
+
+
 def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: AdaptiveConfig,
                  rng) -> AdaptiveState:
     """Run the feedback protocol against a simulated state.
@@ -152,63 +241,38 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
     measures only the missing copies (settings whose targets are already
     covered are skipped), pools all counts, and refines the estimates.
     Only each setting's hit count (corner or even-parity outcomes) is drawn
-    and pooled, since the estimates read nothing else.
+    and pooled, since the estimates read nothing else.  This is the
+    lockstep core of `sweep_epsilon_ratio` run with a single row.
     """
     n = wd.n
     m = n + 1
     gen = _as_generator(rng)
     P_true = setting_probabilities(rho, wd).P
-
-    def measure(copies):
-        """Hit counts of one batch; settings with nothing to measure draw nothing."""
-        return np.array([sample_counts([p, 1.0 - p], int(c), gen)[0] if c > 0 else 0
-                         for p, c in zip(P_true, copies)])
-
     t_init = np.asarray(cfg.t_initial, dtype=np.int64)
     if t_init.ndim == 0:
         t_init = np.full(m, int(t_init), dtype=np.int64)
     if t_init.shape != (m,):
         raise ConfigError(f"t_initial must be scalar or length {m}")
-    hits = measure(t_init)
-    cumulative = t_init.copy()
-
     if cfg.initial_P is None:
-        P_used = np.full(m, 0.5)
+        P0 = np.full(m, 0.5)
     else:
-        P_used = np.asarray(cfg.initial_P, dtype=float)
-        if P_used.shape != (m,):
+        P0 = np.asarray(cfg.initial_P, dtype=float)
+        if P0.shape != (m,):
             raise ConfigError(f"initial_P must have length {m}")
-
+    cumulative, P, rounds = _run_lockstep(P_true, n, cfg.epsilon_schedule, P0[None],
+                                          t_init[None], cfg.t_min, [gen])
     state = AdaptiveState(n=n)
-    for idx, eps in enumerate(cfg.epsilon_schedule, start=1):
-        eps0 = float(np.sqrt(eps))
-        entry_P = P_used.copy()
-        round_increments = np.zeros(m, dtype=np.int64)
-        # Top up within the round until the budget is met by the cumulative
-        # counts at the refreshed estimates (one pass when nothing drifts).
-        for _ in range(64):
-            p_in = SettingProbabilities(n=n, P=_clamped(P_used, cumulative))
-            alloc = allocate_sc(p_in, epsilon0=eps0, t_min=cfg.t_min)
-            increments = np.maximum(alloc.t - cumulative, 0)
-            if increments.sum() == 0:
-                break
-            hits += measure(increments)
-            cumulative = cumulative + increments
-            round_increments += increments
-            P_used = hits / cumulative
-            p_chk = SettingProbabilities(n=n, P=_clamped(P_used, cumulative))
-            if delta_f(p_chk, cumulative.astype(float)) <= eps0 * (1 + 1e-9):
-                break
+    for idx, (eps, rnd) in enumerate(zip(cfg.epsilon_schedule, rounds), start=1):
         state.rounds.append(RoundRecord(
-            index=idx, epsilon=float(eps), P_used=entry_P, target_t=alloc.t.copy(),
-            increments=round_increments, cumulative_t=cumulative.copy(), P_hat=P_used,
+            index=idx, epsilon=float(eps), P_used=rnd.entry_P[0], target_t=rnd.target_t[0],
+            increments=rnd.increments[0], cumulative_t=rnd.cumulative_t[0],
+            P_hat=rnd.P_hat[0], budget_met=bool(rnd.budget_met[0]),
         ))
-
-    state.cumulative_t = cumulative
-    state.current_P = P_used
-    p_final = SettingProbabilities(n=n, P=P_used)
+    state.cumulative_t = cumulative[0]
+    state.current_P = P[0]
+    p_final = SettingProbabilities(n=n, P=P[0])
     state.fidelity = fidelity_from_probabilities(p_final)
-    state.fidelity_std = delta_f(p_final, cumulative.astype(float))
+    state.fidelity_std = delta_f(p_final, cumulative[0].astype(float))
     return state
 
 
@@ -240,32 +304,34 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
 
     Each repeat starts from a random prior in [0.25, 0.75] and a random
     pilot of 4 to 7 copies per setting, runs the protocol from budget 0.01
-    until it drops past 0.0003, and reports the cumulative copies.
+    until it drops past 0.0003, and reports the cumulative copies.  Repeat
+    `rep` of ratio i draws its prior and pilot from `rng.generator(i, rep, 0)`
+    and its measurements from `rng.generator(i, rep, 1)`.  A ratio's
+    repeats advance together in one lockstep core.
     """
     if repeats < 1:
         raise QcopiesError(f"repeats must be >= 1, got {repeats}")
     if len(ratios) == 0:
         raise QcopiesError("need at least one ratio")
     m = wd.n + 1
+    P_true = setting_probabilities(rho, wd).P
     rows = []
     for i, ratio in enumerate(ratios):
-        totals = np.empty(repeats)
-        rounds = np.empty(repeats)
+        schedule = geometric_schedule(0.01, float(ratio), 0.0003)
+        priors, pilots = [], []
         for rep in range(repeats):
             setup = rng.generator(i, rep, 0)
-            cfg = AdaptiveConfig(
-                epsilon_schedule=geometric_schedule(0.01, float(ratio), 0.0003),
-                initial_P=setup.uniform(0.25, 0.75, size=m),
-                t_initial=setup.integers(4, 8, size=m),
-            )
-            state = run_adaptive(rho, wd, cfg, rng.generator(i, rep, 1))
-            totals[rep] = state.total_copies
-            rounds[rep] = state.round
+            priors.append(setup.uniform(0.25, 0.75, size=m))
+            pilots.append(setup.integers(4, 8, size=m))
+        cumulative, _, _ = _run_lockstep(P_true, wd.n, schedule, np.array(priors),
+                                         np.array(pilots), 1,
+                                         [rng.generator(i, rep, 1) for rep in range(repeats)])
+        totals = cumulative.sum(axis=1).astype(float)
         rows.append(SweepRow(
             ratio=float(ratio),
             mean_total=float(totals.mean()),
             std_total=float(totals.std(ddof=1)) if repeats > 1 else 0.0,
-            mean_rounds=float(rounds.mean()),
+            mean_rounds=float(len(schedule)),
         ))
     return SweepResult(rows=tuple(rows))
 

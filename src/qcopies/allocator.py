@@ -119,9 +119,35 @@ def uniform_allocation(n_settings: int, per_setting: int) -> CopyAllocation:
 
 def real_optimum(k: np.ndarray, eps: float) -> np.ndarray:
     """Unrounded minimizer t_j = sqrt(k_j) * sum_i sqrt(k_i) / eps; zero
-    weights get zero copies."""
+    weights get zero copies.  Each row along the last axis of k is one
+    problem."""
     roots = np.sqrt(k)
-    return roots * roots.sum() / eps
+    return roots * roots.sum(axis=-1, keepdims=True) / eps
+
+
+def _round_up(k: np.ndarray, eps: float, t_min: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real optimum and integer copies of every row of k (shape (R, m))
+    under the budget sum(k/t) <= eps.
+
+    The real optimum is rounded up, zero weights get t_min, every setting
+    at least t_min, and a row still over the budget after rounding gains
+    one copy at a time where that lowers sum(k/t) the most.  A row with
+    no positive weight gets t_min everywhere.  Rows never interact, so a
+    row gets the same copies alone or stacked.
+    """
+    real_t = real_optimum(k, eps)
+    if not real_t.max() < 2.0**62:
+        raise QcopiesError("copy counts overflow: the budget is too small for these weights")
+    # Guard against ties like 50.000000000000007 before rounding up.
+    t = np.where(k > 0, np.ceil(real_t * (1 - 1e-12) - 1e-12), t_min).astype(np.int64)
+    t = np.maximum(t, t_min)
+    limit = eps * (1 + 1e-9)
+    over = np.flatnonzero(np.sum(k / t, axis=-1) > limit)
+    while over.size:
+        k_o, t_o = k[over], t[over]
+        t[over, np.argmax(k_o / t_o - k_o / (t_o + 1), axis=-1)] += 1
+        over = over[np.sum(k[over] / t[over], axis=-1) > limit]
+    return real_t, t
 
 
 def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
@@ -133,26 +159,24 @@ def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     if t_min < 1:
         raise QcopiesError(f"t_min must be >= 1, got {t_min}")
     k, eps = problem.k, problem.epsilon
-    active = k > 0
-    if not active.any():
+    if not (k > 0).any():
         raise DegenerateProblemError("all variance weights are zero")
-    real_t = real_optimum(k, eps)
-    if not real_t.max() < 2.0**62:
-        raise QcopiesError("copy counts overflow: the budget is too small for these weights")
-    # Guard against ties like 50.000000000000007 before rounding up.
-    t = np.where(active, np.ceil(real_t * (1 - 1e-12) - 1e-12), t_min).astype(np.int64)
-    t = np.maximum(t, t_min)
-    while np.sum(k / t) > eps * (1 + 1e-9):
-        t[np.argmax(k / t - k / (t + 1))] += 1
-    return CopyAllocation(t=t, epsilon0=float(np.sqrt(eps)), real_t=real_t)
+    real_t, t = _round_up(k[None], eps, t_min)
+    return CopyAllocation(t=t[0], epsilon0=float(np.sqrt(eps)), real_t=real_t[0])
 
 
 def sc_variance_weights(p: SettingProbabilities) -> np.ndarray:
     """k_1 = P1(1-P1)/4 and k_j = Pj(1-Pj)/n^2 for the rotated settings."""
-    var = p.P * (1.0 - p.P)
+    return _sc_weights(p.n, p.P)
+
+
+def _sc_weights(n: int, P: np.ndarray) -> np.ndarray:
+    """sc_variance_weights of every row of P, whose last axis holds the
+    n+1 settings."""
+    var = P * (1.0 - P)
     k = np.empty_like(var)
-    k[0] = var[0] / 4.0
-    k[1:] = var[1:] / p.n**2
+    k[..., 0] = var[..., 0] / 4.0
+    k[..., 1:] = var[..., 1:] / n**2
     return k
 
 

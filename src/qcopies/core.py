@@ -215,6 +215,7 @@ def white_noise_mix(target: DensityMatrix, p: float) -> DensityMatrix:
 
 def white_noise_weight_for_fidelity(n: int, fidelity: float) -> float:
     """Invert fidelity = p + (1-p)/d for the white-noise mixture weight p."""
+    check_qubit_count(n)
     d = 2**n
     if not 1.0 / d <= fidelity <= 1.0:
         raise QcopiesError(f"fidelity {fidelity} outside [{1.0 / d}, 1] for n={n}")
@@ -235,7 +236,6 @@ def _x_mix(combine, *parts) -> XState:
 
 def depolarized_sc(n: int, fidelity: float) -> XState:
     """White-noise-mixed SC state whose fidelity with the pure SC state is exact."""
-    check_qubit_count(n)
     p = white_noise_weight_for_fidelity(n, fidelity)
     d = 2**n
     eye = (np.ones(d), np.zeros(d))

@@ -5,6 +5,8 @@ experiments and copy-distribution comparisons.
 An experiment (one histogram, or one allocation of a comparison) reads one
 random stream.  Setting by setting, in setting order, it draws the hit
 counts of all its trials in one call; a trial is one row of those draws.
+`sample_counts` takes one copy count for all rows or one per row; the
+adaptive protocol draws all of a run's settings per pass in one call.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ def _as_generator(rng) -> np.random.Generator:
     raise QcopiesError(f"expected RngSeed or numpy Generator, got {type(rng).__name__}")
 
 
-def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
+def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
     """Draw multinomial counts of `copies` copies over outcome probabilities.
 
     The last axis of `probs` holds the outcomes; each row along the leading
@@ -53,14 +55,32 @@ def sample_counts(probs, copies: int, gen: np.random.Generator) -> np.ndarray:
     gives the same counts as k single-row calls on the same generator.  A
     row's weights need not be normalized, but must be finite, nonnegative
     and not all zero.  One draw costs O(outcomes), independent of `copies`.
+
+    `copies` is one count for every row, or an integer array that
+    broadcasts against the rows and gives each row its own count.  A row
+    of zero copies draws nothing and leaves the generator's stream as it
+    was, so one call with per-row counts equals one single-row call per
+    row with copies, in row order.
     """
-    if copies < 0:
-        raise QcopiesError(f"copies must be >= 0, got {copies}")
     p = np.asarray(probs, dtype=float)
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
+    if isinstance(copies, (int, np.integer)):
+        if copies < 0:
+            raise QcopiesError(f"copies must be >= 0, got {copies}")
+    else:
+        c = np.asarray(copies)
+        if c.dtype.kind not in "iu" or c.min(initial=0) < 0:
+            raise QcopiesError(f"copies must be nonnegative integers, got {copies!r}")
+        if c.shape != p.shape[:-1]:
+            try:
+                np.broadcast_shapes(c.shape, p.shape[:-1])
+            except ValueError:
+                raise DimensionMismatchError(f"copies of shape {c.shape} do not broadcast "
+                                             f"against rows of shape {p.shape[:-1]}") from None
     total = p.sum(axis=-1, keepdims=True)
-    if not ((p >= 0).all() and ((total > 0) & (total < np.inf)).all()):
+    if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
+            and total.max(initial=0.0) < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
     return gen.multinomial(copies, p / total).astype(np.int64)
 

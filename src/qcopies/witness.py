@@ -191,6 +191,13 @@ def delta_f(p: SettingProbabilities, t) -> float:
         raise DimensionMismatchError(f"need {p.P.size} copy counts, got {counts.shape}")
     if np.any(counts <= 0):
         raise QcopiesError("all copy counts must be positive")
-    var = p.P * (1.0 - p.P)
-    n = p.n
-    return float(np.sqrt(var[0] / (4.0 * counts[0]) + np.sum(var[1:] / counts[1:]) / n**2))
+    return float(_spreads(p.n, p.P, counts))
+
+
+def _spreads(n: int, P: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """delta_f of every row of P at the copies in the matching row of t;
+    the last axis holds the n+1 settings.  No validation: a row's spread
+    has the same bytes stacked or alone."""
+    var = P * (1.0 - P)
+    return np.sqrt(var[..., 0] / (4.0 * t[..., 0])
+                   + np.sum(var[..., 1:] / t[..., 1:], axis=-1) / n**2)

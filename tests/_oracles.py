@@ -2,9 +2,17 @@
 
 Everything here is written from first principles (explicit loops, explicit
 projector matrices, a generic numeric minimizer) so the library code paths
-are checked against computations that share nothing with them.
+are checked against computations that share nothing with them.  The
+feedback-protocol oracles at the end run one run at a time; they share
+with the library only the sampler's one-row path, `setting_probabilities`,
+the fidelity formula, the schedule and the config and result types.
 """
 import numpy as np
+
+from qcopies import (AdaptiveConfig, AdaptiveState, SettingProbabilities,
+                     fidelity_from_probabilities, geometric_schedule, sample_counts,
+                     setting_probabilities)
+from qcopies.adaptive import RoundRecord, SweepResult, SweepRow
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -183,3 +191,110 @@ def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e
                 break
             history.append(best_obj)
     return _project_density(best), best_obj, iterations, stall > stall_limit, np.array(history)
+
+
+def round_up_one(k, eps, t_min):
+    """Integer copies for one weight vector: the closed-form optimum
+    rounded up, then one copy at a time where it lowers sum(k/t) most."""
+    roots = np.sqrt(k)
+    real_t = roots * roots.sum() / eps
+    t = np.where(k > 0, np.ceil(real_t * (1 - 1e-12) - 1e-12), t_min).astype(np.int64)
+    t = np.maximum(t, t_min)
+    while np.sum(k / t) > eps * (1 + 1e-9):
+        t[np.argmax(k / t - k / (t + 1))] += 1
+    return t
+
+
+def sc_weights_one(n, P):
+    var = P * (1.0 - P)
+    k = np.empty_like(var)
+    k[0] = var[0] / 4.0
+    k[1:] = var[1:] / n**2
+    return k
+
+
+def spread_one(n, P, t):
+    """delta F of one run: sqrt(P1(1-P1)/(4 t1) + sum_j Pj(1-Pj)/tj / n^2)."""
+    var = P * (1.0 - P)
+    return float(np.sqrt(var[0] / (4.0 * t[0]) + np.sum(var[1:] / t[1:]) / n**2))
+
+
+def _clamped_one(P, t):
+    out = P.copy()
+    for j, t_j in enumerate(t):
+        if t_j >= 2:
+            out[j] = min(max(P[j], 1.0 / t_j), 1.0 - 1.0 / t_j)
+    return out
+
+
+def run_adaptive_one(rho, wd, cfg, gen, passes=64):
+    """The feedback protocol for one run, each setting drawn on its own."""
+    n, m = wd.n, wd.n + 1
+    P_true = setting_probabilities(rho, wd).P
+
+    def measure(copies):
+        return np.array([sample_counts([p, 1.0 - p], int(c), gen)[0] if c > 0 else 0
+                         for p, c in zip(P_true, copies)], dtype=np.int64)
+
+    t_init = np.asarray(cfg.t_initial, dtype=np.int64)
+    if t_init.ndim == 0:
+        t_init = np.full(m, int(t_init), dtype=np.int64)
+    hits = measure(t_init)
+    cumulative = t_init.copy()
+    P_used = np.full(m, 0.5) if cfg.initial_P is None else np.asarray(cfg.initial_P, float)
+    state = AdaptiveState(n=n)
+    for idx, eps in enumerate(cfg.epsilon_schedule, start=1):
+        eps0 = float(np.sqrt(eps))
+        entry_P = P_used.copy()
+        round_increments = np.zeros(m, dtype=np.int64)
+        met = False
+        for _ in range(passes):
+            k = sc_weights_one(n, _clamped_one(P_used, cumulative))
+            t = (np.full(m, cfg.t_min, dtype=np.int64) if not np.any(k > 0)
+                 else round_up_one(k, eps0**2, cfg.t_min))
+            increments = np.maximum(t - cumulative, 0)
+            if increments.sum() == 0:
+                met = True
+                break
+            hits += measure(increments)
+            cumulative = cumulative + increments
+            round_increments += increments
+            P_used = hits / cumulative
+            if spread_one(n, _clamped_one(P_used, cumulative), cumulative) <= eps0 * (1 + 1e-9):
+                met = True
+                break
+        state.rounds.append(RoundRecord(
+            index=idx, epsilon=float(eps), P_used=entry_P, target_t=t,
+            increments=round_increments, cumulative_t=cumulative.copy(), P_hat=P_used,
+            budget_met=met))
+    state.cumulative_t = cumulative
+    state.current_P = P_used
+    state.fidelity = fidelity_from_probabilities(SettingProbabilities(n=n, P=P_used))
+    state.fidelity_std = spread_one(n, P_used, cumulative.astype(float))
+    return state
+
+
+def sweep_epsilon_ratio_one(rho, wd, ratios, repeats, rng):
+    """The ratio sweep as one feedback run after another."""
+    m = wd.n + 1
+    rows = []
+    for i, ratio in enumerate(ratios):
+        totals = np.empty(repeats)
+        rounds = np.empty(repeats)
+        for rep in range(repeats):
+            setup = rng.generator(i, rep, 0)
+            cfg = AdaptiveConfig(
+                epsilon_schedule=geometric_schedule(0.01, float(ratio), 0.0003),
+                initial_P=setup.uniform(0.25, 0.75, size=m),
+                t_initial=setup.integers(4, 8, size=m),
+            )
+            state = run_adaptive_one(rho, wd, cfg, rng.generator(i, rep, 1))
+            totals[rep] = state.total_copies
+            rounds[rep] = state.round
+        rows.append(SweepRow(
+            ratio=float(ratio),
+            mean_total=float(totals.mean()),
+            std_total=float(totals.std(ddof=1)) if repeats > 1 else 0.0,
+            mean_rounds=float(rounds.mean()),
+        ))
+    return SweepResult(rows=tuple(rows))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcopies import (
     AdaptiveConfig,
@@ -17,7 +18,10 @@ from qcopies import (
     setting_probabilities,
     sweep_epsilon_ratio,
 )
+from qcopies import adaptive
 from qcopies.adaptive import AdaptiveState, RoundRecord, _clamped
+
+from _oracles import run_adaptive_one, sweep_epsilon_ratio_one
 
 
 class TestSchedule:
@@ -72,6 +76,12 @@ class TestRunAdaptive:
         {"initial_P": [0.5, np.inf, 0.5]},
         {"initial_P": [2.0, 0.5, 0.5]},
         {"initial_P": [0.5, -0.1, 0.5]},
+        {"t_initial": 4.5},
+        {"t_initial": np.nan},
+        {"t_initial": np.inf},
+        {"t_initial": "x"},
+        {"t_initial": None},
+        {"t_initial": [5, 4.5, 5]},
     ])
     def test_bad_config_rejected_before_any_draw(self, kwargs):
         with pytest.raises(ConfigError):
@@ -161,6 +171,79 @@ class TestRunAdaptive:
         lines = state.history_csv().strip().split("\n")
         assert lines[0] == "round,epsilon,setting,increment,cumulative,P_hat"
         assert len(lines) == 1 + state.round * (n + 1)
+
+
+def assert_same_state(got, want):
+    """Every field of two protocol trajectories, compared exactly."""
+    assert got.n == want.n and got.round == want.round
+    for a, b in zip(got.rounds, want.rounds):
+        assert (a.index, a.epsilon, a.budget_met) == (b.index, b.epsilon, b.budget_met)
+        for name in ("P_used", "target_t", "increments", "cumulative_t", "P_hat"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert got.cumulative_t.tobytes() == want.cumulative_t.tobytes()
+    assert got.current_P.tobytes() == want.current_P.tobytes()
+    assert (got.fidelity, got.fidelity_std) == (want.fidelity, want.fidelity_std)
+
+
+# fidelity 1.0 is the pure cat state, whose P_j sit at 0 or 1
+fidelities = st.sampled_from([1.0, 0.98, 0.9374, 0.8, 0.6])
+
+
+class TestLockstepMatchesOneRun:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), fidelity=fidelities, seed=st.integers(0, 2**32 - 1),
+           start=st.floats(1e-3, 0.05), ratio=st.floats(0.05, 0.5),
+           prior=st.sampled_from(["half", "target", "edges"]),
+           t_initial=st.sampled_from([0, 1, 5, "varied"]), t_min=st.integers(1, 4))
+    # no pilot at the pure state's own P: every variance weight is zero
+    @example(n=3, fidelity=1.0, seed=1, start=0.01, ratio=0.1, prior="target", t_initial=0,
+             t_min=2)
+    def test_run_adaptive(self, n, fidelity, seed, start, ratio, prior, t_initial, t_min):
+        wd = build_settings(n)
+        rho = depolarized_sc(n, fidelity)
+        gen = np.random.default_rng(seed)
+        initial_P = {"half": None,
+                     "target": setting_probabilities(rho, wd).P,
+                     "edges": gen.choice([0.0, 0.3, 1.0], size=n + 1)}[prior]
+        if t_initial == "varied":
+            t_initial = gen.integers(0, 4, size=n + 1)
+        cfg = AdaptiveConfig.geometric(start, ratio, start * ratio**3, initial_P=initial_P,
+                                       t_initial=t_initial, t_min=t_min)
+        assert_same_state(run_adaptive(rho, wd, cfg, RngSeed(seed).generator()),
+                          run_adaptive_one(rho, wd, cfg, RngSeed(seed).generator()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 5), fidelity=fidelities, seed=st.integers(0, 2**32 - 1),
+           ratios=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
+           repeats=st.integers(1, 4))
+    def test_sweep(self, n, fidelity, seed, ratios, repeats):
+        wd = build_settings(n)
+        rho = depolarized_sc(n, fidelity)
+        assert (sweep_epsilon_ratio(rho, wd, ratios, repeats, RngSeed(seed))
+                == sweep_epsilon_ratio_one(rho, wd, ratios, repeats, RngSeed(seed)))
+
+    @pytest.mark.parametrize("passes", [1, 64])
+    def test_budget_met_agrees_with_recomputed_spread(self, passes, monkeypatch):
+        # one top-up pass per round cuts rounds short and the record says
+        # so, exactly when delta F at the clamped pooled estimates misses
+        # the budget; the default cap of 64 passes is never reached here
+        monkeypatch.setattr(adaptive, "_TOP_UP_PASSES", passes)
+        n = 4
+        wd = build_settings(n)
+        rho = depolarized_sc(n, 0.9374)
+        cfg = AdaptiveConfig.geometric(0.01, 0.1, 1e-5)
+        missed = 0
+        for seed in range(10):
+            state = run_adaptive(rho, wd, cfg, RngSeed(seed).generator())
+            assert_same_state(state, run_adaptive_one(rho, wd, cfg, RngSeed(seed).generator(),
+                                                      passes=passes))
+            for rec in state.rounds:
+                p = SettingProbabilities(n=n, P=_clamped(rec.P_hat, rec.cumulative_t))
+                spread = delta_f(p, rec.cumulative_t.astype(float))
+                assert rec.budget_met == (spread <= np.sqrt(rec.epsilon) * (1 + 1e-9))
+                missed += not rec.budget_met
+        assert (missed > 0) == (passes == 1)
 
 
 class TestSweep:

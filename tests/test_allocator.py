@@ -18,9 +18,9 @@ from qcopies import (
     sc_variance_weights,
     solve_budget,
 )
-from qcopies.allocator import nonorthogonal_effective_weights
+from qcopies.allocator import _round_up, nonorthogonal_effective_weights
 
-from _oracles import minimize_budget_numeric
+from _oracles import minimize_budget_numeric, round_up_one
 
 
 class TestSolveBudget:
@@ -137,6 +137,20 @@ def test_solve_budget_feasible_near_minimal_and_monotone(k, eps, shrink, t_min):
     assert np.all(plan.t <= np.maximum(t_min, np.ceil(plan.real_t)) + 1)
     tighter = solve_budget(BudgetProblem(k=k, epsilon=eps * shrink), t_min=t_min)
     assert tighter.total >= plan.total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.integers(2, 21), st.integers(1, 3))
+def test_stacked_rounding_matches_one_row_at_a_time(seed, rows, m, t_min):
+    # up to 21 settings, so the row sums take numpy's blocked summation too
+    gen = np.random.default_rng(seed)
+    k = gen.random((rows, m)) * (gen.random((rows, m)) < 0.8) / gen.integers(1, 400, (rows, 1))
+    eps = 10.0 ** gen.uniform(-6, -1)
+    real_t, t = _round_up(k, eps, t_min)
+    for r in range(rows):
+        roots = np.sqrt(k[r])
+        assert real_t[r].tobytes() == (roots * roots.sum() / eps).tobytes()
+        assert t[r].tobytes() == round_up_one(k[r], eps, t_min).tobytes()
 
 
 class TestAllocateSc:

@@ -487,6 +487,21 @@ def test_readme_stdout_is_pinned(command, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the report files the README `adaptive` command writes with --out.
+README_ADAPTIVE_OUT_DIGESTS = {
+    "rounds.csv": "9bbfe5e81bb308a836901f9d7e30fcdde2324233585b44443c9bebb0ce779cf5",
+    "final.json": "3b1ec8eb42e3c8e3458c0532d1bfb5c9769c55564878fc1bffabcdfd5f40946c",
+}
+
+
+def test_readme_adaptive_out_files_are_pinned(tmp_path, capsys):
+    command = "adaptive --n 4 --fidelity 0.9374 --schedule 0.01:0.1:0.00001 --seed 0"
+    code, _, _ = run_cli(command.split() + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in README_ADAPTIVE_OUT_DIGESTS} == README_ADAPTIVE_OUT_DIGESTS
+
+
 class TestSeedFallback:
     def test_env_seed_matches_flag(self, tmp_path, capsys, monkeypatch):
         base = ["simulate", "--n", "2", "--fidelity", "0.9", "--compare", "uniform:50",

@@ -84,6 +84,12 @@ class TestWhiteNoise:
         rho = depolarized_sc(10, 0.8414)
         assert fidelity_pure(rho, sc_state(10)) == pytest.approx(0.8414, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [0, 2000])
+    def test_weight_checks_the_qubit_count_first(self, n):
+        # 2**2000 overflowed a float and n=0 reported a fidelity range
+        with pytest.raises(QcopiesError, match=r"qubit count must be in \[1, 20\]"):
+            white_noise_weight_for_fidelity(n, 0.9)
+
     def test_affine_fidelity_formula(self, rng):
         for n in range(2, 9):
             target = pure_density(sc_state(n))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcopies import (
     DensityMatrix,
@@ -148,6 +149,47 @@ class TestSampleCounts:
     def test_scalar_rejected(self):
         with pytest.raises(QcopiesError):
             sample_counts(0.5, 10, RngSeed(1).generator())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), outcomes=st.integers(2, 4),
+           data=st.data())
+    def test_per_row_copies_match_one_call_per_row(self, seed, rows, outcomes, data):
+        # rows with zero copies are skipped, as a caller with nothing to
+        # measure makes no call; the streams must end in the same place
+        gen = np.random.default_rng(seed)
+        probs = gen.random((rows, outcomes)) * (gen.random((rows, outcomes)) < 0.8)
+        probs[:, 0] += 0.01
+        copies = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 7, 250, 10**6]),
+                                             min_size=rows, max_size=rows)))
+        stacked, alone = RngSeed(seed).generator(), RngSeed(seed).generator()
+        counts = sample_counts(probs, copies, stacked)
+        expected = [sample_counts(p, int(c), alone) if c else np.zeros(outcomes, np.int64)
+                    for p, c in zip(probs, copies)]
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
+        assert stacked.random() == alone.random()
+
+    def test_zero_copies_leave_the_stream_untouched(self):
+        gen = RngSeed(3).generator()
+        counts = sample_counts([[0.3, 0.7], [0.5, 0.5]], np.zeros(2, dtype=np.int64), gen)
+        assert not counts.any()
+        assert gen.bit_generator.state == RngSeed(3).generator().bit_generator.state
+
+    def test_copies_broadcast_against_rows(self):
+        rows = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
+        assert np.array_equal(sample_counts(rows, np.array([40]), RngSeed(2).generator()),
+                              sample_counts(rows, 40, RngSeed(2).generator()))
+
+    @pytest.mark.parametrize("copies", [-1, np.array([3, -1]), 4.5, np.array([2.0, 3.0]),
+                                        np.array([1.5, 2]), np.array(["a", "b"]), None])
+    def test_bad_copies_rejected(self, copies):
+        with pytest.raises(QcopiesError, match="copies"):
+            sample_counts([[0.3, 0.7], [0.5, 0.5]], copies, RngSeed(1).generator())
+
+    def test_copies_of_the_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            sample_counts([[0.3, 0.7], [0.5, 0.5]], np.array([1, 2, 3]),
+                          RngSeed(1).generator())
 
 
 class TestSimulateFidelities:

@@ -22,9 +22,10 @@ from qcopies import (
     setting_probabilities,
 )
 from qcopies.core import MAX_QUBITS
-from qcopies.witness import MeasurementSetting, ROTATED, popcounts
+from qcopies.witness import MeasurementSetting, ROTATED, _spreads, popcounts
 
-from _oracles import fidelity_direct, ginibre_density, m_tensor_expectation, rotated_projovers
+from _oracles import (fidelity_direct, ginibre_density, m_tensor_expectation, rotated_projovers,
+                      spread_one)
 
 
 class TestBuildSettings:
@@ -193,6 +194,16 @@ class TestDeltaF:
         p = SettingProbabilities(n=2, P=np.array([0.5, 0.5, 0.5]))
         with pytest.raises(QcopiesError):
             delta_f(p, [10, 0, 10])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 16, 20])
+    def test_stacked_rows_match_one_row_at_a_time(self, n, rng):
+        P = rng.choice([0.0, 1.0, 0.5], size=(6, n + 1))
+        P[:3] = rng.random((3, n + 1))
+        t = rng.integers(1, 10**6, size=(6, n + 1)).astype(float)
+        spreads = _spreads(n, P, t)
+        for row, (p_row, t_row) in enumerate(zip(P, t)):
+            assert spreads[row] == spread_one(n, p_row, t_row)
+            assert spreads[row] == delta_f(SettingProbabilities(n=n, P=p_row), t_row)
 
 
 # Fixed examples: the tolerance is statistical, as in acceptance 11.
