@@ -11,8 +11,8 @@ together on (R, n+1) arrays of hits, cumulative copies and estimates, each
 run with its own random stream, and every run gets the bytes it would get
 alone.  `run_adaptive` is the core with one run; `sweep_epsilon_ratio`
 passes all the repeats of a ratio at once.  Allocation, the spread check and
-the draws use the allocator's closed form, `delta_f`'s formula and
-`sample_counts` row-wise, one `sample_counts` call per run and pass.
+the draws use the allocator's closed form, `delta_f`'s formula and the
+sampler behind `sample_counts` row-wise, one draw per run and pass.
 
 Copies also become laboratory hours here: `protocol_timeline` for a feedback
 run and `ten_photon_cost` for the ten-photon coincidence rate.
@@ -28,7 +28,7 @@ from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
 from .errors import ConfigError, QcopiesError
 from .reports import csv_text
-from .simulator import RngSeed, _as_generator, sample_counts
+from .simulator import RngSeed, _as_generator, _multinomial
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -184,16 +184,18 @@ def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
 
     Run r starts from prior `initial_P[r]` and pilot `t_initial[r]` and
     draws from `gens[r]` in the order it would alone: its pilot, then in
-    each top-up pass all its settings in one `sample_counts` call.  The
+    each top-up pass all its settings in one `_multinomial` call.  The
     allocation, the budget check and the sampler act row-wise, so every
     run gets the bytes it would get alone.  Returns the final cumulative
     copies and estimates, and one `_Round` per budget of the schedule.
     """
+    # normalized as `sample_counts` normalizes, so the draws match its own
     probs = np.column_stack([P_true, 1.0 - P_true])
+    pvals = probs / probs.sum(axis=1, keepdims=True)
 
     def measure(rows, copies):
         """Hit counts of one batch; a setting with no copies draws nothing."""
-        return np.array([sample_counts(probs, c, gens[r])[:, 0] for r, c in zip(rows, copies)])
+        return np.array([_multinomial(pvals, c, gens[r])[:, 0] for r, c in zip(rows, copies)])
 
     hits = measure(range(len(gens)), t_initial)
     cumulative = t_initial.astype(np.int64)

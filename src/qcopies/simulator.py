@@ -5,8 +5,11 @@ experiments and copy-distribution comparisons.
 An experiment (one histogram, or one allocation of a comparison) reads one
 random stream.  Setting by setting, in setting order, it draws the hit
 counts of all its trials in one call; a trial is one row of those draws.
-`sample_counts` takes one copy count for all rows or one per row; the
-adaptive protocol draws all of a run's settings per pass in one call.
+`sample_counts` takes one copy count for all rows or one per row.  It
+validates its input and hands the normalized rows to `_multinomial`, the one
+draw behind every sample; the adaptive protocol, whose rows are valid by
+construction, calls `_multinomial` directly with one copy count per setting
+and draws all of a run's settings per pass in one call.
 """
 from __future__ import annotations
 
@@ -57,7 +60,7 @@ def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
     and not all zero.  One draw costs O(outcomes), independent of `copies`.
 
     `copies` is one count for every row, or an integer array that
-    broadcasts against the rows and gives each row its own count.  A row
+    broadcasts to the rows' shape and gives each row its own count.  A row
     of zero copies draws nothing and leaves the generator's stream as it
     was, so one call with per-row counts equals one single-row call per
     row with copies, in row order.
@@ -72,17 +75,22 @@ def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
         c = np.asarray(copies)
         if c.dtype.kind not in "iu" or c.min(initial=0) < 0:
             raise QcopiesError(f"copies must be nonnegative integers, got {copies!r}")
-        if c.shape != p.shape[:-1]:
-            try:
-                np.broadcast_shapes(c.shape, p.shape[:-1])
-            except ValueError:
-                raise DimensionMismatchError(f"copies of shape {c.shape} do not broadcast "
-                                             f"against rows of shape {p.shape[:-1]}") from None
+        try:
+            np.broadcast_to(c, p.shape[:-1])
+        except ValueError:
+            raise DimensionMismatchError(f"copies of shape {c.shape} do not broadcast "
+                                         f"to rows of shape {p.shape[:-1]}") from None
     total = p.sum(axis=-1, keepdims=True)
     if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
             and total.max(initial=0.0) < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
-    return gen.multinomial(copies, p / total).astype(np.int64)
+    return _multinomial(p / total, copies, gen)
+
+
+def _multinomial(pvals: np.ndarray, copies, gen: np.random.Generator) -> np.ndarray:
+    """Multinomial counts of `copies` over each row of normalized `pvals`,
+    unchecked; a row of zero copies draws nothing."""
+    return gen.multinomial(copies, pvals).astype(np.int64)
 
 
 def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):

@@ -186,9 +186,12 @@ class TestSampleCounts:
         with pytest.raises(QcopiesError, match="copies"):
             sample_counts([[0.3, 0.7], [0.5, 0.5]], copies, RngSeed(1).generator())
 
-    def test_copies_of_the_wrong_shape_rejected(self):
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 2)])
+    def test_copies_of_the_wrong_shape_rejected(self, shape):
+        # copies must give one count per row, so they may not broadcast
+        # past the rows either
         with pytest.raises(DimensionMismatchError):
-            sample_counts([[0.3, 0.7], [0.5, 0.5]], np.array([1, 2, 3]),
+            sample_counts([[0.3, 0.7], [0.5, 0.5]], np.ones(shape, dtype=np.int64),
                           RngSeed(1).generator())
 
 
