@@ -39,10 +39,8 @@ from .core import (
     frobenius_distance,
     noisy_sc_state,
     psd_project,
-    pure_density,
     rank_two_sc_state,
     sc_state,
-    white_noise_mix,
     white_noise_weight_for_fidelity,
 )
 from .errors import (

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import _round_up, _sc_weights
+from .allocator import _check_t_min, _round_up, _sc_weights
 from .core import DensityMatrix, XState
 from .errors import ConfigError, QcopiesError
 from .reports import csv_text
@@ -81,8 +81,7 @@ class AdaptiveConfig:
             raise ConfigError(f"t_initial must be whole copy counts, got {self.t_initial!r}")
         if np.any(t0 < 0):
             raise ConfigError("t_initial must be >= 0")
-        if self.t_min < 1:
-            raise ConfigError(f"t_min must be >= 1, got {self.t_min}")
+        _check_t_min(self.t_min, ConfigError)
         if self.initial_P is not None:
             P = np.asarray(self.initial_P, dtype=float)
             if not np.all((P >= 0) & (P <= 1)):

@@ -150,14 +150,31 @@ def _round_up(k: np.ndarray, eps: float, t_min: int) -> tuple[np.ndarray, np.nda
     return real_t, t
 
 
+def _check_t_min(t_min, error: type[QcopiesError] = QcopiesError) -> None:
+    if isinstance(t_min, bool) or not isinstance(t_min, (int, np.integer)) or t_min < 1:
+        raise error(f"t_min must be an integer >= 1, got {t_min!r}")
+
+
+def _squared_budget(epsilon0: float) -> float:
+    """eps = epsilon0**2, checked once: epsilon0 and its square must be
+    positive and finite."""
+    try:
+        eps = epsilon0**2
+    except OverflowError:
+        eps = np.inf
+    if not (epsilon0 > 0 and 0 < eps < np.inf):
+        raise QcopiesError(f"epsilon0 must be positive with a positive, finite square, "
+                           f"got {epsilon0}")
+    return eps
+
+
 def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     """Closed-form minimizer of total copies under sum(k_j / t_j) <= eps.
 
     Zero-weight settings get t_min copies so every setting is still
     observed.  Raises DegenerateProblemError if every weight is zero.
     """
-    if t_min < 1:
-        raise QcopiesError(f"t_min must be >= 1, got {t_min}")
+    _check_t_min(t_min)
     k, eps = problem.k, problem.epsilon
     if not (k > 0).any():
         raise DegenerateProblemError("all variance weights are zero")
@@ -186,13 +203,10 @@ def allocate_sc(p: SettingProbabilities, epsilon0: float, t_min: int = 1) -> Cop
     When every probability is 0 or 1 the estimate has no variance and the
     budget is met trivially; each setting then receives t_min copies.
     """
-    if not 0 < epsilon0 < np.inf:
-        raise QcopiesError(f"epsilon0 must be positive and finite, got {epsilon0}")
-    k = sc_variance_weights(p)
-    if not np.any(k > 0):
-        t = np.full(k.size, t_min, dtype=np.int64)
-        return CopyAllocation(t=t, epsilon0=float(epsilon0), real_t=np.zeros_like(k))
-    return solve_budget(BudgetProblem(k=k, epsilon=epsilon0**2), t_min=t_min)
+    eps = _squared_budget(epsilon0)
+    _check_t_min(t_min)
+    real_t, t = _round_up(sc_variance_weights(p)[None], eps, t_min)
+    return CopyAllocation(t=t[0], epsilon0=float(epsilon0), real_t=real_t[0])
 
 
 def allocate_tomography_orthogonal(
@@ -205,8 +219,7 @@ def allocate_tomography_orthogonal(
     projectors).  Per setting k_nu = sum_mu f(1-f) * norm, then the generic
     budget solver applies with eps = epsilon0**2.
     """
-    if not epsilon0 > 0:
-        raise QcopiesError(f"epsilon0 must be positive, got {epsilon0}")
+    eps = _squared_budget(epsilon0)
     freqs = [np.asarray(f, dtype=float) for f in frequencies]
     if any(np.any(f < 0) or np.any(f > 1) for f in freqs):
         raise QcopiesError("frequencies must lie in [0, 1]")
@@ -217,7 +230,7 @@ def allocate_tomography_orthogonal(
         if len(norms) != len(freqs) or any(w.shape != f.shape for w, f in zip(norms, freqs)):
             raise DimensionMismatchError("m_norms must match the frequency table shape")
     k = np.array([float(np.sum(f * (1.0 - f) * w)) for f, w in zip(freqs, norms)])
-    return solve_budget(BudgetProblem(k=k, epsilon=epsilon0**2), t_min=t_min)
+    return solve_budget(BudgetProblem(k=k, epsilon=eps), t_min=t_min)
 
 
 def nonorthogonal_effective_weights(k_matrix: np.ndarray) -> np.ndarray:
@@ -244,15 +257,14 @@ def allocate_tomography_nonorthogonal(
     constraint sum k_{nu,nu'} / sqrt(T_nu T_nu') <= eps on the rounded
     result (the relaxation is an upper bound, so this should always hold).
     """
-    if not epsilon0 > 0:
-        raise QcopiesError(f"epsilon0 must be positive, got {epsilon0}")
+    eps = _squared_budget(epsilon0)
     km = np.asarray(k_matrix, dtype=float)
     eff = nonorthogonal_effective_weights(km)
-    alloc = solve_budget(BudgetProblem(k=eff, epsilon=epsilon0**2), t_min=t_min)
+    alloc = solve_budget(BudgetProblem(k=eff, epsilon=eps), t_min=t_min)
     roots = np.sqrt(alloc.t.astype(float))
     bilinear = float(np.sum(km / np.outer(roots, roots)))
-    if bilinear > epsilon0**2 * (1 + 1e-9):
+    if bilinear > eps * (1 + 1e-9):
         raise InfeasibleAfterRelaxationError(
-            f"bilinear constraint {bilinear:.3e} exceeds budget {epsilon0**2:.3e}"
+            f"bilinear constraint {bilinear:.3e} exceeds budget {eps:.3e}"
         )
     return alloc

@@ -92,7 +92,7 @@ def _build_state(n: int, fidelity: float | None, corner_mass: float | None,
     if state_file is not None:
         try:
             rho = density_from_json(Path(state_file).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, ConfigError) as exc:
             raise ConfigError(f"cannot read state file {state_file!r}: {exc}") from exc
         if rho.n_qubits != n:
             raise ConfigError(f"state file holds {rho.n_qubits} qubits, --n says {n}")
@@ -430,7 +430,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
         return args
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")

@@ -10,7 +10,9 @@ The three synthetic noise models are X-states: zero off the diagonal and
 the anti-diagonal.  `XState` holds just those 2 * 2**n entries, so the
 models build states of up to MAX_QUBITS = 20 qubits in O(2**n) time and
 memory.  A dense 2**n x 2**n matrix, `DensityMatrix` or an X-state's
-`matrix` view, exists only up to MAX_DENSE_QUBITS = 12 qubits.
+`matrix` view, exists only up to MAX_DENSE_QUBITS = 12 qubits.  The library
+builds no dense state of its own: a `DensityMatrix` comes from a state file
+(`density_from_json`) or from reconstruction (`psd_project`).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -75,6 +77,8 @@ class DensityMatrix:
             d = m.shape[0]
             if d < 2 or d & (d - 1):
                 raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
+            if not np.isfinite(m).all():
+                raise QcopiesError("matrix entries must be finite")
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > HERMITIAN_TOL:
                 raise QcopiesError(f"matrix is not Hermitian: max|rho - rho^dag| = {herm_dev:.3e}")
@@ -181,12 +185,6 @@ def sc_state(n: int) -> PureState:
     return PureState(amps)
 
 
-def pure_density(psi: PureState) -> DensityMatrix:
-    """Rank-one projector |psi><psi|."""
-    _check_dense(psi.n_qubits)
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
-
-
 def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
     """<psi| rho |psi>, clamped to [0, 1]."""
     if rho.dim != psi.dim:
@@ -202,15 +200,6 @@ def frobenius_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dim mismatch: {a.dim} vs {b.dim}")
     return float(np.linalg.norm(a.matrix - b.matrix, "fro"))
-
-
-def white_noise_mix(target: DensityMatrix, p: float) -> DensityMatrix:
-    """p * target + (1-p) * I/d."""
-    if not 0.0 <= p <= 1.0:
-        raise QcopiesError(f"mixing weight must be in [0, 1], got {p}")
-    d = target.dim
-    m = p * target.matrix + (1.0 - p) * np.eye(d) / d
-    return DensityMatrix(m, validate=False)
 
 
 def white_noise_weight_for_fidelity(n: int, fidelity: float) -> float:
@@ -348,10 +337,17 @@ def density_to_json(rho: DensityMatrix) -> str:
 
 
 def density_from_json(text: str) -> DensityMatrix:
-    """Inverse of density_to_json, revalidating all invariants."""
-    obj = json.loads(text)
-    m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    rho = DensityMatrix(m)
-    if rho.dim != 2 ** int(obj["n"]):
-        raise DimensionMismatchError(f"matrix is {rho.dim}x{rho.dim} but n={obj['n']}")
+    """Inverse of density_to_json, revalidating all invariants; text that
+    is not such a JSON object raises ConfigError."""
+    try:
+        obj = json.loads(text)
+        re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))
+        n = obj["n"]
+        if re.shape != im.shape or type(n) is not int:
+            raise ValueError("re and im need one shape and n an integer")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"not a density-matrix JSON object: {exc!r}") from exc
+    rho = DensityMatrix(re + 1j * im)
+    if rho.n_qubits != n:
+        raise DimensionMismatchError(f"matrix is {rho.dim}x{rho.dim} but n={n}")
     return rho

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocator import real_optimum, sc_variance_weights
+from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
 from .errors import DimensionMismatchError, QcopiesError
 from .reports import csv_text
@@ -82,8 +82,7 @@ def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> Allo
     grows with every weight, so the allocation of any state in the range lies
     between t_minus and t_plus; t_point is the allocation of p_hat itself.
     """
-    if not 0 < epsilon0 < np.inf:
-        raise QcopiesError(f"epsilon0 must be positive and finite, got {epsilon0}")
+    eps = _squared_budget(epsilon0)
     try:
         hh = np.asarray(h, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -98,7 +97,6 @@ def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> Allo
 
     k_minus = np.minimum(weights(lo), weights(hi))
     k_plus = weights(np.clip(0.5, lo, hi))
-    eps = epsilon0**2
     return AllocationInterval(
         P_minus=lo, P_plus=hi, k_minus=k_minus, k_plus=k_plus,
         t_minus=real_optimum(k_minus, eps), t_plus=real_optimum(k_plus, eps),

@@ -6,6 +6,9 @@ Two measurement families are provided.  `pauli_settings` enumerates the
 basis).  `tomography_projectors` enumerates the 4**n single-projector
 settings built from per-qubit H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2,
 the waveplate-style family where one setting estimates one frequency.
+Both compute per-outcome Born probabilities from the dense matrix: a Pauli
+basis by a qubit-by-qubit contraction of the density tensor, a projector
+by one quadratic form.
 
 The solver is projected gradient descent on a graduated sequence of
 Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
@@ -94,9 +97,28 @@ class PauliSetting:
         return [PovmElement(self.bases, i) for i in range(2**self.n)]
 
     def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
-        from .witness import basis_probabilities
+        return _basis_probabilities(rho, [_PAULI_BRAS[b] for b in self.bases])
 
-        return basis_probabilities(rho, [_PAULI_BRAS[b] for b in self.bases])
+
+def _basis_probabilities(rho: DensityMatrix | XState, bras_per_qubit) -> np.ndarray:
+    """Born probabilities of all 2**n outcomes of a product basis.
+
+    `bras_per_qubit` is a length-n sequence of 2x2 matrices whose rows are
+    the measurement bras of each qubit.  The contraction is done qubit by
+    qubit on the reshaped density tensor, so no 2**n x 2**n projectors are
+    ever materialized; the state itself is read as a dense matrix, which
+    an X-state has only up to MAX_DENSE_QUBITS qubits.
+    """
+    n = rho.n_qubits
+    if len(bras_per_qubit) != n:
+        raise DimensionMismatchError(f"need {n} single-qubit bases, got {len(bras_per_qubit)}")
+    t = rho.matrix.reshape((2,) * (2 * n))
+    for q, u in enumerate(bras_per_qubit):
+        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
+        t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [n + q])), 0, n + q)
+    probs = np.einsum("ii->i", t.reshape(2**n, 2**n)).real.copy()
+    np.clip(probs, 0.0, None, out=probs)
+    return probs
 
 
 @dataclass(frozen=True)

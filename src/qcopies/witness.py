@@ -8,13 +8,14 @@ single-qubit basis is |+,theta> = (|H> + e^{i theta}|V>)/sqrt(2) and
 |-,theta> = (|H> - e^{i theta}|V>)/sqrt(2).  Per setting only one aggregate
 probability enters the fidelity: the mass on the two computational corners
 (setting 1) or the mass of outcomes with an even number of '-' results
-(rotated settings), so that <M_theta^(x)n> = 2*P_j - 1.
+(rotated settings), so that <M_theta^(x)n> = 2*P_j - 1.  Only those n+1
+aggregates are computed: two diagonal entries and the non-zero entries of
+the anti-diagonal, never a rotated setting's 2**n outcome probabilities.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,44 +24,6 @@ from .errors import DimensionMismatchError, QcopiesError
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
-
-
-@lru_cache(maxsize=32)
-def popcounts(n: int) -> np.ndarray:
-    """Number of set bits of every outcome index of an n-qubit setting."""
-    idx = np.arange(2**n, dtype=np.uint32)
-    pops = np.zeros(2**n, dtype=np.int64)
-    for q in range(n):
-        pops += (idx >> q) & 1
-    pops.flags.writeable = False
-    return pops
-
-
-def rotated_bras(theta: float) -> np.ndarray:
-    """2x2 matrix whose rows are <+,theta| and <-,theta|."""
-    e = np.exp(-1j * theta)
-    return np.array([[1.0, e], [1.0, -e]], dtype=complex) / np.sqrt(2.0)
-
-
-def basis_probabilities(rho: DensityMatrix | XState, bras_per_qubit) -> np.ndarray:
-    """Born probabilities of all 2**n outcomes of a product basis.
-
-    `bras_per_qubit` is a length-n sequence of 2x2 matrices whose rows are
-    the measurement bras of each qubit.  The contraction is done qubit by
-    qubit on the reshaped density tensor, so no 2**n x 2**n projectors are
-    ever materialized; the state itself is read as a dense matrix, which
-    an X-state has only up to MAX_DENSE_QUBITS qubits.
-    """
-    n = rho.n_qubits
-    if len(bras_per_qubit) != n:
-        raise DimensionMismatchError(f"need {n} single-qubit bases, got {len(bras_per_qubit)}")
-    t = rho.matrix.reshape((2,) * (2 * n))
-    for q, u in enumerate(bras_per_qubit):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-        t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [n + q])), 0, n + q)
-    probs = np.einsum("ii->i", t.reshape(2**n, 2**n)).real.copy()
-    np.clip(probs, 0.0, None, out=probs)
-    return probs
 
 
 @dataclass(frozen=True)
@@ -86,13 +49,16 @@ class MeasurementSetting:
             raise QcopiesError("computational setting takes no angle")
 
     def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
+        """Probabilities of the 2**n computational outcomes.  A rotated
+        setting has only its aggregate, from `setting_probabilities`."""
         if rho.n_qubits != self.n:
             raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
-        if self.kind == COMPUTATIONAL:
-            probs = rho.diagonal().copy()
-            np.clip(probs, 0.0, None, out=probs)
-            return probs
-        return basis_probabilities(rho, [rotated_bras(self.theta)] * self.n)
+        if self.kind != COMPUTATIONAL:
+            raise QcopiesError("rotated outcome probabilities are not computed; "
+                               "use setting_probabilities for the parity mass")
+        probs = rho.diagonal().copy()
+        np.clip(probs, 0.0, None, out=probs)
+        return probs
 
 
 @dataclass(frozen=True)
@@ -149,15 +115,20 @@ def setting_probabilities(rho: DensityMatrix | XState,
     P_1 is the corner mass on the diagonal.  M_theta^(x)n maps |a> to the
     complementary index a' = d-1-a, so each rotated parity expectation reads
     only the anti-diagonal: Tr(rho M_theta^(x)n) = sum_a rho[a, a'] *
-    e^{i theta (n - 2|a|)}, and P_j = (1 + that) / 2.  A phase depends on a
-    only through the popcount |a|, so the 2**n x n phase table is gathered
-    from its n+1 distinct rows.
+    e^{i theta (n - 2|a|)}, and P_j = (1 + that) / 2.  Only the non-zero
+    entries rho[a, a'] enter the sum, two or four for the noise models and
+    all of them for a generic dense state.  A phase depends on a only
+    through the popcount |a|, so each entry takes its row of phases from
+    the n+1 distinct ones.
     """
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
     corners = wd.settings[0].born_probabilities(rho)
+    anti = rho.anti_diagonal()
+    nz = np.flatnonzero(anti)
+    pops = ((nz[:, None] >> np.arange(wd.n)) & 1).sum(axis=1)
     rows = np.exp(1j * np.outer(wd.n - 2 * np.arange(wd.n + 1), wd.thetas))
-    parity = (rho.anti_diagonal() @ rows[popcounts(wd.n)]).real
+    parity = (anti[nz] @ rows[pops]).real
     P = [corners[0] + corners[-1], *(0.5 * (1.0 + parity))]
     return SettingProbabilities(n=wd.n, P=np.array(P))
 

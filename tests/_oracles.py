@@ -3,16 +3,24 @@
 Everything here is written from first principles (explicit loops, explicit
 projector matrices, a generic numeric minimizer) so the library code paths
 are checked against computations that share nothing with them.  The
-feedback-protocol oracles at the end run one run at a time; they share
-with the library only the sampler's one-row path, `setting_probabilities`,
-the fidelity formula, the schedule and the config and result types.
+per-outcome witness references below are the exception: they are the
+dense paths the library no longer takes, a pure-state projector, a
+white-noise mixture, each rotated outcome's Born probability through
+phaselift's product-basis contraction, and the aggregates read through
+the full 2**n x n phase table.  The feedback-protocol oracles at the end
+run one run at a time; they share with the library only the sampler's
+one-row path, `setting_probabilities`, the fidelity formula, the schedule
+and the config and result types.
 """
 import numpy as np
 
-from qcopies import (AdaptiveConfig, AdaptiveState, SettingProbabilities,
-                     fidelity_from_probabilities, geometric_schedule, sample_counts,
-                     setting_probabilities)
+from qcopies import (AdaptiveConfig, AdaptiveState, DensityMatrix, QcopiesError,
+                     SettingProbabilities, fidelity_from_probabilities, geometric_schedule,
+                     sample_counts, setting_probabilities)
 from qcopies.adaptive import RoundRecord, SweepResult, SweepRow
+from qcopies.core import _check_dense
+from qcopies.phaselift import _basis_probabilities
+from qcopies.witness import COMPUTATIONAL
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,6 +64,53 @@ def dense_rank_two_sc_state(n, fidelity):
     flipped = np.zeros(d, dtype=complex)
     flipped[1] = flipped[d - 2] = 1.0 / np.sqrt(2.0)
     return fidelity * sc_projector(n) + (1.0 - fidelity) * np.outer(flipped, flipped.conj())
+
+
+def pure_density(psi):
+    """Rank-one projector |psi><psi|."""
+    _check_dense(psi.n_qubits)
+    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
+
+
+def white_noise_mix(target, p):
+    """p * target + (1-p) * I/d."""
+    if not 0.0 <= p <= 1.0:
+        raise QcopiesError(f"mixing weight must be in [0, 1], got {p}")
+    d = target.dim
+    return DensityMatrix(p * target.matrix + (1.0 - p) * np.eye(d) / d, validate=False)
+
+
+def popcounts(n):
+    """Number of set bits of every outcome index of an n-qubit setting."""
+    idx = np.arange(2**n, dtype=np.uint32)
+    pops = np.zeros(2**n, dtype=np.int64)
+    for q in range(n):
+        pops += (idx >> q) & 1
+    return pops
+
+
+def rotated_bras(theta):
+    """2x2 matrix whose rows are <+,theta| and <-,theta|."""
+    e = np.exp(-1j * theta)
+    return np.array([[1.0, e], [1.0, -e]], dtype=complex) / np.sqrt(2.0)
+
+
+def born_probabilities(setting, rho):
+    """Probabilities of all 2**n outcomes of a witness setting; a rotated
+    setting contracts the dense state with its bras qubit by qubit."""
+    if setting.kind == COMPUTATIONAL:
+        return setting.born_probabilities(rho)
+    return _basis_probabilities(rho, [rotated_bras(setting.theta)] * setting.n)
+
+
+def phase_table_probabilities(rho, wd):
+    """P_1..P_{n+1} read over every anti-diagonal entry, zero or not,
+    through the 2**n x n phase table gathered from its n+1 distinct rows."""
+    corners = np.clip(rho.diagonal(), 0.0, None)
+    rows = np.exp(1j * np.outer(wd.n - 2 * np.arange(wd.n + 1), wd.thetas))
+    parity = (rho.anti_diagonal() @ rows[popcounts(wd.n)]).real
+    P = [corners[0] + corners[-1], *(0.5 * (1.0 + parity))]
+    return SettingProbabilities(n=wd.n, P=np.array(P)).P
 
 
 def fidelity_direct(rho_matrix, n):

@@ -82,6 +82,7 @@ class TestRunAdaptive:
         {"t_initial": "x"},
         {"t_initial": None},
         {"t_initial": [5, 4.5, 5]},
+        {"t_min": 1.5},
     ])
     def test_bad_config_rejected_before_any_draw(self, kwargs):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from qcopies import (
     allocate_sc,
     allocate_tomography_nonorthogonal,
     allocate_tomography_orthogonal,
+    allocation_interval,
     sc_variance_weights,
     solve_budget,
 )
@@ -57,6 +58,15 @@ class TestSolveBudget:
     def test_bad_epsilon(self):
         with pytest.raises(QcopiesError):
             BudgetProblem(k=np.array([0.01]), epsilon=0.0)
+
+    def test_near_tie_within_the_slack_gets_no_extra_copy(self):
+        # the rounded-up optimum overshoots the budget by a relative 1e-13,
+        # inside the 1e-9 slack, so no setting gains a copy
+        k = np.array([1.0, 1.0])
+        eps = 0.002 / (1 + 1e-13)
+        assert np.sum(k / 1000) > eps
+        assert list(solve_budget(BudgetProblem(k=k, epsilon=eps)).t) == [1000, 1000]
+        assert _round_up(np.stack([k, k]), eps, 1)[1].tolist() == [[1000, 1000]] * 2
 
     def test_constraint_tight_before_and_satisfied_after_rounding(self, rng):
         for _ in range(50):
@@ -159,6 +169,21 @@ class TestAllocateSc:
         alloc = allocate_sc(p, epsilon0=0.01, t_min=2)
         assert list(alloc.t) == [2, 2, 2]
 
+    def test_noiseless_profile_rounds_like_any_other(self):
+        p = SettingProbabilities(n=2, P=np.array([1.0, 0.0, 1.0]))
+        alloc = allocate_sc(p, epsilon0=0.01, t_min=2)
+        real_t, t = _round_up(np.zeros((1, 3)), 1e-4, 2)
+        assert alloc.t.tobytes() == t[0].tobytes()
+        assert alloc.real_t.tobytes() == real_t[0].tobytes() == np.zeros(3).tobytes()
+        assert alloc.epsilon0 == 0.01
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0))
+    def test_reports_epsilon0_as_given(self, epsilon0):
+        p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
+        alloc = allocate_sc(p, epsilon0)
+        assert alloc.epsilon0 == epsilon0 == float(np.sqrt(epsilon0**2))
+
     def test_measured_eight_photon_values_match_oracle(self):
         p = SettingProbabilities(n=8, P=np.asarray(EIGHT_PHOTON_MEASURED_P))
         alloc = allocate_sc(p, epsilon0=0.016)
@@ -183,6 +208,32 @@ class TestAllocateSc:
             k = sc_variance_weights(p)
             per_setting = int(np.ceil(k.sum() / eps0**2))
             assert alloc.total <= per_setting * (n + 1)
+
+
+class TestInputsCheckedOnce:
+    @pytest.mark.parametrize("epsilon0", [1e200, 1e-200, -0.1, 0.0, np.nan, np.inf])
+    def test_epsilon0_needs_a_positive_finite_square(self, epsilon0):
+        p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
+        for allocate in (lambda: allocate_sc(p, epsilon0),
+                         lambda: allocate_tomography_orthogonal([np.array([0.3, 0.7])],
+                                                                epsilon0=epsilon0),
+                         lambda: allocate_tomography_nonorthogonal(np.diag([0.02, 0.01]),
+                                                                   epsilon0),
+                         lambda: allocation_interval(p, 0.1, epsilon0)):
+            with pytest.raises(QcopiesError, match="epsilon0"):
+                allocate()
+
+    @pytest.mark.parametrize("t_min", [2.7, 2.0, True, "2", None])
+    def test_non_integer_t_min_rejected(self, t_min):
+        p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
+        with pytest.raises(QcopiesError, match="t_min"):
+            allocate_sc(p, 0.3, t_min=t_min)
+        with pytest.raises(QcopiesError, match="t_min"):
+            solve_budget(BudgetProblem(k=np.array([0.01, 0.02]), epsilon=1e-3), t_min=t_min)
+
+    def test_numpy_integer_t_min_accepted(self):
+        p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
+        assert list(allocate_sc(p, 0.3, t_min=np.int64(4)).t) == [4, 4, 4]
 
 
 class TestTomographyOrthogonal:

@@ -64,6 +64,7 @@ class TestAllocate:
         ["--k", "inf,0.01", "--epsilon", "0.001"],
         ["--k", "nan,0.01,0.01", "--epsilon", "0.001"],
         ["--k", "0.01,0.01", "--epsilon", "inf"],
+        ["--n", "2", "--epsilon0", "1e200", "--p", "0.9,0.3,0.6"],
     ])
     def test_non_finite_budget_exit_3(self, budget, capsys):
         code, out, err = run_cli(["allocate", *budget], capsys)
@@ -127,6 +128,13 @@ class TestConfigFile:
     def test_unconvertible_value_exit_2(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "config error" in err
+
+    def test_config_that_is_not_text_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe\x00")
         code, _, err = run_cli(["simulate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "config error" in err
@@ -274,10 +282,11 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert err == "error: qubit count must be in [1, 20], got 21\n"
 
-    def test_sixteen_qubits_in_o_of_two_to_the_n_memory(self):
-        # its own process, so the peak RSS is this run's; a dense 16-qubit
-        # state alone would take 16 * 4**16 bytes = 64 GiB
-        argv = ["simulate", "--n", "16", "--fidelity", "0.8414", "--corner-mass", "0.947",
+    @staticmethod
+    def _peak_mb_of_simulate(n):
+        """Run the README's simulate command at n qubits in its own process,
+        so the peak RSS is this run's; check its two rows, return that peak."""
+        argv = ["simulate", "--n", str(n), "--fidelity", "0.8414", "--corner-mass", "0.947",
                 "--compare", "uniform:100", "--trials", "20", "--seed", "1"]
         proc = _python("-c", "import resource, sys; from qcopies.cli import main; "
                              f"code = main({argv!r}); "
@@ -289,8 +298,16 @@ class TestSimulate:
         assert [r["name"] for r in rows] == ["uniform", "optimized"]
         for r in rows:
             assert abs(float(r["mean_fidelity"]) - 0.8414) < 0.03
-        peak_mb = int(lines[-1]) / 1024  # ru_maxrss is in KiB on Linux
-        assert peak_mb < 200
+        return int(lines[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+    def test_sixteen_qubits_in_o_of_two_to_the_n_memory(self):
+        # a dense 16-qubit state alone would take 16 * 4**16 bytes = 64 GiB
+        assert self._peak_mb_of_simulate(16) < 200
+
+    def test_twenty_qubits_read_only_the_non_zero_entries(self):
+        # a 2**20 x 20 complex phase table over the whole anti-diagonal
+        # alone would take 335 MB
+        assert self._peak_mb_of_simulate(20) < 200
 
 
 class TestAdaptive:
@@ -316,6 +333,31 @@ class TestAdaptive:
             ["adaptive", "--n", "3", "--state", str(state),
              "--schedule", "0.01:0.1:0.001"], capsys)
         assert code2 == 2  # qubit-count mismatch is a config error
+
+    @pytest.mark.parametrize("text, code", [
+        ('{"n": 1, "re": [[1, 0], [0, 0]]}', 2),
+        ('[[1, 0], [0, 0]]', 2),
+        ('{"n": 1, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}', 2),
+        ('{"n": 1, "re": [[1, 0], [0, 0]], "im": ', 2),
+        ('{"n": "x", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}', 2),
+        (b"\xff\xfe\x00", 2),
+        ('{"n": 1, "re": [[NaN, NaN], [NaN, NaN]], "im": [[0, 0], [0, 0]]}', 3),
+        ('{"n": 2, "re": ' + json.dumps([[float("nan")] * 4] * 4) + ', "im": '
+         + json.dumps([[0] * 4] * 4) + '}', 3),
+        ('{"n": 1, "re": [[Infinity, 0], [0, 0]], "im": [[0, 0], [0, 0]]}', 3),
+        ('{"n": 1, "re": [[0.5, 0.5], [0, 0.5]], "im": [[0, 0], [0, 0]]}', 3),
+        ('{"n": 1, "re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}', 3),
+        ('{"n": 1, "re": [[1.5, 0], [0, -0.5]], "im": [[0, 0], [0, 0]]}', 3),
+    ])
+    def test_bad_state_file_exit_code(self, tmp_path, capsys, text, code):
+        # 2: not a density-matrix JSON object; 3: breaks a state invariant
+        state = tmp_path / "rho.json"
+        state.write_bytes(text if isinstance(text, bytes) else text.encode())
+        n = "2" if '"n": 2' in str(text) else "1"
+        got, out, err = run_cli(["adaptive", "--n", n, "--state", str(state),
+                                 "--schedule", "0.01:0.1:0.001"], capsys)
+        assert (got, out) == (code, "")
+        assert err.startswith("config error" if code == 2 else "error"), err
 
     def test_round_log_and_final_report(self, tmp_path, capsys):
         code, out, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcopies import (
+    ConfigError,
     DensityMatrix,
     PureState,
     QcopiesError,
@@ -17,18 +18,17 @@ from qcopies import (
     frobenius_distance,
     noisy_sc_state,
     psd_project,
-    pure_density,
     rank_two_sc_state,
     sc_state,
     setting_probabilities,
-    white_noise_mix,
     white_noise_weight_for_fidelity,
 )
 from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS, psd_project_stack
-from qcopies.witness import basis_probabilities, rotated_bras
+from qcopies.witness import ROTATED, MeasurementSetting
 
-from _oracles import (dense_depolarized_sc, dense_noisy_sc_state, dense_rank_two_sc_state,
-                      ginibre_density)
+from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
+                      dense_rank_two_sc_state, ginibre_density, phase_table_probabilities,
+                      pure_density, white_noise_mix)
 
 
 class TestScState:
@@ -204,6 +204,17 @@ class TestDensityMatrixValidation:
         with pytest.raises(QcopiesError):
             DensityMatrix(np.diag([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.1, np.nan)])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_rejects_non_finite_entries(self, bad, d):
+        # NaN fails every comparison the later checks make
+        with pytest.raises(QcopiesError, match="finite"):
+            DensityMatrix(np.full((d, d), bad))
+        m = np.eye(d, dtype=complex) / d
+        m[1, 1] = bad
+        with pytest.raises(QcopiesError, match="finite"):
+            DensityMatrix(m)
+
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_rejects_size_not_power_of_two(self, d):
         with pytest.raises(QcopiesError):
@@ -221,6 +232,28 @@ class TestJson:
         back = density_from_json(density_to_json(rho))
         assert frobenius_distance(rho, back) < 1e-12
         assert back.n_qubits == 3
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "re": [[1, 0], [0, 0]]}',
+        '[[1, 0], [0, 0]]',
+        '{"n": 1, "re": [[1, 0], [0]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 1, "re": [[1, 0], [0, 0]]',
+        '{"n": "x", "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 1e400, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+        '"rho"',
+        '{"n": 1.7, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+        '{"n": true, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}',
+        '{"n": 1, "re": [[1, 0], [0, 0]], "im": 0}',
+        '{"n": 1, "re": [[1, 0], [0, 0]], "im": [[0], [0]]}',
+    ])
+    def test_malformed_text_is_a_config_error(self, text):
+        with pytest.raises(ConfigError, match="not a density-matrix JSON object"):
+            density_from_json(text)
+
+    def test_qubit_count_must_match_the_matrix(self):
+        text = density_to_json(depolarized_sc(2, 0.9)).replace('"n": 2', '"n": 3')
+        with pytest.raises(QcopiesError, match="n=3"):
+            density_from_json(text)
 
 
 # (library model, dense oracle, fewest qubits) of each synthetic noise model
@@ -275,6 +308,30 @@ class TestXState:
         rho, dense = _model_and_oracle(name, n, 0.8414, 0.947)
         assert _same_setting_probabilities(rho, dense, n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(model_profiles(max_qubits=14))
+    def test_setting_probabilities_match_the_phase_table_read(self, profile):
+        # the read of the non-zero anti-diagonal entries against the read of
+        # all of them: the same bytes with the two non-zero entries of the
+        # depolarized and corner-mass models; with the rank-two model's four,
+        # BLAS may sum in another order, which moves P by up to two ulps
+        name, n, fidelity, corner_mass = profile
+        rho = NOISE_MODELS[name][0](n, fidelity, corner_mass)
+        wd = build_settings(n)
+        P, ref = setting_probabilities(rho, wd).P, phase_table_probabilities(rho, wd)
+        if name == "rank-two":
+            assert np.abs(P - ref).max() <= 2.3e-16
+        else:
+            assert P.tobytes() == ref.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_dense_setting_probabilities_match_the_phase_table_read(self, n, seed):
+        rho = DensityMatrix(ginibre_density(2**n, np.random.default_rng(seed)))
+        wd = build_settings(n)
+        assert (setting_probabilities(rho, wd).P.tobytes()
+                == phase_table_probabilities(rho, wd).tobytes())
+
     @settings(max_examples=100, deadline=None)
     @given(model_profiles(max_qubits=8))
     def test_dense_view_equals_oracle(self, profile):
@@ -326,7 +383,8 @@ class TestXState:
         assert rho.diagonal()[0] + rho.diagonal()[-1] == pytest.approx(0.947, abs=1e-12)
         for dense_use in (lambda: rho.matrix,
                           lambda: fidelity_pure(rho, sc_state(n)),
-                          lambda: basis_probabilities(rho, [rotated_bras(np.pi / n)] * n),
+                          lambda: born_probabilities(MeasurementSetting(n, ROTATED, np.pi / n),
+                                                     rho),
                           lambda: pure_density(sc_state(n))):
             with pytest.raises(QcopiesError, match=f"up to {MAX_DENSE_QUBITS} qubits"):
                 dense_use()

@@ -15,17 +15,16 @@ from qcopies import (
     fidelity_from_probabilities,
     fidelity_pure,
     noisy_sc_state,
-    pure_density,
     rank_two_sc_state,
     run_histogram_experiment,
     sc_state,
     setting_probabilities,
 )
 from qcopies.core import MAX_QUBITS
-from qcopies.witness import MeasurementSetting, ROTATED, _spreads, popcounts
+from qcopies.witness import MeasurementSetting, ROTATED, _spreads
 
-from _oracles import (fidelity_direct, ginibre_density, m_tensor_expectation, rotated_projovers,
-                      spread_one)
+from _oracles import (born_probabilities, fidelity_direct, ginibre_density, m_tensor_expectation,
+                      popcounts, pure_density, rotated_projovers, spread_one)
 
 
 class TestBuildSettings:
@@ -48,6 +47,12 @@ class TestBuildSettings:
     def test_rotated_angle_validated(self):
         with pytest.raises(QcopiesError):
             MeasurementSetting(4, ROTATED, 0.123)
+
+    def test_rotated_outcome_probabilities_not_computed(self):
+        rho = depolarized_sc(3, 0.9)
+        for setting in build_settings(3).settings[1:]:
+            with pytest.raises(QcopiesError, match="setting_probabilities"):
+                setting.born_probabilities(rho)
 
 
 class TestSettingProbabilities:
@@ -74,14 +79,14 @@ class TestSettingProbabilities:
         wd = build_settings(3)
         rho = DensityMatrix(ginibre_density(8, rng))
         for setting in wd.settings:
-            assert setting.born_probabilities(rho).sum() == pytest.approx(1.0, abs=1e-10)
+            assert born_probabilities(setting, rho).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_against_explicit_projectors(self, rng):
         # contraction path vs explicitly built rank-1 projector matrices
         wd = build_settings(3)
         rho = DensityMatrix(ginibre_density(8, rng))
         for setting in wd.settings[1:]:
-            probs = setting.born_probabilities(rho)
+            probs = born_probabilities(setting, rho)
             ref = [np.trace(rho.matrix @ proj).real
                    for proj in rotated_projovers(3, setting.theta)]
             assert probs == pytest.approx(ref, abs=1e-10)
@@ -97,7 +102,7 @@ class TestSettingProbabilities:
             for rho in states:
                 p = setting_probabilities(rho, wd)
                 for j, setting in enumerate(wd.settings[1:], start=2):
-                    probs = setting.born_probabilities(rho)
+                    probs = born_probabilities(setting, rho)
                     parity_sum = float(parity @ probs)
                     assert parity_sum == pytest.approx(2 * p.P[j - 1] - 1, abs=1e-12)
                     assert parity_sum == pytest.approx(
