@@ -61,9 +61,7 @@ from .hoeffding import (
     required_copies,
 )
 from .phaselift import (
-    PauliSetting,
-    PovmElement,
-    ProjectorSetting,
+    ProductSetting,
     ReconstructOptions,
     ReconstructionResult,
     exact_frequencies,

@@ -44,8 +44,8 @@ def geometric_schedule(start: float = 0.01, ratio: float = 0.1,
     """Budgets start, start*ratio, ... down past `final` (last entry <= final)."""
     if not 0 < ratio < 1:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
-    if not 0 < final < start:
-        raise ConfigError(f"need 0 < final < start, got start={start}, final={final}")
+    if not 0 < final < start < np.inf:
+        raise ConfigError(f"need 0 < final < start < inf, got start={start}, final={final}")
     values = [start]
     while values[-1] > final:
         values.append(values[-1] * ratio)
@@ -437,8 +437,8 @@ def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
     the fourth root of the hourly eight-photon rate; ten-photon events need
     five simultaneous pairs, hence the fifth power.
     """
-    if not rate8_hz > 0:
-        raise QcopiesError(f"rate must be positive, got {rate8_hz}")
+    if not 0 < rate8_hz < np.inf:
+        raise QcopiesError(f"rate must be positive and finite, got {rate8_hz}")
     if copies < 0:
         raise QcopiesError(f"copies must be >= 0, got {copies}")
     per_hour8 = rate8_hz * 3600.0

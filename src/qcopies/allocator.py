@@ -13,7 +13,6 @@ the constraint satisfied.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +55,6 @@ class BudgetProblem:
         object.__setattr__(self, "k", arr)
         self.k.flags.writeable = False
 
-    def to_json(self) -> str:
-        return json.dumps({"k": self.k.tolist(), "epsilon": self.epsilon})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BudgetProblem":
-        obj = json.loads(text)
-        return cls(k=np.asarray(obj["k"], dtype=float), epsilon=float(obj["epsilon"]))
-
 
 @dataclass(frozen=True)
 class CopyAllocation:
@@ -88,23 +79,6 @@ class CopyAllocation:
     @property
     def total(self) -> int:
         return int(self.t.sum())
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "t": self.t.tolist(),
-            "epsilon0": self.epsilon0,
-            "real_t": self.real_t.tolist(),
-            "total": self.total,
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CopyAllocation":
-        obj = json.loads(text)
-        return cls(
-            t=np.asarray(obj["t"], dtype=np.int64),
-            epsilon0=float(obj["epsilon0"]),
-            real_t=np.asarray(obj["real_t"], dtype=float),
-        )
 
 
 def explicit_allocation(t, epsilon0: float = float("nan")) -> CopyAllocation:

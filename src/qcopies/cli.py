@@ -54,14 +54,21 @@ def _resolve_seed(value) -> int:
     if value is not None:
         return int(value)
     env = os.environ.get("QCOPIES_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ConfigError(f"QCOPIES_SEED must be an integer, got {env!r}") from exc
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
     parts = str(text).split(":")
     if len(parts) == 3:
-        return adaptive_mod.geometric_schedule(float(parts[0]), float(parts[1]),
-                                               float(parts[2]))
+        try:
+            start, ratio, final = (float(x) for x in parts)
+        except ValueError as exc:
+            raise ConfigError(f"schedule start:ratio:final needs three numbers, "
+                              f"got {text!r}") from exc
+        return adaptive_mod.geometric_schedule(start, ratio, final)
     return tuple(_floats(text))
 
 
@@ -252,7 +259,9 @@ def cmd_hoeffding(args) -> int:
         raise ConfigError("joint mode needs --t and --h (or use --coverage/--required)")
     t_list = _ints(args.t)
     h_list = _floats(args.h)
-    m = args.settings or max(len(t_list), len(h_list))
+    if args.settings is not None and args.settings < 1:
+        raise ConfigError(f"--settings must be >= 1, got {args.settings}")
+    m = args.settings if args.settings is not None else max(len(t_list), len(h_list))
     if len(t_list) == 1:
         t_list = t_list * m
     if len(h_list) == 1:

@@ -33,6 +33,8 @@ def joint_success(t, h) -> float:
     hh = np.atleast_1d(np.asarray(h, dtype=float))
     if tt.shape != hh.shape:
         raise DimensionMismatchError(f"shape mismatch: {tt.shape} vs {hh.shape}")
+    if tt.size == 0:
+        raise QcopiesError("joint success needs at least one setting")
     prod = 1.0
     for ti, hi in zip(tt, hh):
         prod *= max(0.0, 1.0 - failure_probability(int(ti), float(hi)))

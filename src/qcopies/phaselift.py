@@ -1,14 +1,15 @@
 """Density-matrix reconstruction from measured frequencies: minimize the
 absolute data misfit sum |Tr(rho M) - f| over trace-one PSD matrices.
 
-Two measurement families are provided.  `pauli_settings` enumerates the
-3**n complete product eigenbases of X/Y/Z (2**n resolved outcomes per
-basis).  `tomography_projectors` enumerates the 4**n single-projector
-settings built from per-qubit H, V, D = (H+V)/sqrt2 and R = (H+iV)/sqrt2,
-the waveplate-style family where one setting estimates one frequency.
-Both compute per-outcome Born probabilities from the dense matrix: a Pauli
-basis by a qubit-by-qubit contraction of the density tensor, a projector
-by one quadratic form.
+A measurement setting is a `ProductSetting`, one letter per qubit: all
+X/Y/Z names a complete product eigenbasis (2**n resolved outcomes), all
+H/V/D/R a single projector over per-qubit H, V, D = (H+V)/sqrt2 and
+R = (H+iV)/sqrt2, the waveplate-style family where one setting estimates
+one frequency.  `pauli_settings` enumerates the 3**n bases and
+`tomography_projectors` the 4**n projectors.  A setting is its operator
+rows vec(M_i^T), one per outcome, and that one linear model serves
+throughout: Born probabilities are rows @ vec(rho), the sampler draws from
+them, and the solver fits the rows to the data.
 
 The solver is projected gradient descent on a graduated sequence of
 Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
@@ -23,6 +24,7 @@ of them.  Each problem's result is bit for bit the one it gets alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import isqrt
 
@@ -41,117 +43,79 @@ _PAULI_BRAS = {
     "Z": np.array([[1, 0], [0, 1]], dtype=complex),
 }
 
-_PROJECTOR_KETS = {
-    "H": np.array([1, 0], dtype=complex),
-    "V": np.array([0, 1], dtype=complex),
-    "D": np.array([1, 1], dtype=complex) / np.sqrt(2.0),
-    "R": np.array([1, 1j], dtype=complex) / np.sqrt(2.0),
+# Columns are each letter's kets: a Pauli's two eigenvectors, or the one
+# projector ket.
+_KETS = {b: bras.conj().T for b, bras in _PAULI_BRAS.items()} | {
+    "H": np.array([[1], [0]], dtype=complex),
+    "V": np.array([[0], [1]], dtype=complex),
+    "D": np.array([[1], [1]], dtype=complex) / np.sqrt(2.0),
+    "R": np.array([[1], [1j]], dtype=complex) / np.sqrt(2.0),
 }
 
 MAX_PAULI_QUBITS = 4
 
 
 @dataclass(frozen=True)
-class PovmElement:
-    """One rank-1 measurement operator, held implicitly by its bases.
-
-    For a Pauli basis element the outcome bits pick each qubit's eigenvector;
-    for a single-projector setting the outcome is 0 and the basis string
-    spells the per-qubit kets directly (e.g. 'HDR').
-    """
+class ProductSetting:
+    """A product measurement, one letter per qubit: all X/Y/Z is a full
+    eigenbasis with 2**n outcomes (e.g. 'XZY'), all H/V/D/R one projector
+    (e.g. 'HDR').  Up to MAX_PAULI_QUBITS qubits."""
 
     bases: str
-    outcome: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.bases, str) and 1 <= len(self.bases) <= MAX_PAULI_QUBITS
+                and (set(self.bases) <= set("XYZ") or set(self.bases) <= set("HVDR"))):
+            raise QcopiesError(f"a product setting takes 1..{MAX_PAULI_QUBITS} qubits, lettered "
+                               f"all X/Y/Z or all H/V/D/R; got {self.bases!r}")
 
     @property
     def n(self) -> int:
         return len(self.bases)
 
-    def ket(self) -> np.ndarray:
-        v = np.array([1.0], dtype=complex)
-        for q, b in enumerate(self.bases):
-            if b in _PROJECTOR_KETS:
-                single = _PROJECTOR_KETS[b]
-            else:
-                bit = (self.outcome >> (self.n - 1 - q)) & 1
-                single = _PAULI_BRAS[b][bit].conj()
-            v = np.kron(v, single)
-        return v
+    @cached_property
+    def kets(self) -> np.ndarray:
+        """One column per outcome, the Kronecker product of each qubit's
+        kets; qubit 0 is the most significant bit of the outcome index."""
+        k = np.ones((1, 1), dtype=complex)
+        for b in self.bases:
+            k = np.kron(k, _KETS[b])
+        k.flags.writeable = False
+        return k
 
-    def operator(self) -> np.ndarray:
-        k = self.ket()
-        return np.outer(k, k.conj())
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row i holds vec(M_i^T) for outcome i's projector M_i = |k_i><k_i|,
+        so that the outcome probabilities of a state are rows @ vec(rho).
 
-
-@dataclass(frozen=True)
-class PauliSetting:
-    """A full product eigenbasis, e.g. 'XZY': 2**n resolved outcomes."""
-
-    bases: str
-
-    @property
-    def n(self) -> int:
-        return len(self.bases)
-
-    def elements(self) -> list[PovmElement]:
-        return [PovmElement(self.bases, i) for i in range(2**self.n)]
+        Plain products keep each entry's signed zeros (einsum adds into a
+        zeroed output and turns -0 into +0), and the rows are C-ordered so
+        that the solver's products run one BLAS kernel: both keep the
+        solver's iterates bit for bit."""
+        k = self.kets.T.copy()
+        rows = (k[:, None, :] * k[:, :, None].conj()).reshape(len(k), -1)
+        rows.flags.writeable = False
+        return rows
 
     def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
-        return _basis_probabilities(rho, [_PAULI_BRAS[b] for b in self.bases])
+        if rho.n_qubits != self.n:
+            raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
+        return np.clip((self.rows @ rho.matrix.ravel()).real, 0.0, None)
 
 
-def _basis_probabilities(rho: DensityMatrix | XState, bras_per_qubit) -> np.ndarray:
-    """Born probabilities of all 2**n outcomes of a product basis.
-
-    `bras_per_qubit` is a length-n sequence of 2x2 matrices whose rows are
-    the measurement bras of each qubit.  The contraction is done qubit by
-    qubit on the reshaped density tensor, so no 2**n x 2**n projectors are
-    ever materialized; the state itself is read as a dense matrix, which
-    an X-state has only up to MAX_DENSE_QUBITS qubits.
-    """
-    n = rho.n_qubits
-    if len(bras_per_qubit) != n:
-        raise DimensionMismatchError(f"need {n} single-qubit bases, got {len(bras_per_qubit)}")
-    t = rho.matrix.reshape((2,) * (2 * n))
-    for q, u in enumerate(bras_per_qubit):
-        t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-        t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [n + q])), 0, n + q)
-    probs = np.einsum("ii->i", t.reshape(2**n, 2**n)).real.copy()
-    np.clip(probs, 0.0, None, out=probs)
-    return probs
+def _family(letters: str, n: int) -> list[ProductSetting]:
+    ProductSetting(letters[0] * n)  # checks n before the enumeration
+    return [ProductSetting("".join(p)) for p in product(letters, repeat=n)]
 
 
-@dataclass(frozen=True)
-class ProjectorSetting:
-    """A single-projector setting: one rank-1 operator, one frequency."""
-
-    bases: str
-
-    @property
-    def n(self) -> int:
-        return len(self.bases)
-
-    def elements(self) -> list[PovmElement]:
-        return [PovmElement(self.bases)]
-
-    def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
-        el = PovmElement(self.bases)
-        k = el.ket()
-        return np.array([float(np.real(k.conj() @ rho.matrix @ k))])
-
-
-def pauli_settings(n: int) -> list[PauliSetting]:
+def pauli_settings(n: int) -> list[ProductSetting]:
     """All 3**n Pauli product bases; kept to desk scale."""
-    if not 1 <= n <= MAX_PAULI_QUBITS:
-        raise QcopiesError(f"full Pauli enumeration supports 1..{MAX_PAULI_QUBITS} qubits")
-    return [PauliSetting("".join(p)) for p in product("XYZ", repeat=n)]
+    return _family("XYZ", n)
 
 
-def tomography_projectors(n: int) -> list[ProjectorSetting]:
+def tomography_projectors(n: int) -> list[ProductSetting]:
     """All 4**n single-projector settings over per-qubit H, V, D, R."""
-    if not 1 <= n <= MAX_PAULI_QUBITS:
-        raise QcopiesError(f"full projector enumeration supports 1..{MAX_PAULI_QUBITS} qubits")
-    return [ProjectorSetting("".join(p)) for p in product("HVDR", repeat=n)]
+    return _family("HVDR", n)
 
 
 def exact_frequencies(rho: DensityMatrix | XState, settings) -> list[np.ndarray]:
@@ -171,13 +135,12 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     rows = []
     for s in settings:
         probs = s.born_probabilities(rho)
-        if probs.size == 1:
-            p = min(1.0, max(0.0, float(probs[0])))
-            counts = sample_counts([p, 1.0 - p], copies_per_setting, gen)
-            rows.append(np.array([counts[0] / copies_per_setting]))
-        else:
-            counts = sample_counts(probs, copies_per_setting, gen)
-            rows.append(counts / copies_per_setting)
+        outcomes = probs.size
+        if outcomes == 1:  # one projector: hit or miss
+            p = min(1.0, float(probs[0]))
+            probs = [p, 1.0 - p]
+        counts = sample_counts(probs, copies_per_setting, gen)
+        rows.append(counts[:outcomes] / copies_per_setting)
     return rows
 
 
@@ -210,15 +173,11 @@ class ReconstructionResult:
     objective_history: np.ndarray = field(repr=False)
 
 
-def _operator_rows(setting) -> np.ndarray:
-    """Row i holds vec(M_i^T) for the setting's i-th element, so that the
-    predictions for a state are rows @ vec(rho)."""
-    return np.array([el.operator().T.ravel() for el in setting.elements()])
-
-
 def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
     """Recover a density matrix from measurement settings and one row of
-    frequencies per setting (one entry per element of the setting)."""
+    frequencies per setting, one entry per operator row of the setting.
+    The solver fits the settings' stacked rows: the same model their Born
+    probabilities come from."""
     opts = opts or ReconstructOptions()
     rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
     if len(settings) != len(rows):
@@ -228,14 +187,14 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     if len({s.n for s in settings}) != 1:
         raise DimensionMismatchError("settings act on different numbers of qubits")
     for setting, row in zip(settings, rows):
-        n_el = len(setting.elements())
-        if row.shape != (n_el,):
+        outcomes = len(setting.rows)
+        if row.shape != (outcomes,):
             raise DimensionMismatchError(
-                f"setting has {n_el} elements but {row.size} frequencies")
+                f"setting has {outcomes} outcomes but {row.size} frequencies")
     freqs = np.concatenate(rows)
     if not np.all((freqs >= 0) & (freqs <= 1)):
         raise QcopiesError("frequencies must be finite and lie in [0, 1]")
-    A = np.concatenate([_operator_rows(s) for s in settings])
+    A = np.concatenate([s.rows for s in settings])
     return _solve([(A, freqs)], opts.max_iter)[0]
 
 
@@ -405,7 +364,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
 
     # Every subset is a prefix of one setting order, so each problem's
     # operator and frequencies are leading rows of these.
-    blocks = [_operator_rows(settings[j]) for j in order]
+    blocks = [settings[j].rows for j in order]
     A = np.concatenate(blocks)
     ends = np.cumsum([len(b) for b in blocks])
     problems = []

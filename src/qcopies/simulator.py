@@ -19,7 +19,7 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -35,6 +35,12 @@ class RngSeed:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 0):
+                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
 
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for this stream, optionally forked by an index path."""

@@ -81,6 +81,8 @@ class SettingProbabilities:
     P: np.ndarray
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise QcopiesError(f"qubit count must be an integer >= 1, got {self.n!r}")
         arr = np.asarray(self.P, dtype=float)
         if arr.shape != (self.n + 1,):
             raise DimensionMismatchError(f"expected {self.n + 1} probabilities, got {arr.shape}")

@@ -5,9 +5,11 @@ projector matrices, a generic numeric minimizer) so the library code paths
 are checked against computations that share nothing with them.  The
 per-outcome witness references below are the exception: they are the
 dense paths the library no longer takes, a pure-state projector, a
-white-noise mixture, each rotated outcome's Born probability through
-phaselift's product-basis contraction, and the aggregates read through
-the full 2**n x n phase table.  The feedback-protocol oracles at the end
+white-noise mixture, each rotated outcome's Born probability from the
+Kronecker product of its kets, and the aggregates read through the full
+2**n x n phase table.  `product_setting_rows` builds phaselift's operator
+rows one outcome at a time, the way the library built them before a
+setting held them as one array.  The feedback-protocol oracles at the end
 run one run at a time; they share with the library only the sampler's
 one-row path, `setting_probabilities`, the fidelity formula, the schedule
 and the config and result types.
@@ -19,7 +21,6 @@ from qcopies import (AdaptiveConfig, AdaptiveState, DensityMatrix, QcopiesError,
                      sample_counts, setting_probabilities)
 from qcopies.adaptive import RoundRecord, SweepResult, SweepRow
 from qcopies.core import _check_dense
-from qcopies.phaselift import _basis_probabilities
 from qcopies.witness import COMPUTATIONAL
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -97,10 +98,48 @@ def rotated_bras(theta):
 
 def born_probabilities(setting, rho):
     """Probabilities of all 2**n outcomes of a witness setting; a rotated
-    setting contracts the dense state with its bras qubit by qubit."""
+    setting contracts the dense state with the Kronecker product of its
+    kets, one column per outcome."""
     if setting.kind == COMPUTATIONAL:
         return setting.born_probabilities(rho)
-    return _basis_probabilities(rho, [rotated_bras(setting.theta)] * setting.n)
+    m = rho.matrix  # past the dense cap this raises before the kets are built
+    kets = np.ones((1, 1), dtype=complex)
+    for _ in range(setting.n):
+        kets = np.kron(kets, rotated_bras(setting.theta).conj().T)
+    return np.clip(((kets.conj().T @ m) * kets.T).sum(axis=1).real, 0.0, None)
+
+
+_PAULI_BRAS = {
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2.0),
+    "Z": np.array([[1, 0], [0, 1]], dtype=complex),
+}
+_PROJECTOR_KETS = {
+    "H": np.array([1, 0], dtype=complex),
+    "V": np.array([0, 1], dtype=complex),
+    "D": np.array([1, 1], dtype=complex) / np.sqrt(2.0),
+    "R": np.array([1, 1j], dtype=complex) / np.sqrt(2.0),
+}
+
+
+def product_setting_rows(bases):
+    """vec(M^T) of every outcome's projector M = |k><k| of a product
+    setting, each ket grown qubit by qubit with np.kron: a Pauli letter
+    takes the conjugated bra of the outcome's bit, a projector letter its
+    one ket."""
+    n = len(bases)
+    outcomes = 1 if bases[0] in _PROJECTOR_KETS else 2**n
+    rows = []
+    for outcome in range(outcomes):
+        k = np.array([1.0], dtype=complex)
+        for q, b in enumerate(bases):
+            if b in _PROJECTOR_KETS:
+                single = _PROJECTOR_KETS[b]
+            else:
+                single = _PAULI_BRAS[b][(outcome >> (n - 1 - q)) & 1].conj()
+            k = np.kron(k, single)
+        rows.append(np.outer(k, k.conj()).T.ravel())
+    return np.array(rows)
 
 
 def phase_table_probabilities(rho, wd):

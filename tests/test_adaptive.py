@@ -44,6 +44,12 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             geometric_schedule(0.01, 1.2, 0.0001)
 
+    @pytest.mark.parametrize("start", [np.inf, np.nan])
+    def test_non_finite_start_rejected(self, start):
+        # inf * ratio stays inf, so the schedule would never reach `final`
+        with pytest.raises(ConfigError):
+            geometric_schedule(start, 0.1, 0.0001)
+
 
 class TestRunAdaptive:
     def test_single_round_equals_one_shot_allocation(self):

@@ -291,19 +291,6 @@ class TestTomographyNonorthogonal:
 
 
 class TestCopyAllocationType:
-    def test_budget_problem_json_round_trip(self):
-        prob = BudgetProblem(k=np.array([0.01, 0.02]), epsilon=1e-3)
-        back = BudgetProblem.from_json(prob.to_json())
-        assert back.epsilon == prob.epsilon
-        assert back.k == pytest.approx(prob.k, abs=0)
-
-    def test_json_round_trip(self):
-        alloc = solve_budget(BudgetProblem(k=np.array([0.01, 0.02]), epsilon=1e-3))
-        back = CopyAllocation.from_json(alloc.to_json())
-        assert list(back.t) == list(alloc.t)
-        assert back.epsilon0 == alloc.epsilon0
-        assert back.real_t == pytest.approx(alloc.real_t, abs=0)
-
     def test_rejects_zero_counts(self):
         with pytest.raises(QcopiesError):
             CopyAllocation(t=np.array([0, 5]), epsilon0=0.1, real_t=np.array([0.0, 5.0]))

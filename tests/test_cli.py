@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcopies import ten_photon_cost
+from qcopies import QcopiesError, ten_photon_cost
 from qcopies.cli import _build_parser, main
 
 
@@ -498,6 +498,12 @@ class TestTenPhotonCost:
     def test_bad_rate_exit_3(self, capsys):
         assert run_cli(["tenphoton-cost", "--rate8", "-1", "--copies", "5"], capsys)[0] == 3
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_function_needs_a_finite_rate(self, rate):
+        # an infinite rate would print Infinity, which is not JSON
+        with pytest.raises(QcopiesError):
+            ten_photon_cost(rate, 110)
+
     def test_function_api(self):
         rep = ten_photon_cost(2.8e-5, 110)
         assert rep.two_photon_per_hour == pytest.approx((2.8e-5 * 3600) ** 0.25, rel=1e-12)
@@ -553,6 +559,37 @@ class TestSeedFallback:
         monkeypatch.setenv("QCOPIES_SEED", "77")
         run_cli(base + ["--out", str(d2)], capsys)
         assert (d1 / "comparison.csv").read_bytes() == (d2 / "comparison.csv").read_bytes()
+
+
+# Bad or degenerate input: each exits 2 (configuration) or 3 (domain) with a
+# one-line message, never a traceback, exit 1 or a meaningless answer.
+BAD_INPUTS = [
+    ("simulate --n 3 --fidelity 0.9 --compare uniform:10 --trials 5 --seed -1", {}, 2),
+    ("adaptive --n 3 --fidelity 0.9 --seed -1", {}, 2),
+    ("hoeffding --coverage --n 2 --fidelity 0.9 --copies 50 --repeats 2 --seed -1", {}, 2),
+    ("tomography --n 2 --fidelity 0.8 --rank2 --settings 4 --seed -1", {}, 2),
+    ("adaptive --n 3 --fidelity 0.9", {"QCOPIES_SEED": "abc"}, 2),
+    ("adaptive --n 3 --fidelity 0.9", {"QCOPIES_SEED": "-1"}, 2),
+    ("adaptive --n 3 --fidelity 0.9 --schedule a:b:c", {}, 2),
+    ("adaptive --n 3 --fidelity 0.9 --schedule 0.01::0.001", {}, 2),
+    ("adaptive --n 3 --fidelity 0.9 --schedule inf:0.1:0.001", {}, 2),
+    ("hoeffding --t , --h ,", {}, 3),
+    ("hoeffding --t 110 --h 0.2 --settings -1", {}, 2),
+    ("hoeffding --t 110 --h 0.2 --settings 0", {}, 2),
+    ("allocate --p 0.5 --epsilon0 0.1", {}, 3),
+    ("tenphoton-cost --rate8 inf --copies 110", {}, 3),
+]
+
+
+@pytest.mark.parametrize("command, env, code", BAD_INPUTS,
+                         ids=[f"{c}{' ' + str(e) if e else ''}" for c, e, _ in BAD_INPUTS])
+def test_bad_input_exit_code(command, env, code, capsys, monkeypatch):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    got, out, err = run_cli(command.split(), capsys)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err and err.startswith(("config error: ", "error: "))
 
 
 def test_console_entry_point():

@@ -68,6 +68,11 @@ class TestJointSuccess:
         with pytest.raises(QcopiesError):
             joint_success([10, 10], [0.1])
 
+    def test_rejects_no_settings(self):
+        # an empty product would read 1.0, success over nothing
+        with pytest.raises(QcopiesError):
+            joint_success([], [])
+
 
 class TestRequiredCopies:
     def test_hand_inversion(self):

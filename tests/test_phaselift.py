@@ -4,13 +4,14 @@ import pytest
 from qcopies import (
     DensityMatrix,
     DimensionMismatchError,
-    PovmElement,
+    ProductSetting,
     QcopiesError,
     ReconstructOptions,
     RngSeed,
     exact_frequencies,
     fidelity_pure,
     frobenius_distance,
+    noisy_sc_state,
     pauli_settings,
     rank_two_sc_state,
     reconstruct,
@@ -20,33 +21,41 @@ from qcopies import (
     tomography_projectors,
 )
 from qcopies.core import PAULI_X, PAULI_Y, PAULI_Z
-from qcopies.phaselift import _operator_rows, _solve
+from qcopies.phaselift import _solve
 
-from _oracles import ginibre_density, graduated_reconstruct
+from _oracles import ginibre_density, graduated_reconstruct, product_setting_rows
 
 
 class TestPauliSettings:
     def test_counts(self):
         assert len(pauli_settings(1)) == 3
         assert len(pauli_settings(3)) == 27
-        assert sum(len(s.elements()) for s in pauli_settings(3)) == 216
+        assert sum(s.kets.shape[1] for s in pauli_settings(3)) == 216
 
     def test_completeness(self):
         for s in pauli_settings(2):
-            total = sum(el.operator() for el in s.elements())
+            total = sum(np.outer(k, k.conj()) for k in s.kets.T)
             assert np.allclose(total, np.eye(4), atol=1e-10)
 
     def test_elements_are_eigenvectors(self):
         ops = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
         for name, op in ops.items():
-            plus = PovmElement(name, 0).ket()
-            minus = PovmElement(name, 1).ket()
+            plus, minus = ProductSetting(name).kets.T
             assert np.allclose(op @ plus, plus)
             assert np.allclose(op @ minus, -minus)
 
+    def test_probabilities_match_operators(self, rng):
+        # each outcome's probability against its explicit projector
+        rho = DensityMatrix(ginibre_density(8, rng))
+        for s in pauli_settings(3):
+            direct = [np.trace(rho.matrix @ np.outer(k, k.conj())).real for k in s.kets.T]
+            assert s.born_probabilities(rho) == pytest.approx(direct, abs=1e-12)
+
     def test_size_guard(self):
-        with pytest.raises(QcopiesError):
-            pauli_settings(5)
+        for n in (5, 0, -1):
+            for family in (pauli_settings, tomography_projectors):
+                with pytest.raises(QcopiesError):
+                    family(n)
 
 
 class TestTomographyProjectors:
@@ -56,14 +65,36 @@ class TestTomographyProjectors:
 
     def test_unit_trace_norm(self):
         for s in tomography_projectors(2)[:8]:
-            m = s.elements()[0].operator()
+            k = s.kets[:, 0]
+            m = np.outer(k, k.conj())
             assert np.trace(m @ m.conj().T).real == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_match_operator(self, rng):
         rho = DensityMatrix(ginibre_density(8, rng))
         for s in tomography_projectors(3)[:10]:
-            direct = np.trace(rho.matrix @ s.elements()[0].operator()).real
+            k = s.kets[:, 0]
+            direct = np.trace(rho.matrix @ np.outer(k, k.conj())).real
             assert s.born_probabilities(rho)[0] == pytest.approx(direct, abs=1e-12)
+
+
+class TestProductSetting:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_match_outer_products(self, n):
+        # bytes, not values: the solver's eigendecompositions see every bit
+        for s in pauli_settings(n) + tomography_projectors(n):
+            assert s.rows.flags.c_contiguous
+            assert s.rows.tobytes() == product_setting_rows(s.bases).tobytes()
+
+    @pytest.mark.parametrize("bases", ["XY", "HV"])
+    def test_rejects_other_qubit_counts(self, bases):
+        for rho in (DensityMatrix(np.eye(8) / 8), noisy_sc_state(3, 0.9)):
+            with pytest.raises(DimensionMismatchError):
+                ProductSetting(bases).born_probabilities(rho)
+
+    @pytest.mark.parametrize("bases", ["", "Q", "XQ", "XZH", "hv", "XXXXX", None, ["X"]])
+    def test_rejects_bad_letters(self, bases):
+        with pytest.raises(QcopiesError):
+            ProductSetting(bases)
 
 
 class TestReconstruct:
@@ -160,7 +191,7 @@ class TestLockstep:
             (pauli[:5], sampled_frequencies(DensityMatrix(ginibre_density(8, rng)),
                                             pauli[:5], 500, rng)),
         ]
-        return [(settings, freqs, np.concatenate([_operator_rows(s) for s in settings]),
+        return [(settings, freqs, np.concatenate([s.rows for s in settings]),
                  np.concatenate(freqs)) for settings, freqs in cases]
 
     @pytest.mark.parametrize("max_iter", [5000, 400])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcopies import (
+    ConfigError,
     DensityMatrix,
     DimensionMismatchError,
     HistogramSpec,
@@ -48,6 +49,15 @@ class TestRngSeed:
         c1 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=0))
         c2 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=1))
         assert not np.array_equal(c1, c2)
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -1), (1.5, 0), ("3", 0),
+                                              (None, 0), (True, 0), (1, 2.0)])
+    def test_rejects_what_is_not_a_non_negative_integer(self, seed, stream):
+        with pytest.raises(ConfigError):
+            RngSeed(seed, stream=stream)
+
+    def test_numpy_integers_accepted(self):
+        assert RngSeed(np.int64(3), stream=np.uint8(1)) == RngSeed(3, stream=1)
 
 
 class TestSampleSetting:

@@ -136,6 +136,13 @@ class TestSettingProbabilities:
         with pytest.raises(QcopiesError):
             SettingProbabilities(n=3, P=P)
 
+    @pytest.mark.parametrize("n, P", [(0, [0.5]), (-1, []), (1.0, [0.5, 0.5]),
+                                      (True, [0.5, 0.5]), ("1", [0.5, 0.5])])
+    def test_needs_an_integer_qubit_count_of_at_least_one(self, n, P):
+        # n = 0 would make F = 0/0 in the fidelity formula
+        with pytest.raises(QcopiesError):
+            SettingProbabilities(n=n, P=np.array(P))
+
 
 class TestFidelityFromProbabilities:
     def test_pure_sc_eight_qubits(self):
