@@ -55,7 +55,7 @@ OUT.mkdir(exist_ok=True)
 # the event histograms behind the comparison, 50 bins over [0, 1]
 for name, alloc in [("experiment", experiment), ("optimized", optimized)]:
     res = run_histogram_experiment(rho, wd, alloc, trials=550, rng=rng)
-    (OUT / f"eight_photon_hist_{name}.csv").write_text(res.histogram.to_csv())
+    (OUT / f"eight_photon_hist_{name}.csv").write_text(res.to_csv())
     print(f"histogram for {name}: mean F = {res.mean:.4f}, std = {res.std:.4f}")
 
 print(f"wrote {OUT}/eight_photon_*.csv")

@@ -73,7 +73,6 @@ from .phaselift import (
 )
 from .simulator import (
     ComparisonReport,
-    HistogramSpec,
     RngSeed,
     compare_distributions,
     run_histogram_experiment,

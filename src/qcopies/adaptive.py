@@ -38,16 +38,22 @@ from .witness import (
     setting_probabilities,
 )
 
+MAX_SCHEDULE_LENGTH = 10_000
+
 
 def geometric_schedule(start: float = 0.01, ratio: float = 0.1,
                        final: float = 0.0003) -> tuple[float, ...]:
-    """Budgets start, start*ratio, ... down past `final` (last entry <= final)."""
+    """Budgets start, start*ratio, ... down past `final` (last entry <= final),
+    at most MAX_SCHEDULE_LENGTH of them."""
     if not 0 < ratio < 1:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
     if not 0 < final < start < np.inf:
         raise ConfigError(f"need 0 < final < start < inf, got start={start}, final={final}")
     values = [start]
     while values[-1] > final:
+        if len(values) == MAX_SCHEDULE_LENGTH:
+            raise ConfigError(f"schedule {start}:{ratio}:{final} has over "
+                              f"{MAX_SCHEDULE_LENGTH} budgets")
         values.append(values[-1] * ratio)
     return tuple(values)
 

@@ -32,7 +32,7 @@ from .core import density_from_json, noisy_sc_state, rank_two_sc_state
 from .errors import ConfigError, QcopiesError
 from .phaselift import ReconstructOptions, reconstruction_curve
 from .reports import csv_text, write_text
-from .simulator import RngSeed, compare_distributions, run_histogram_experiment, HistogramSpec
+from .simulator import RngSeed, compare_distributions
 from .witness import SettingProbabilities, build_settings, delta_f, setting_probabilities
 
 
@@ -109,12 +109,10 @@ def _build_state(n: int, fidelity: float | None, corner_mass: float | None,
     return noisy_sc_state(n, fidelity, corner_mass)
 
 
-def _emit(out_dir, files: dict[str, str], stdout_name: str | None = None) -> None:
+def _emit(out_dir, files: dict[str, str]) -> None:
     if out_dir:
         for name, text in files.items():
             write_text(Path(out_dir) / name, text)
-    elif stdout_name:
-        sys.stdout.write(files[stdout_name])
 
 
 # --- subcommand implementations -------------------------------------------
@@ -162,8 +160,7 @@ def cmd_allocate(args) -> int:
         }
         footer = (f"# reference: eight-photon experiment {exp_total}, "
                   f"reported optimum {opt_total}\n")
-    _emit(args.out, {"allocation.csv": csv + footer, "allocation.json": json.dumps(report)},
-          stdout_name=None)
+    _emit(args.out, {"allocation.csv": csv + footer, "allocation.json": json.dumps(report)})
     sys.stdout.write(csv + footer)
     sys.stdout.write(f"total={alloc.total}\n")
     return 0
@@ -193,12 +190,9 @@ def cmd_simulate(args) -> int:
     report = compare_distributions(rho, wd, allocations, trials=args.trials, rng=rng)
     files = {"comparison.csv": report.to_csv(), "comparison.json": report.to_json()}
     if args.histogram:
-        for i, (name, alloc) in enumerate(allocations.items()):
-            res = run_histogram_experiment(
-                rho, wd, alloc, trials=args.trials, rng=RngSeed(rng.seed, stream=i + 1),
-                spec=HistogramSpec(bins=args.bins))
-            files[f"histogram_{name}.csv"] = res.histogram.to_csv()
-            files[f"histogram_{name}.json"] = res.summary_json()
+        for row, res in zip(report.rows, report.results):
+            files[f"histogram_{row.name}.csv"] = res.to_csv(args.bins)
+            files[f"histogram_{row.name}.json"] = res.summary_json(args.bins)
     _emit(args.out, files)
     sys.stdout.write(report.to_csv())
     opt_row = report.row("optimized")
@@ -280,7 +274,9 @@ def cmd_tomography(args) -> int:
         rho = rank_two_sc_state(args.n, args.fidelity)
     else:
         rho = _build_state(args.n, args.fidelity, args.corner_mass, args.state)
-    counts = _ints(args.settings)
+    size = (4 if args.family == "projectors" else 3) ** args.n  # settings in the family
+    counts = (_ints(args.settings) if args.settings is not None
+              else sorted({min(m, size) for m in (8, 16, 30, 45, 56, 64)}))
     rng = RngSeed(_resolve_seed(args.seed))
     curve = reconstruction_curve(
         rho, counts_per_setting=args.counts, setting_counts=counts,
@@ -395,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fidelity", type=float)
     p.add_argument("--corner-mass", type=float, default=None)
     p.add_argument("--counts", type=int, default=10000, help="copies per setting")
-    p.add_argument("--settings", default="8,16,30,45,56,64",
-                   help="comma list of setting counts for the curve")
+    p.add_argument("--settings", help="comma list of setting counts for the curve "
+                   "(default 8,16,30,45,56,64, each capped at the family's size)")
     p.add_argument("--family", default="projectors", choices=["projectors", "pauli"])
     p.add_argument("--rank2", action="store_true",
                    help="use the rank-two noise model instead of white noise")

@@ -9,10 +9,12 @@ of the computational index.
 The three synthetic noise models are X-states: zero off the diagonal and
 the anti-diagonal.  `XState` holds just those 2 * 2**n entries, so the
 models build states of up to MAX_QUBITS = 20 qubits in O(2**n) time and
-memory.  A dense 2**n x 2**n matrix, `DensityMatrix` or an X-state's
-`matrix` view, exists only up to MAX_DENSE_QUBITS = 12 qubits.  The library
-builds no dense state of its own: a `DensityMatrix` comes from a state file
-(`density_from_json`) or from reconstruction (`psd_project`).
+memory; one writer fills in each model's flat background and at most four
+spikes from its mixture weights.  A dense 2**n x 2**n matrix,
+`DensityMatrix` or an X-state's `matrix` view, exists only up to
+MAX_DENSE_QUBITS = 12 qubits.  The library builds no dense state of its
+own: a `DensityMatrix` comes from a state file (`density_from_json`) or
+from reconstruction (`psd_project`).
 """
 from __future__ import annotations
 
@@ -116,12 +118,14 @@ class XState:
     sum of the 2x2 blocks on the index pairs (a, d-1-a), so validation is
     O(2**n): finite entries, Hermitian pairing anti[a] = conj(anti[d-1-a]),
     trace one, and each block's smaller eigenvalue above the floor (which
-    also makes the diagonal nonnegative).
+    also makes the diagonal nonnegative).  With validate=False the arrays
+    are taken as they are, unchecked and uncopied, and are frozen in place.
     """
 
     def __init__(self, diag: np.ndarray, anti: np.ndarray, validate: bool = True):
+        as_array = np.array if validate else np.asarray
         diag = np.asarray(diag).ravel()
-        anti = np.array(anti, dtype=complex).ravel()
+        anti = as_array(anti, dtype=complex).ravel()
         if diag.shape != anti.shape:
             raise DimensionMismatchError(
                 f"diagonal has {diag.size} entries, anti-diagonal {anti.size}")
@@ -143,7 +147,7 @@ class XState:
             lo = float((0.5 * (x + y - np.hypot(x - y, 2.0 * np.abs(anti)))).min())
             if lo < EIGENVALUE_FLOOR:
                 raise QcopiesError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
-        self._diag = np.array(diag.real, dtype=float)
+        self._diag = as_array(diag.real, dtype=float)
         self._anti = anti
         self._diag.flags.writeable = False
         self._anti.flags.writeable = False
@@ -211,25 +215,31 @@ def white_noise_weight_for_fidelity(n: int, fidelity: float) -> float:
     return (fidelity - 1.0 / d) / (1.0 - 1.0 / d)
 
 
-def _x_parts(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and anti-diagonal of |amps><amps|, entry for entry as
-    np.outer(amps, amps.conj()) computes them."""
-    return amps * amps.conj(), amps * amps[::-1].conj()
+def _x_state(n: int, cat: float, corners: float = 0.0, noise: float = 0.0,
+             flipped: float = 0.0) -> XState:
+    """Unchecked X-state cat |SC><SC| + corners (|H..H><H..H| + |V..V><V..V|)/2
+    + noise I/d + flipped |SC'><SC'|, SC' the cat with its last qubit flipped.
 
-
-def _x_mix(combine, *parts) -> XState:
-    """X-state whose diagonal and anti-diagonal each come from one
-    entrywise formula over the matching parts of its components."""
-    return XState(*(combine(*ps) for ps in zip(*parts)), validate=False)
+    Each entry comes out as mixing the dense components gives it: h is the
+    product of two cat amplitudes, 0.5000000000000001, and a diagonal entry
+    adds the cat, corner and noise terms in that order.
+    """
+    d = 2**n
+    h = (1.0 / np.sqrt(2.0)) ** 2
+    diag = np.full(d, noise / d)
+    anti = np.zeros(d, dtype=complex)
+    # at n = 1 the flipped cat's indices are the corners, written last
+    diag[[1, -2]] = flipped * h + noise / d
+    anti[[1, -2]] = flipped * h
+    diag[[0, -1]] = cat * h + corners * 0.5 + noise / d
+    anti[[0, -1]] = cat * h
+    return XState(diag, anti, validate=False)
 
 
 def depolarized_sc(n: int, fidelity: float) -> XState:
     """White-noise-mixed SC state whose fidelity with the pure SC state is exact."""
     p = white_noise_weight_for_fidelity(n, fidelity)
-    d = 2**n
-    eye = (np.ones(d), np.zeros(d))
-    return _x_mix(lambda s, e: p * s + (1.0 - p) * e / d,
-                  _x_parts(sc_state(n).amplitudes), eye)
+    return _x_state(n, cat=p, noise=1.0 - p)
 
 
 def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) -> XState:
@@ -260,12 +270,7 @@ def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) ->
             f"no valid state with fidelity={fidelity}, corner_mass={corner_mass} "
             f"for n={n} (weights a={a:.4f}, b={b:.4f}, c={c:.4f})"
         )
-    corner_diag = np.zeros(d, dtype=complex)
-    corner_diag[0] = corner_diag[-1] = 0.5
-    corners = (corner_diag, np.zeros(d, dtype=complex))
-    eye = (np.ones(d), np.zeros(d))
-    return _x_mix(lambda s, k, e: a * s + b * k + c * e / d,
-                  _x_parts(sc_state(n).amplitudes), corners, eye)
+    return _x_state(n, cat=a, corners=b, noise=c)
 
 
 def rank_two_sc_state(n: int, fidelity: float) -> XState:
@@ -281,11 +286,7 @@ def rank_two_sc_state(n: int, fidelity: float) -> XState:
         raise QcopiesError("rank-two model needs at least 2 qubits")
     if not 0.0 <= fidelity <= 1.0:
         raise QcopiesError(f"fidelity must be in [0, 1], got {fidelity}")
-    d = 2**n
-    flipped = np.zeros(d, dtype=complex)
-    flipped[1] = flipped[d - 2] = 1.0 / np.sqrt(2.0)
-    return _x_mix(lambda s, f: fidelity * s + (1.0 - fidelity) * f,
-                  _x_parts(sc_state(n).amplitudes), _x_parts(flipped))
+    return _x_state(n, cat=fidelity, flipped=1.0 - fidelity)
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:

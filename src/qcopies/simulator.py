@@ -2,9 +2,11 @@
 sampling, fidelity estimates from one hit count per setting, histogram
 experiments and copy-distribution comparisons.
 
-An experiment (one histogram, or one allocation of a comparison) reads one
-random stream.  Setting by setting, in setting order, it draws the hit
-counts of all its trials in one call; a trial is one row of those draws.
+An experiment (a histogram experiment, or one allocation of a comparison)
+reads one random stream.  Setting by setting, in setting order, it draws
+the hit counts of all its trials in one call; a trial is one row of those
+draws.  It yields one frozen `HistogramResult`; a comparison keeps one per
+allocation next to its row, and only the result's writers take a bin count.
 `sample_counts` takes one copy count for all rows or one per row.  It
 validates its input and hands the normalized rows to `_multinomial`, the one
 draw behind every sample; the adaptive protocol, whose rows are valid by
@@ -13,6 +15,7 @@ and draws all of a run's settings per pass in one call.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
 from .errors import ConfigError, DimensionMismatchError, QcopiesError
+from .reports import csv_text
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -99,6 +103,40 @@ def _multinomial(pvals: np.ndarray, copies, gen: np.random.Generator) -> np.ndar
     return gen.multinomial(copies, pvals).astype(np.int64)
 
 
+@dataclass(frozen=True)
+class HistogramResult:
+    """One experiment's estimated fidelities, one per trial, with their
+    summary statistics; `to_csv` and `summary_json` bin them over [0, 1]."""
+
+    fidelities: np.ndarray = field(repr=False)
+    mean: float
+    std: float
+    predicted_delta_f: float
+
+    def events(self, bins: int = 50) -> np.ndarray:
+        """Trials per bin, `bins` equal bins over [0, 1]."""
+        if bins < 1:
+            raise QcopiesError(f"bins must be >= 1, got {bins}")
+        return np.histogram(self.fidelities, bins=bins, range=(0.0, 1.0))[0]
+
+    def to_csv(self, bins: int = 50) -> str:
+        events = self.events(bins)
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        return csv_text(["bin_low", "bin_high", "events"], zip(edges, edges[1:], events))
+
+    def summary_json(self, bins: int = 50) -> str:
+        if bins < 1:
+            raise QcopiesError(f"bins must be >= 1, got {bins}")
+        return json.dumps({
+            "trials": int(self.fidelities.size),
+            "mean": self.mean,
+            "std": self.std,
+            "predicted_delta_f": self.predicted_delta_f,
+            "bins": bins,
+            "range": [0.0, 1.0],
+        })
+
+
 def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):
     """One estimated fidelity per trial, all drawn from the stream at
     `base_path`.
@@ -119,76 +157,30 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
     return _fidelities(p_true.n, hits / t)
 
 
-@dataclass
-class HistogramSpec:
-    """Fidelity events binned over [0, 1]."""
-
-    bins: int = 50
-    events: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise QcopiesError(f"bins must be >= 1, got {self.bins}")
-
-    @property
-    def bin_edges(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.bins + 1)
-
-    def to_csv(self) -> str:
-        from .reports import csv_text
-
-        if self.events is None:
-            raise QcopiesError("histogram has no events yet")
-        edges = self.bin_edges
-        rows = [(edges[i], edges[i + 1], int(self.events[i])) for i in range(self.bins)]
-        return csv_text(["bin_low", "bin_high", "events"], rows)
-
-
-@dataclass(frozen=True)
-class HistogramResult:
-    """Filled histogram plus the summary statistics of the trials."""
-
-    histogram: HistogramSpec
-    fidelities: np.ndarray = field(repr=False)
-    mean: float
-    std: float
-    predicted_delta_f: float
-
-    def summary_json(self) -> str:
-        import json
-
-        return json.dumps({
-            "trials": int(self.fidelities.size),
-            "mean": self.mean,
-            "std": self.std,
-            "predicted_delta_f": self.predicted_delta_f,
-            "bins": self.histogram.bins,
-            "range": [0.0, 1.0],
-        })
-
-
-def run_histogram_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition,
-                             allocation: CopyAllocation, trials: int,
-                             rng: RngSeed, spec: HistogramSpec | None = None) -> HistogramResult:
-    """Repeat the full measurement `trials` times and bin the fidelities.
-
-    The trials draw from the stream `rng.generator()`.  The summary carries
-    both the empirical spread of the estimates and the binomial-formula
-    prediction evaluated at the true probabilities, so the two can be
-    compared.
-    """
-    spec = spec or HistogramSpec()
-    p_true = setting_probabilities(rho, wd)
-    fids = _simulate_fidelities(p_true, allocation, trials, rng, ())
-    events, _ = np.histogram(fids, bins=spec.bins, range=(0.0, 1.0))
-    filled = HistogramSpec(bins=spec.bins, events=events)
+def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
+                base_path) -> HistogramResult:
+    """The trials of one experiment, drawn from the stream at `base_path`,
+    with their mean, spread and predicted spread."""
+    fids = _simulate_fidelities(p_true, allocation, trials, rng, base_path)
     return HistogramResult(
-        histogram=filled,
         fidelities=fids,
         mean=float(fids.mean()),
         std=float(fids.std(ddof=1)) if trials > 1 else 0.0,
         predicted_delta_f=delta_f(p_true, allocation),
     )
+
+
+def run_histogram_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition,
+                             allocation: CopyAllocation, trials: int,
+                             rng: RngSeed) -> HistogramResult:
+    """Repeat the full measurement `trials` times.
+
+    The trials draw from the stream `rng.generator()`.  The result carries
+    both the empirical spread of the estimates and the binomial-formula
+    prediction evaluated at the true probabilities, so the two can be
+    compared.
+    """
+    return _experiment(setting_probabilities(rho, wd), allocation, trials, rng, ())
 
 
 @dataclass(frozen=True)
@@ -208,6 +200,7 @@ class ComparisonReport:
     baseline: str
     trials: int
     rows: tuple[ComparisonRow, ...]
+    results: tuple[HistogramResult, ...] = field(repr=False)
 
     def row(self, name: str) -> ComparisonRow:
         for r in self.rows:
@@ -216,8 +209,6 @@ class ComparisonReport:
         raise KeyError(name)
 
     def to_csv(self) -> str:
-        from .reports import csv_text
-
         return csv_text(
             ["name", "total", "mean_fidelity", "std_fidelity", "predicted_delta_f",
              "savings_pct"],
@@ -226,8 +217,6 @@ class ComparisonReport:
         )
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps({
             "baseline": self.baseline,
             "trials": self.trials,
@@ -242,7 +231,7 @@ def compare_distributions(rho: DensityMatrix | XState, wd: WitnessDecomposition,
 
     Savings are total-copy percentages relative to the first entry, the
     baseline.  Allocation i draws its trials from the stream
-    `rng.generator(i)`.
+    `rng.generator(i)`; its row summarizes `results[i]`.
     """
     if len(allocations) < 2:
         raise QcopiesError("need at least two allocations to compare")
@@ -250,16 +239,14 @@ def compare_distributions(rho: DensityMatrix | XState, wd: WitnessDecomposition,
     baseline = names[0]
     p_true = setting_probabilities(rho, wd)
     base_total = allocations[baseline].total
-    rows = []
-    for i, name in enumerate(names):
-        alloc = allocations[name]
-        fids = _simulate_fidelities(p_true, alloc, trials, rng, (i,))
-        rows.append(ComparisonRow(
-            name=name,
-            total=alloc.total,
-            mean_fidelity=float(fids.mean()),
-            std_fidelity=float(fids.std(ddof=1)) if trials > 1 else 0.0,
-            predicted_delta_f=delta_f(p_true, alloc),
-            savings_pct=100.0 * (base_total - alloc.total) / base_total,
-        ))
-    return ComparisonReport(baseline=baseline, trials=trials, rows=tuple(rows))
+    results = tuple(_experiment(p_true, allocations[name], trials, rng, (i,))
+                    for i, name in enumerate(names))
+    rows = tuple(ComparisonRow(
+        name=name,
+        total=allocations[name].total,
+        mean_fidelity=res.mean,
+        std_fidelity=res.std,
+        predicted_delta_f=res.predicted_delta_f,
+        savings_pct=100.0 * (base_total - allocations[name].total) / base_total,
+    ) for name, res in zip(names, results))
+    return ComparisonReport(baseline=baseline, trials=trials, rows=rows, results=results)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, XState, check_qubit_count
-from .errors import DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
@@ -98,8 +98,15 @@ class SettingProbabilities:
 
     @classmethod
     def from_json(cls, text: str) -> "SettingProbabilities":
-        obj = json.loads(text)
-        return cls(n=int(obj["n"]), P=np.asarray(obj["P"], dtype=float))
+        """Inverse of to_json; other text raises ConfigError."""
+        try:
+            obj = json.loads(text)
+            n, P = obj["n"], np.asarray(obj["P"], dtype=float)
+            if type(n) is not int:
+                raise ValueError(f"n must be an integer, got {n!r}")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"not a setting-probabilities JSON object: {exc!r}") from exc
+        return cls(n=n, P=P)
 
 
 def build_settings(n: int) -> WitnessDecomposition:

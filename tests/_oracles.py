@@ -4,7 +4,8 @@ Everything here is written from first principles (explicit loops, explicit
 projector matrices, a generic numeric minimizer) so the library code paths
 are checked against computations that share nothing with them.  The
 per-outcome witness references below are the exception: they are the
-dense paths the library no longer takes, a pure-state projector, a
+dense paths the library no longer takes, the noise models mixed entry by
+entry from full-length component arrays, a pure-state projector, a
 white-noise mixture, each rotated outcome's Born probability from the
 Kronecker product of its kets, and the aggregates read through the full
 2**n x n phase table.  `product_setting_rows` builds phaselift's operator
@@ -65,6 +66,46 @@ def dense_rank_two_sc_state(n, fidelity):
     flipped = np.zeros(d, dtype=complex)
     flipped[1] = flipped[d - 2] = 1.0 / np.sqrt(2.0)
     return fidelity * sc_projector(n) + (1.0 - fidelity) * np.outer(flipped, flipped.conj())
+
+
+def _x_parts(amps):
+    """Diagonal and anti-diagonal of |amps><amps|, entry for entry as
+    np.outer(amps, amps.conj()) computes them."""
+    return amps * amps.conj(), amps * amps[::-1].conj()
+
+
+def _x_mix(combine, *parts):
+    """Diagonal and anti-diagonal each from one entrywise formula over the
+    matching full-length arrays of the components."""
+    return tuple(combine(*ps) for ps in zip(*parts))
+
+
+def _cat_amplitudes(n, first):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[first] = amps[2**n - 1 - first] = 1.0 / np.sqrt(2.0)
+    return amps
+
+
+def x_noise_model(name, n, fidelity, corner_mass=None):
+    """(diagonal, anti-diagonal) of a noise model built as full component
+    arrays mixed entry by entry: the cat's two parts, the corners, I/d and
+    the flipped cat's two parts, with the weights the library solves for."""
+    d = 2**n
+    cat = _x_parts(_cat_amplitudes(n, 0))
+    eye = (np.ones(d), np.zeros(d))
+    if name == "depolarized":
+        p = (fidelity - 1.0 / d) / (1.0 - 1.0 / d)
+        return _x_mix(lambda s, e: p * s + (1.0 - p) * e / d, cat, eye)
+    if name == "corner-mass":
+        a = 2.0 * fidelity - corner_mass
+        c = (1.0 - corner_mass) / (1.0 - 2.0 / d)
+        b = 1.0 - a - c
+        corner_diag = np.zeros(d, dtype=complex)
+        corner_diag[0] = corner_diag[-1] = 0.5
+        corners = (corner_diag, np.zeros(d, dtype=complex))
+        return _x_mix(lambda s, k, e: a * s + b * k + c * e / d, cat, corners, eye)
+    flipped = _x_parts(_cat_amplitudes(n, 1))
+    return _x_mix(lambda s, f: fidelity * s + (1.0 - fidelity) * f, cat, flipped)
 
 
 def pure_density(psi):

@@ -19,7 +19,7 @@ from qcopies import (
     sweep_epsilon_ratio,
 )
 from qcopies import adaptive
-from qcopies.adaptive import AdaptiveState, RoundRecord, _clamped
+from qcopies.adaptive import MAX_SCHEDULE_LENGTH, AdaptiveState, RoundRecord, _clamped
 
 from _oracles import run_adaptive_one, sweep_epsilon_ratio_one
 
@@ -43,6 +43,21 @@ class TestSchedule:
                 AdaptiveConfig(epsilon_schedule=schedule)
         with pytest.raises(ConfigError):
             geometric_schedule(0.01, 1.2, 0.0001)
+
+    def test_length_is_capped(self):
+        # the cap admits ratio 0.999 over the default span and no more
+        assert len(geometric_schedule(0.01, 0.999, 1e-5)) == 6906
+        final = 1.0
+        for _ in range(MAX_SCHEDULE_LENGTH - 1):
+            final *= 0.999
+        assert len(geometric_schedule(1.0, 0.999, final)) == MAX_SCHEDULE_LENGTH
+        with pytest.raises(ConfigError, match="has over 10000 budgets"):
+            geometric_schedule(1.0, 0.999, final * 0.9995)
+
+    def test_cap_raises_before_building_the_list(self):
+        # uncapped, this schedule would hold about 7e15 budgets
+        with pytest.raises(ConfigError, match="budgets"):
+            geometric_schedule(0.01, 1.0 - 1e-15, 1e-5)
 
     @pytest.mark.parametrize("start", [np.inf, np.nan])
     def test_non_finite_start_rejected(self, start):

@@ -225,6 +225,25 @@ class TestSimulate:
         lines = (tmp_path / "histogram_uniform.csv").read_text().strip().split("\n")
         assert lines[0] == "bin_low,bin_high,events"
 
+    def test_histograms_bin_the_comparison_trials(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["simulate", "--n", "4", "--fidelity", "0.8", "--compare", "uniform:60",
+             "--compare", "lopsided:90/40/40/40/40", "--trials", "30", "--seed", "3",
+             "--histogram", "--bins", "20", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        with open(tmp_path / "comparison.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["name"] for r in rows] == ["uniform", "lopsided", "optimized"]
+        for row in rows:
+            summary = json.loads((tmp_path / f"histogram_{row['name']}.json").read_text())
+            assert f"{summary['mean']:.6g}" == row["mean_fidelity"]
+            assert f"{summary['std']:.6g}" == row["std_fidelity"]
+            assert f"{summary['predicted_delta_f']:.6g}" == row["predicted_delta_f"]
+            assert (summary["trials"], summary["bins"]) == (30, 20)
+            events = (tmp_path / f"histogram_{row['name']}.csv").read_text().split("\n")[1:-1]
+            assert len(events) == 20
+            assert sum(int(line.rsplit(",", 1)[1]) for line in events) == 30
+
     def test_explicit_distribution_payload(self, capsys):
         code, out, _ = run_cli(
             ["simulate", "--n", "2", "--fidelity", "0.9",
@@ -470,6 +489,17 @@ class TestTomography:
         assert out == ""
         assert "max_iter" in err
 
+    @pytest.mark.parametrize("family, n, used", [("projectors", 1, [4]),
+                                                 ("projectors", 2, [8, 16]),
+                                                 ("pauli", 2, [8, 9]),
+                                                 ("pauli", 3, [8, 16, 27])])
+    def test_default_settings_fit_the_family(self, family, n, used, capsys):
+        code, out, err = run_cli(["tomography", "--n", str(n), "--fidelity", "0.8",
+                                  "--family", family, "--counts", "500", "--repeats", "1",
+                                  "--max-iter", "50", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == used
+
     def test_empty_settings_exit_3(self, capsys):
         code, out, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.9",
                                   "--settings", ",", "--counts", "100", "--repeats", "1"],
@@ -573,6 +603,7 @@ BAD_INPUTS = [
     ("adaptive --n 3 --fidelity 0.9 --schedule a:b:c", {}, 2),
     ("adaptive --n 3 --fidelity 0.9 --schedule 0.01::0.001", {}, 2),
     ("adaptive --n 3 --fidelity 0.9 --schedule inf:0.1:0.001", {}, 2),
+    ("adaptive --n 3 --fidelity 0.9 --schedule 0.01:0.99999:0.00001", {}, 2),
     ("hoeffding --t , --h ,", {}, 3),
     ("hoeffding --t 110 --h 0.2 --settings -1", {}, 2),
     ("hoeffding --t 110 --h 0.2 --settings 0", {}, 2),

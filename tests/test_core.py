@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcopies import (
     ConfigError,
@@ -28,7 +28,7 @@ from qcopies.witness import ROTATED, MeasurementSetting
 
 from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
                       dense_rank_two_sc_state, ginibre_density, phase_table_probabilities,
-                      pure_density, white_noise_mix)
+                      pure_density, white_noise_mix, x_noise_model)
 
 
 class TestScState:
@@ -399,6 +399,37 @@ class TestXState:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**n * 16
+
+    @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
+    def test_models_at_the_qubit_cap_peak_at_twice_their_entries(self, name):
+        # the models write their entries into the arrays the state keeps
+        model = NOISE_MODELS[name][0]
+        tracemalloc.start()
+        try:
+            rho = model(MAX_QUBITS, 0.8414, 0.947)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (rho.diagonal().nbytes + rho.anti_diagonal().nbytes)
+
+    @settings(max_examples=120, deadline=None)
+    @given(model_profiles(max_qubits=MAX_QUBITS))
+    @example(("corner-mass", MAX_QUBITS, 0.8414, 0.947))
+    @example(("corner-mass", 2, 0.5, 1.0))                  # a = c = 0
+    @example(("corner-mass", 2, (0.5 - 5e-13) / 2, 0.5))    # a just below 0
+    @example(("depolarized", 1, 0.5, None))                  # p = 0
+    @example(("depolarized", 1, 1.0, None))
+    @example(("rank-two", 2, 0.0, None))
+    def test_models_match_the_component_mix_bytes(self, profile):
+        # writing the entries gives the bytes of mixing full component arrays
+        name, n, fidelity, corner_mass = profile
+        rho = NOISE_MODELS[name][0](n, fidelity, corner_mass)
+        ref = XState(*x_noise_model(name, n, fidelity, corner_mass))
+        assert rho.diagonal().tobytes() == ref.diagonal().tobytes()
+        assert rho.anti_diagonal().tobytes() == ref.anti_diagonal().tobytes()
+        wd = build_settings(n)
+        assert (setting_probabilities(rho, wd).P.tobytes()
+                == setting_probabilities(ref, wd).P.tobytes())
 
     @pytest.mark.parametrize("name", sorted(NOISE_MODELS))
     @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 2000])

@@ -6,7 +6,6 @@ from qcopies import (
     ConfigError,
     DensityMatrix,
     DimensionMismatchError,
-    HistogramSpec,
     QcopiesError,
     RngSeed,
     SettingProbabilities,
@@ -297,7 +296,7 @@ class TestHistogram:
         rho = depolarized_sc(n, 1.0)
         alloc = uniform_allocation(n + 1, 50)
         res = run_histogram_experiment(rho, wd, alloc, trials=40, rng=RngSeed(2))
-        events = res.histogram.events
+        events = res.events()
         assert events.sum() == 40
         assert events[-1] == 40  # fidelity exactly 1.0 in the last bin
 
@@ -306,10 +305,9 @@ class TestHistogram:
         wd = build_settings(n)
         rho = depolarized_sc(n, 0.75)
         alloc = uniform_allocation(n + 1, 80)
-        res = run_histogram_experiment(rho, wd, alloc, trials=123, rng=RngSeed(4),
-                                       spec=HistogramSpec(bins=250))
-        assert res.histogram.events.sum() == 123
-        assert res.histogram.events.size == 250
+        res = run_histogram_experiment(rho, wd, alloc, trials=123, rng=RngSeed(4))
+        assert res.events(250).sum() == 123
+        assert res.events(250).size == 250
 
     def test_summary_json(self):
         import json
@@ -330,13 +328,16 @@ class TestHistogram:
         res = run_histogram_experiment(depolarized_sc(n, 0.8), wd,
                                        uniform_allocation(n + 1, 30), trials=10,
                                        rng=RngSeed(6))
-        lines = res.histogram.to_csv().strip().split("\n")
+        lines = res.to_csv().strip().split("\n")
         assert lines[0] == "bin_low,bin_high,events"
         assert len(lines) == 51
 
     def test_bins_must_be_positive(self):
-        with pytest.raises(QcopiesError):
-            HistogramSpec(bins=0)
+        res = run_histogram_experiment(depolarized_sc(2, 0.8), build_settings(2),
+                                       uniform_allocation(3, 30), trials=10, rng=RngSeed(6))
+        for write in (res.events, res.to_csv, res.summary_json):
+            with pytest.raises(QcopiesError):
+                write(0)
 
     def test_wrong_length_allocation_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -413,6 +414,23 @@ class TestCompareDistributions:
         assert report.baseline == "small"
         assert report.row("small").savings_pct == 0.0
         assert report.row("large").savings_pct == -100.0
+
+    def test_rows_summarize_their_results(self):
+        # allocation i's row and result come from the trials of stream (i,)
+        n = 3
+        wd = build_settings(n)
+        rho = depolarized_sc(n, 0.8)
+        p = setting_probabilities(rho, wd)
+        allocations = {"a": uniform_allocation(4, 40), "b": explicit_allocation([70, 30, 30, 30])}
+        report = compare_distributions(rho, wd, allocations, trials=25, rng=RngSeed(6))
+        assert len(report.results) == len(report.rows) == 2
+        for i, (row, res) in enumerate(zip(report.rows, report.results)):
+            fids = _simulate_fidelities(p, allocations[row.name], 25, RngSeed(6), (i,))
+            assert np.array_equal(res.fidelities, fids)
+            assert (row.mean_fidelity, row.std_fidelity, row.predicted_delta_f) == (
+                res.mean, res.std, res.predicted_delta_f)
+            assert res.std == float(fids.std(ddof=1))
+        assert "results" not in report.to_json()
 
     def test_trials_must_be_positive(self):
         wd = build_settings(2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qcopies import (
+    ConfigError,
     DensityMatrix,
     QcopiesError,
     RngSeed,
@@ -238,3 +239,11 @@ class TestSerialization:
         back = SettingProbabilities.from_json(p.to_json())
         assert back.n == 3
         assert back.P == pytest.approx(p.P, abs=0)
+
+    @pytest.mark.parametrize("text", ["{}", "nope", "[1]", '{"n": 2, "P": "x"}',
+                                      '{"n": "a", "P": [0.5, 0.5, 0.5]}',
+                                      '{"n": 2.9, "P": [0.5, 0.5, 0.5]}',
+                                      '{"n": true, "P": [0.5, 0.5]}'])
+    def test_malformed_text_raises_config_error(self, text):
+        with pytest.raises(ConfigError, match="not a setting-probabilities JSON object"):
+            SettingProbabilities.from_json(text)
