@@ -18,7 +18,6 @@ from qcopies import (
     compare_distributions,
     depolarized_sc,
     explicit_allocation,
-    run_histogram_experiment,
     setting_probabilities,
     uniform_allocation,
 )
@@ -52,9 +51,11 @@ for row in report.rows:
 OUT.mkdir(exist_ok=True)
 (OUT / "eight_photon_comparison.csv").write_text(report.to_csv())
 
-# the event histograms behind the comparison, 50 bins over [0, 1]
-for name, alloc in [("experiment", experiment), ("optimized", optimized)]:
-    res = run_histogram_experiment(rho, wd, alloc, trials=550, rng=rng)
+# the event histograms behind the comparison, 50 bins over [0, 1], from the
+# same trials as its rows
+results = {row.name: res for row, res in zip(report.rows, report.results)}
+for name in ("experiment", "optimized"):
+    res = results[name]
     (OUT / f"eight_photon_hist_{name}.csv").write_text(res.to_csv())
     print(f"histogram for {name}: mean F = {res.mean:.4f}, std = {res.std:.4f}")
 

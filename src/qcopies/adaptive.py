@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import _check_t_min, _round_up, _sc_weights
+from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
-from .errors import ConfigError, QcopiesError
+from .errors import ConfigError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, _as_generator, _multinomial
 from .witness import (
@@ -87,7 +87,7 @@ class AdaptiveConfig:
             raise ConfigError(f"t_initial must be whole copy counts, got {self.t_initial!r}")
         if np.any(t0 < 0):
             raise ConfigError("t_initial must be >= 0")
-        _check_t_min(self.t_min, ConfigError)
+        _check_count(self.t_min, "t_min", ConfigError)
         if self.initial_P is not None:
             P = np.asarray(self.initial_P, dtype=float)
             if not np.all((P >= 0) & (P <= 1)):
@@ -316,8 +316,7 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
     and its measurements from `rng.generator(i, rep, 1)`.  A ratio's
     repeats advance together in one lockstep core.
     """
-    if repeats < 1:
-        raise QcopiesError(f"repeats must be >= 1, got {repeats}")
+    _check_count(repeats, "repeats")
     if len(ratios) == 0:
         raise QcopiesError("need at least one ratio")
     m = wd.n + 1

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleAfterRelaxationError,
     QcopiesError,
+    _check_count,
 )
 from .witness import SettingProbabilities
 
@@ -124,11 +125,6 @@ def _round_up(k: np.ndarray, eps: float, t_min: int) -> tuple[np.ndarray, np.nda
     return real_t, t
 
 
-def _check_t_min(t_min, error: type[QcopiesError] = QcopiesError) -> None:
-    if isinstance(t_min, bool) or not isinstance(t_min, (int, np.integer)) or t_min < 1:
-        raise error(f"t_min must be an integer >= 1, got {t_min!r}")
-
-
 def _squared_budget(epsilon0: float) -> float:
     """eps = epsilon0**2, checked once: epsilon0 and its square must be
     positive and finite."""
@@ -148,7 +144,7 @@ def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     Zero-weight settings get t_min copies so every setting is still
     observed.  Raises DegenerateProblemError if every weight is zero.
     """
-    _check_t_min(t_min)
+    _check_count(t_min, "t_min")
     k, eps = problem.k, problem.epsilon
     if not (k > 0).any():
         raise DegenerateProblemError("all variance weights are zero")
@@ -178,7 +174,7 @@ def allocate_sc(p: SettingProbabilities, epsilon0: float, t_min: int = 1) -> Cop
     budget is met trivially; each setting then receives t_min copies.
     """
     eps = _squared_budget(epsilon0)
-    _check_t_min(t_min)
+    _check_count(t_min, "t_min")
     real_t, t = _round_up(sc_variance_weights(p)[None], eps, t_min)
     return CopyAllocation(t=t[0], epsilon0=float(epsilon0), real_t=real_t[0])
 

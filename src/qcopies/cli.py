@@ -29,7 +29,7 @@ from .allocator import (
     uniform_allocation,
 )
 from .core import density_from_json, noisy_sc_state, rank_two_sc_state
-from .errors import ConfigError, QcopiesError
+from .errors import ConfigError, QcopiesError, _check_count
 from .phaselift import ReconstructOptions, reconstruction_curve
 from .reports import csv_text, write_text
 from .simulator import RngSeed, compare_distributions
@@ -253,8 +253,8 @@ def cmd_hoeffding(args) -> int:
         raise ConfigError("joint mode needs --t and --h (or use --coverage/--required)")
     t_list = _ints(args.t)
     h_list = _floats(args.h)
-    if args.settings is not None and args.settings < 1:
-        raise ConfigError(f"--settings must be >= 1, got {args.settings}")
+    if args.settings is not None:
+        _check_count(args.settings, "--settings", ConfigError)
     m = args.settings if args.settings is not None else max(len(t_list), len(h_list))
     if len(t_list) == 1:
         t_list = t_list * m

@@ -12,7 +12,7 @@ import numpy as np
 
 from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
-from .errors import DimensionMismatchError, QcopiesError
+from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
@@ -20,8 +20,7 @@ from .witness import SettingProbabilities, WitnessDecomposition, setting_probabi
 
 def failure_probability(t: int, h: float) -> float:
     """Two-sided bound 2*exp(-2 t h^2) on |frequency - probability| >= h."""
-    if t < 1:
-        raise QcopiesError(f"copies must be >= 1, got {t}")
+    _check_count(t, "copies")
     if not 0 < h < 1:
         raise QcopiesError(f"deviation must be in (0, 1), got {h}")
     return float(min(1.0, 2.0 * np.exp(-2.0 * t * h * h)))
@@ -37,7 +36,7 @@ def joint_success(t, h) -> float:
         raise QcopiesError("joint success needs at least one setting")
     prod = 1.0
     for ti, hi in zip(tt, hh):
-        prod *= max(0.0, 1.0 - failure_probability(int(ti), float(hi)))
+        prod *= max(0.0, 1.0 - failure_probability(ti, float(hi)))
     return float(prod)
 
 
@@ -54,8 +53,7 @@ def required_copies(h: float, delta: float) -> int:
 
 def hoeffding_radius(t: int, delta: float) -> float:
     """Half-width h with 2*exp(-2 t h^2) = delta."""
-    if t < 1:
-        raise QcopiesError(f"copies must be >= 1, got {t}")
+    _check_count(t, "copies")
     if not 0 < delta < 1:
         raise QcopiesError(f"failure probability must be in (0, 1), got {delta}")
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * t)))
@@ -148,14 +146,14 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
 
     Copy count i reads the stream `rng.generator(i)` and draws all its
     repeats in one call."""
-    if repeats < 1:
-        raise QcopiesError(f"repeats must be >= 1, got {repeats}")
+    _check_count(repeats, "repeats")
     if len(copy_counts) == 0:
         raise QcopiesError("need at least one copy count")
     true_value = float(setting_probabilities(rho, wd).P[0])
     outcomes = np.broadcast_to([true_value, 1.0 - true_value], (repeats, 2))
     rows = []
     for i, copies in enumerate(copy_counts):
+        _check_count(copies, "copies")
         copies = int(copies)
         radius = hoeffding_radius(copies, delta)
         hits = sample_counts(outcomes, copies, rng.generator(i))[:, 0]

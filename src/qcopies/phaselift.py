@@ -15,24 +15,26 @@ The solver is projected gradient descent on a graduated sequence of
 Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
 a stall or its share of the iteration budget) with Nesterov momentum,
 PSD/trace projection after every step and best-iterate tracking, so the
-sequence of accepted objectives never increases.  It solves a batch of
-problems in lockstep: `reconstruct` passes one problem, while
-`reconstruction_curve` passes every setting count and repeat of the curve
-at once, so that each step makes one stacked eigendecomposition for all
-of them.  Each problem's result is bit for bit the one it gets alone.
+sequence of accepted objectives never increases.  Each problem's solve is
+one coroutine, `_graduated`, written as those plain loops; `_solve`
+advances a batch of them in lockstep, one round per step, and makes one
+stacked projection per round for every live problem.  `reconstruct`
+passes one problem, while `reconstruction_curve` passes every setting
+count and repeat of the curve at once.  Each problem's result is bit for
+bit the one it gets alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import isqrt, sqrt
 
 import numpy as np
 
 from .core import (DensityMatrix, XState, fidelity_pure, frobenius_distance, psd_project,
                    psd_project_stack, sc_state)
-from .errors import DimensionMismatchError, QcopiesError
+from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 
@@ -130,8 +132,7 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     A full basis draws a multinomial over its outcomes; a single-projector
     setting draws the binomial hit count of its one operator.
     """
-    if copies_per_setting < 1:
-        raise QcopiesError(f"copies per setting must be >= 1, got {copies_per_setting}")
+    _check_count(copies_per_setting, "copies per setting")
     rows = []
     for s in settings:
         probs = s.born_probabilities(rho)
@@ -157,8 +158,7 @@ class ReconstructOptions:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not self.max_iter >= 1:
-            raise QcopiesError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)
@@ -198,108 +198,77 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     return _solve([(A, freqs)], opts.max_iter)[0]
 
 
-class _Problem:
-    """One misfit problem and its own place in the graduated solve: Huber
-    phase, step, momentum, stall count, best objective and history."""
+def _graduated(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: int):
+    """The graduated solve of one problem, as a coroutine: each step yields
+    (y, gradient, step) and is sent back the projection of y - step * grad
+    with the gradient symmetrized, a matrix it reads but never writes; it
+    returns the ReconstructionResult.
 
-    def __init__(self, A: np.ndarray, freqs: np.ndarray, start: np.ndarray):
-        self.A, self.freqs = A, freqs
-        self.lipschitz = float(np.linalg.norm(A, 2) ** 2)
-        self.best_obj = self.objective(start)
-        self.history = [self.best_obj]
-        self.iterations = 0
-        self.phase = -1
-        self.result: ReconstructionResult | None = None  # set when it drops out
+    One phase per Huber width restarts the Nesterov momentum from the best
+    iterate and ends on a stall or after its share of max_iter.  Once
+    max_iter steps are spent, the remaining phases take no step, so
+    `converged` is True only when the narrowest phase ended on a stall."""
+    lipschitz = float(np.linalg.norm(A, 2) ** 2)
+    d = start.shape[-1]
 
-    def objective(self, mat: np.ndarray) -> float:
-        return float(np.abs((self.A @ mat.ravel()).real - self.freqs).sum())
+    def objective(mat: np.ndarray) -> float:
+        return float(np.abs((A @ mat.ravel()).real - freqs).sum())
 
-    def start_phase(self) -> None:
-        self.phase += 1
-        self.width = _HUBER_WIDTHS[self.phase]
-        self.step = self.width / self.lipschitz
-        self.momentum = 1.0
-        self.stall = 0
-        self.phase_iter = 0
-
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        """Gradient of the Huber-smoothed misfit at y, before symmetrizing."""
-        residual = (self.A @ y.ravel()).real - self.freqs
-        wts = residual / np.maximum(np.abs(residual), self.width)
-        d = y.shape[-1]
-        return (wts @ self.A).reshape(d, d).T
-
-    def accept(self, obj: float) -> bool:
-        """Record one step's objective; True when it is the best so far."""
-        self.iterations += 1
-        self.phase_iter += 1
-        better = obj < self.best_obj
-        if obj < self.best_obj - _MIN_GAIN:
-            self.stall = 0
-        else:
-            self.stall += 1
-        if better:
-            self.best_obj = obj
-        if self.stall <= _STALL_LIMIT:
-            self.history.append(self.best_obj)
-        return better
+    best, best_obj = start, objective(start)
+    history = [best_obj]
+    iterations = 0
+    per_phase = max(50, max_iter // len(_HUBER_WIDTHS))
+    for width in _HUBER_WIDTHS:
+        y = prev = best
+        momentum, stall = 1.0, 0
+        for _ in range(min(per_phase, max_iter - iterations)):
+            residual = (A @ y.ravel()).real - freqs
+            wts = residual / np.maximum(np.abs(residual), width)
+            cur = yield y, (wts @ A).reshape(d, d).T, width / lipschitz
+            m_next = (1.0 + sqrt(1.0 + 4.0 * momentum**2)) / 2.0
+            y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
+            prev, momentum = cur, m_next
+            iterations += 1
+            obj = objective(cur)
+            stall = 0 if obj < best_obj - _MIN_GAIN else stall + 1
+            if obj < best_obj:
+                best, best_obj = cur, obj
+            if stall > _STALL_LIMIT:
+                break
+            history.append(best_obj)
+    return ReconstructionResult(rho_hat=psd_project(best), objective=best_obj,
+                                iterations=iterations, converged=stall > _STALL_LIMIT,
+                                objective_history=np.asarray(history))
 
 
 def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Projected gradient descent over graduated Huber widths for every
-    (A, freqs) problem at once.
+    """Solve every (A, freqs) problem, each by its own `_graduated`
+    coroutine, advanced in lockstep.
 
-    Problems advance in lockstep on stacked (R, d, d) arrays: each step
-    makes one batched eigendecomposition and simplex projection for all
-    live problems, while A @ y, w @ A and the objective stay one BLAS call
-    per problem so that every problem's iterates are bit for bit those of
-    solving it alone.  A problem drops out when its last phase ends or it
-    reaches max_iter.
+    Each round stacks the live problems' y - step * grad, with the gradient
+    symmetrized, and projects the stack with one batched eigendecomposition
+    and simplex projection; each problem gets its row back.  A @ y, w @ A
+    and the objective stay one BLAS call per problem, so every problem's
+    iterates are bit for bit those of solving it alone.
     """
     d = isqrt(problems[0][0].shape[1])
     start = np.eye(d, dtype=complex) / d
-    live = [_Problem(A, f, start) for A, f in problems]
-    solved = list(live)
-    best = np.stack([start] * len(live))
-    per_phase = max(50, max_iter // len(_HUBER_WIDTHS))
-    for p in live:
-        p.start_phase()
-    y, prev = best.copy(), best.copy()
+    solves = [_graduated(A, freqs, start, max_iter) for A, freqs in problems]
+    live = [(i, solve, next(solve)) for i, solve in enumerate(solves)]
+    results = [None] * len(solves)
     while live:
-        grad = np.stack([p.gradient(y[i]) for i, p in enumerate(live)])
+        ys, grads, steps = zip(*(asked for _, _, asked in live))
+        grad = np.stack(grads)
         grad = 0.5 * (grad + grad.conj().swapaxes(-1, -2))
-        steps = np.array([p.step for p in live])[:, None, None]
-        cur = psd_project_stack(y - steps * grad)
-        coef = np.empty(len(live))
-        for i, p in enumerate(live):
-            m_next = (1.0 + np.sqrt(1.0 + 4.0 * p.momentum**2)) / 2.0
-            coef[i] = (p.momentum - 1.0) / m_next
-            p.momentum = m_next
-        y = cur + coef[:, None, None] * (cur - prev)
-        prev = cur
-        keep = []
-        for i, p in enumerate(live):
-            if p.accept(p.objective(cur[i])):
-                best[i] = cur[i]
-            phase_over = p.stall > _STALL_LIMIT or p.phase_iter == per_phase
-            last = p.phase == len(_HUBER_WIDTHS) - 1
-            if p.iterations >= max_iter or (phase_over and last):
-                p.result = ReconstructionResult(
-                    rho_hat=psd_project(best[i]),
-                    objective=float(p.best_obj),
-                    iterations=p.iterations,
-                    converged=last and p.stall > _STALL_LIMIT,
-                    objective_history=np.asarray(p.history),
-                )
-                continue
-            if phase_over:
-                p.start_phase()
-                y[i] = prev[i] = best[i]
-            keep.append(i)
-        if len(keep) < len(live):
-            live = [live[i] for i in keep]
-            best, y, prev = best[keep], y[keep], prev[keep]
-    return [p.result for p in solved]
+        cur = psd_project_stack(np.stack(ys) - np.array(steps)[:, None, None] * grad)
+        advanced = []
+        for (i, solve, _), row in zip(live, cur):
+            try:
+                advanced.append((i, solve, solve.send(row)))
+            except StopIteration as done:
+                results[i] = done.value
+        live = advanced
+    return results
 
 
 @dataclass(frozen=True)
@@ -344,8 +313,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     is the single-projector one; family="pauli" subsamples whole X/Y/Z
     bases instead.
     """
-    if repeats < 1:
-        raise QcopiesError(f"repeats must be >= 1, got {repeats}")
+    _check_count(repeats, "repeats")
     n = rho_true.n_qubits
     if family == "projectors":
         settings = tomography_projectors(n)
@@ -356,8 +324,10 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     total = len(settings)
     if len(setting_counts) == 0:
         raise QcopiesError("need at least one setting count")
-    if any(not 1 <= int(m) <= total for m in setting_counts):
-        raise QcopiesError(f"setting counts must lie in [1, {total}]")
+    for m in setting_counts:
+        _check_count(m, "a setting count")
+        if m > total:
+            raise QcopiesError(f"setting counts must lie in [1, {total}]")
     order = rng.generator(0).permutation(total)
     target = sc_state(n)
     opts = opts or ReconstructOptions()

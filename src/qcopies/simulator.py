@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import ConfigError, DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .witness import (
     SettingProbabilities,
@@ -115,8 +115,7 @@ class HistogramResult:
 
     def events(self, bins: int = 50) -> np.ndarray:
         """Trials per bin, `bins` equal bins over [0, 1]."""
-        if bins < 1:
-            raise QcopiesError(f"bins must be >= 1, got {bins}")
+        _check_count(bins, "bins")
         return np.histogram(self.fidelities, bins=bins, range=(0.0, 1.0))[0]
 
     def to_csv(self, bins: int = 50) -> str:
@@ -125,8 +124,7 @@ class HistogramResult:
         return csv_text(["bin_low", "bin_high", "events"], zip(edges, edges[1:], events))
 
     def summary_json(self, bins: int = 50) -> str:
-        if bins < 1:
-            raise QcopiesError(f"bins must be >= 1, got {bins}")
+        _check_count(bins, "bins")
         return json.dumps({
             "trials": int(self.fidelities.size),
             "mean": self.mean,
@@ -145,8 +143,7 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
     only its hit counts: t_j copies split between P_j and 1 - P_j, one row
     per trial, in one call.
     """
-    if trials < 1:
-        raise QcopiesError(f"trials must be >= 1, got {trials}")
+    _check_count(trials, "trials")
     t = allocation.t
     if t.shape != p_true.P.shape:
         raise DimensionMismatchError(f"allocation has {t.size} settings, expected {p_true.P.size}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DensityMatrix, XState, check_qubit_count
-from .errors import ConfigError, DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
@@ -81,8 +81,7 @@ class SettingProbabilities:
     P: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise QcopiesError(f"qubit count must be an integer >= 1, got {self.n!r}")
+        _check_count(self.n, "qubit count")
         arr = np.asarray(self.P, dtype=float)
         if arr.shape != (self.n + 1,):
             raise DimensionMismatchError(f"expected {self.n + 1} probabilities, got {arr.shape}")

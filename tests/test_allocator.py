@@ -11,13 +11,25 @@ from qcopies import (
     EIGHT_PHOTON_REPORTED_OPTIMUM,
     EIGHT_PHOTON_UNIFORM_COPIES,
     QcopiesError,
+    ReconstructOptions,
+    RngSeed,
     SettingProbabilities,
     allocate_sc,
     allocate_tomography_nonorthogonal,
     allocate_tomography_orthogonal,
     allocation_interval,
+    build_settings,
+    compare_distributions,
+    coverage_experiment,
+    joint_success,
+    noisy_sc_state,
+    rank_two_sc_state,
+    reconstruction_curve,
+    run_histogram_experiment,
     sc_variance_weights,
     solve_budget,
+    sweep_epsilon_ratio,
+    uniform_allocation,
 )
 from qcopies.allocator import _round_up, nonorthogonal_effective_weights
 
@@ -294,3 +306,33 @@ class TestCopyAllocationType:
     def test_rejects_zero_counts(self):
         with pytest.raises(QcopiesError):
             CopyAllocation(t=np.array([0, 5]), epsilon0=0.1, real_t=np.array([0.0, 5.0]))
+
+
+def _count_entry_points():
+    """Each public entry point that takes a count, called with that count."""
+    wd, rho, rng = build_settings(2), noisy_sc_state(2, 0.9), RngSeed(1)
+    alloc, tomo = uniform_allocation(3, 10), rank_two_sc_state(2, 0.8)
+    few = ReconstructOptions(max_iter=5)
+    return {
+        "histogram trials": lambda c: run_histogram_experiment(rho, wd, alloc, c, rng),
+        "compare trials": lambda c: compare_distributions(
+            rho, wd, {"a": alloc, "b": alloc}, c, rng),
+        "sweep repeats": lambda c: sweep_epsilon_ratio(rho, wd, [0.1], c, rng),
+        "coverage repeats": lambda c: coverage_experiment(rho, wd, [50], 0.01, c, rng),
+        "coverage copies": lambda c: coverage_experiment(rho, wd, [c], 0.01, 2, rng),
+        "curve repeats": lambda c: reconstruction_curve(tomo, 100, [4], c, rng, few),
+        "curve setting count": lambda c: reconstruction_curve(tomo, 100, [c], 1, rng, few),
+        "joint copies": lambda c: joint_success([c], [0.1]),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_count_entry_points()))
+@pytest.mark.parametrize("count", [2.5, True, 0, np.float64(3.0)])
+def test_counts_are_integers_at_least_one(entry, count):
+    """A count that is a float, a bool or below one raises QcopiesError
+    rather than a bare TypeError or a silent truncation; numpy integers
+    pass."""
+    call = _count_entry_points()[entry]
+    with pytest.raises(QcopiesError, match="must be an integer >= 1"):
+        call(count)
+    call(np.int64(3))

@@ -565,6 +565,22 @@ def test_readme_stdout_is_pinned(command, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# SHA-256 of the stdout of README commands that draw from the sampler, so a
+# deliberate sampler change may move them; the reconstruction solver must not.
+README_SAMPLED_STDOUT_DIGESTS = [
+    ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
+     "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d"),
+]
+
+
+@pytest.mark.parametrize("command, digest", README_SAMPLED_STDOUT_DIGESTS,
+                         ids=[c.split()[0] for c, _ in README_SAMPLED_STDOUT_DIGESTS])
+def test_readme_sampled_stdout_is_pinned(command, digest, capsys):
+    code, out, _ = run_cli(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # SHA-256 of the report files the README `adaptive` command writes with --out.
 README_ADAPTIVE_OUT_DIGESTS = {
     "rounds.csv": "9bbfe5e81bb308a836901f9d7e30fcdde2324233585b44443c9bebb0ce779cf5",

@@ -194,7 +194,7 @@ class TestLockstep:
         return [(settings, freqs, np.concatenate([s.rows for s in settings]),
                  np.concatenate(freqs)) for settings, freqs in cases]
 
-    @pytest.mark.parametrize("max_iter", [5000, 400])
+    @pytest.mark.parametrize("max_iter", [5000, 400, 7, 1])
     def test_matches_separate_solves(self, rng, max_iter):
         problems = self._problems(rng)
         opts = ReconstructOptions(max_iter=max_iter)
@@ -206,7 +206,9 @@ class TestLockstep:
             assert r.rho_hat.matrix.tobytes() == rho.tobytes()
             assert (r.objective, r.iterations, r.converged) == (obj, iterations, converged)
             assert r.objective_history.tobytes() == history.tobytes()
-        if max_iter == 400:  # one is cut by the budget, the others stall first
+        if max_iter < 50:  # every solve is cut inside its first phase
+            assert [(r.iterations, r.converged) for r in alone] == [(max_iter, False)] * 4
+        elif max_iter == 400:  # one is cut by the budget, the others stall first
             assert [r.converged for r in alone] == [True, True, False, True]
         else:  # they drop out far apart
             iterations = [r.iterations for r in alone]
@@ -299,7 +301,7 @@ def test_reconstruct_options_defaults():
     assert opts.max_iter == 5000
 
 
-@pytest.mark.parametrize("max_iter", [0, -3])
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, True, float("inf")])
 def test_reconstruct_options_need_an_iteration(max_iter):
-    with pytest.raises(QcopiesError):
+    with pytest.raises(QcopiesError, match="max_iter"):
         ReconstructOptions(max_iter=max_iter)
