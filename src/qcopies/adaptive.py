@@ -444,8 +444,7 @@ def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
     """
     if not 0 < rate8_hz < np.inf:
         raise QcopiesError(f"rate must be positive and finite, got {rate8_hz}")
-    if copies < 0:
-        raise QcopiesError(f"copies must be >= 0, got {copies}")
+    _check_count(copies, "copies", least=0)
     per_hour8 = rate8_hz * 3600.0
     two = per_hour8 ** 0.25
     ten = two ** 5

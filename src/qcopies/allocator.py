@@ -84,12 +84,15 @@ class CopyAllocation:
 
 def explicit_allocation(t, epsilon0: float = float("nan")) -> CopyAllocation:
     """Wrap a hand-chosen copy distribution (uniform, experimental, ...)."""
+    for count in np.asarray(t, dtype=object).ravel():
+        _check_count(count, "copies")
     t = np.asarray(t, dtype=np.int64)
     return CopyAllocation(t=t, epsilon0=epsilon0, real_t=t.astype(float))
 
 
 def uniform_allocation(n_settings: int, per_setting: int) -> CopyAllocation:
-    return explicit_allocation(np.full(n_settings, per_setting, dtype=np.int64))
+    _check_count(n_settings, "settings")
+    return explicit_allocation([per_setting] * n_settings)
 
 
 def real_optimum(k: np.ndarray, eps: float) -> np.ndarray:

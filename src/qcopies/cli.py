@@ -5,6 +5,9 @@ tenphoton-cost.  Flag values override --config file entries, which override
 defaults.  Every experiment is deterministic under --seed (environment
 variable QCOPIES_SEED is the fallback).  Exit codes: 0 success, 2 bad
 configuration or usage, 3 numerical/domain error.
+
+Each command returns its stdout and its report files; `main` alone writes
+them, the files into --out first, so a run that fails prints nothing.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .allocator import (
     solve_budget,
     uniform_allocation,
 )
-from .core import density_from_json, noisy_sc_state, rank_two_sc_state
+from .core import check_qubit_count, density_from_json, noisy_sc_state, rank_two_sc_state
 from .errors import ConfigError, QcopiesError, _check_count
 from .phaselift import ReconstructOptions, reconstruction_curve
 from .reports import csv_text, write_text
@@ -50,14 +53,15 @@ def _ints(text: str) -> list[int]:
     return [int(v) for v in vals]
 
 
-def _resolve_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("QCOPIES_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError as exc:
-        raise ConfigError(f"QCOPIES_SEED must be an integer, got {env!r}") from exc
+def _rng(args) -> RngSeed:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("QCOPIES_SEED")
+        try:
+            seed = int(env) if env else 0
+        except ValueError as exc:
+            raise ConfigError(f"QCOPIES_SEED must be an integer, got {env!r}") from exc
+    return RngSeed(seed)
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
@@ -94,30 +98,29 @@ def _parse_compare(specs, n_settings: int) -> dict[str, CopyAllocation]:
     return out
 
 
-def _build_state(n: int, fidelity: float | None, corner_mass: float | None,
-                 state_file: str | None = None):
-    if state_file is not None:
+def _build_state(args, model=noisy_sc_state):
+    """The state of a state command: the --state file, or `model` at --n,
+    --fidelity and --corner-mass."""
+    if args.n is None:
+        raise ConfigError("--n is required")
+    check_qubit_count(args.n)  # a bad --n is reported before the state's faults
+    if args.state is not None:
         try:
-            rho = density_from_json(Path(state_file).read_text())
+            rho = density_from_json(Path(args.state).read_text())
         except (OSError, UnicodeDecodeError, ConfigError) as exc:
-            raise ConfigError(f"cannot read state file {state_file!r}: {exc}") from exc
-        if rho.n_qubits != n:
-            raise ConfigError(f"state file holds {rho.n_qubits} qubits, --n says {n}")
+            raise ConfigError(f"cannot read state file {args.state!r}: {exc}") from exc
+        if rho.n_qubits != args.n:
+            raise ConfigError(f"state file holds {rho.n_qubits} qubits, --n says {args.n}")
         return rho
-    if fidelity is None:
+    if args.fidelity is None:
         raise ConfigError("--fidelity is required to build a synthetic state")
-    return noisy_sc_state(n, fidelity, corner_mass)
-
-
-def _emit(out_dir, files: dict[str, str]) -> None:
-    if out_dir:
-        for name, text in files.items():
-            write_text(Path(out_dir) / name, text)
+    return model(args.n, args.fidelity, args.corner_mass)
 
 
 # --- subcommand implementations -------------------------------------------
+# Each returns its stdout and its report files (name -> text); main writes both.
 
-def cmd_allocate(args) -> int:
+def cmd_allocate(args) -> tuple[str, dict[str, str]]:
     if args.k is not None:
         if args.epsilon is None:
             raise ConfigError("--k needs --epsilon (the squared budget)")
@@ -149,7 +152,6 @@ def cmd_allocate(args) -> int:
         "real_t": alloc.real_t.tolist(),
         "total": alloc.total,
     }
-    footer = ""
     if alloc.t.size == len(EIGHT_PHOTON_EXPERIMENT_COPIES):
         exp_total = sum(EIGHT_PHOTON_EXPERIMENT_COPIES)
         opt_total = sum(EIGHT_PHOTON_REPORTED_OPTIMUM)
@@ -158,19 +160,18 @@ def cmd_allocate(args) -> int:
             "reported_optimum_total": opt_total,
             "this_total": alloc.total,
         }
-        footer = (f"# reference: eight-photon experiment {exp_total}, "
-                  f"reported optimum {opt_total}\n")
-    _emit(args.out, {"allocation.csv": csv + footer, "allocation.json": json.dumps(report)})
-    sys.stdout.write(csv + footer)
-    sys.stdout.write(f"total={alloc.total}\n")
-    return 0
+        csv += f"# reference: eight-photon experiment {exp_total}, reported optimum {opt_total}\n"
+    return (csv + f"total={alloc.total}\n",
+            {"allocation.csv": csv, "allocation.json": json.dumps(report)})
 
 
-def cmd_simulate(args) -> int:
-    if args.n is None:
-        raise ConfigError("--n is required")
+def cmd_simulate(args) -> tuple[str, dict[str, str]]:
+    if args.histogram:
+        _check_count(args.bins, "bins")  # a bad --bins still exits 3, as it always has
+        if not args.out:
+            raise ConfigError("--histogram writes report files; it needs --out")
+    rho = _build_state(args)
     wd = build_settings(args.n)
-    rho = _build_state(args.n, args.fidelity, args.corner_mass, args.state)
     p_true = setting_probabilities(rho, wd)
     comparisons = _parse_compare(args.compare, args.n + 1)
     if args.epsilon0 is not None:
@@ -186,25 +187,20 @@ def cmd_simulate(args) -> int:
     if len(allocations) < 2:
         allocations = {"uniform-match": uniform_allocation(
             args.n + 1, int(np.ceil(optimized.total / (args.n + 1)))), **allocations}
-    rng = RngSeed(_resolve_seed(args.seed))
-    report = compare_distributions(rho, wd, allocations, trials=args.trials, rng=rng)
+    report = compare_distributions(rho, wd, allocations, trials=args.trials, rng=_rng(args))
     files = {"comparison.csv": report.to_csv(), "comparison.json": report.to_json()}
     if args.histogram:
         for row, res in zip(report.rows, report.results):
             files[f"histogram_{row.name}.csv"] = res.to_csv(args.bins)
             files[f"histogram_{row.name}.json"] = res.summary_json(args.bins)
-    _emit(args.out, files)
-    sys.stdout.write(report.to_csv())
     opt_row = report.row("optimized")
-    sys.stdout.write(f"optimized_total={opt_row.total} savings_pct={opt_row.savings_pct:.6g}\n")
-    return 0
+    return (files["comparison.csv"] + f"optimized_total={opt_row.total} "
+            f"savings_pct={opt_row.savings_pct:.6g}\n", files)
 
 
-def cmd_adaptive(args) -> int:
-    if args.n is None:
-        raise ConfigError("--n is required")
+def cmd_adaptive(args) -> tuple[str, dict[str, str]]:
+    rho = _build_state(args)
     wd = build_settings(args.n)
-    rho = _build_state(args.n, args.fidelity, args.corner_mass, args.state)
     schedule = _parse_schedule(args.schedule)
     if args.initial_p == "target":
         initial = setting_probabilities(noisy_sc_state(args.n, 1.0), wd).P
@@ -216,39 +212,28 @@ def cmd_adaptive(args) -> int:
         epsilon_schedule=schedule, initial_P=initial,
         t_initial=args.t_initial, t_min=args.t_min,
     )
-    rng = RngSeed(_resolve_seed(args.seed))
-    state = adaptive_mod.run_adaptive(rho, wd, cfg, rng.generator())
+    state = adaptive_mod.run_adaptive(rho, wd, cfg, _rng(args).generator())
     files = {"rounds.csv": state.history_csv(), "final.json": state.final_report_json()}
-    _emit(args.out, files)
-    sys.stdout.write(state.history_csv())
-    sys.stdout.write(f"total={state.total_copies} fidelity={state.fidelity:.6g} "
-                     f"fidelity_std={state.fidelity_std:.6g}\n")
-    return 0
+    return (files["rounds.csv"] + f"total={state.total_copies} fidelity={state.fidelity:.6g} "
+            f"fidelity_std={state.fidelity_std:.6g}\n", files)
 
 
-def cmd_hoeffding(args) -> int:
+def cmd_hoeffding(args) -> tuple[str, dict[str, str]]:
     if args.coverage:
-        if args.n is None:
-            raise ConfigError("--n is required for coverage runs")
+        rho = _build_state(args)
         wd = build_settings(args.n)
-        rho = _build_state(args.n, args.fidelity, args.corner_mass, args.state)
         copies = _ints(args.copies)
-        rng = RngSeed(_resolve_seed(args.seed))
         table = hoeffding_mod.coverage_experiment(
-            rho, wd, copies, delta=args.delta, repeats=args.repeats, rng=rng)
-        files = {"coverage.csv": table.to_csv()}
-        _emit(args.out, files)
-        sys.stdout.write(table.to_csv())
-        sys.stdout.write(f"true_value={table.true_value:.6g} "
-                         f"all_inside={int(table.all_inside)}\n")
-        return 0
+            rho, wd, copies, delta=args.delta, repeats=args.repeats, rng=_rng(args))
+        csv = table.to_csv()
+        return (csv + f"true_value={table.true_value:.6g} "
+                f"all_inside={int(table.all_inside)}\n", {"coverage.csv": csv})
     if args.required:
         if args.h is None:
             raise ConfigError("--required needs --h and --delta")
         t = hoeffding_mod.required_copies(float(args.h), float(args.delta))
-        sys.stdout.write(json.dumps({"h": float(args.h), "delta": args.delta,
-                                     "required_copies": t}) + "\n")
-        return 0
+        return json.dumps({"h": float(args.h), "delta": args.delta,
+                           "required_copies": t}) + "\n", {}
     if args.t is None or args.h is None:
         raise ConfigError("joint mode needs --t and --h (or use --coverage/--required)")
     t_list = _ints(args.t)
@@ -261,39 +246,30 @@ def cmd_hoeffding(args) -> int:
     if len(h_list) == 1:
         h_list = h_list * m
     prob = hoeffding_mod.joint_success(t_list, h_list)
-    sys.stdout.write(json.dumps({"t": t_list, "h": h_list, "joint_success": prob}) + "\n")
-    return 0
+    return json.dumps({"t": t_list, "h": h_list, "joint_success": prob}) + "\n", {}
 
 
-def cmd_tomography(args) -> int:
-    if args.n is None:
-        raise ConfigError("--n is required")
-    if args.rank2:
-        if args.fidelity is None:
-            raise ConfigError("--fidelity is required to build a synthetic state")
-        rho = rank_two_sc_state(args.n, args.fidelity)
-    else:
-        rho = _build_state(args.n, args.fidelity, args.corner_mass, args.state)
+def cmd_tomography(args) -> tuple[str, dict[str, str]]:
+    if args.rank2 and (args.state is not None or args.corner_mass is not None):
+        raise ConfigError("--rank2 builds its own state; it takes no --state or --corner-mass")
+    rho = _build_state(args, (lambda n, f, _: rank_two_sc_state(n, f)) if args.rank2
+                       else noisy_sc_state)
     size = (4 if args.family == "projectors" else 3) ** args.n  # settings in the family
     counts = (_ints(args.settings) if args.settings is not None
               else sorted({min(m, size) for m in (8, 16, 30, 45, 56, 64)}))
-    rng = RngSeed(_resolve_seed(args.seed))
     curve = reconstruction_curve(
         rho, counts_per_setting=args.counts, setting_counts=counts,
-        repeats=args.repeats, rng=rng, family=args.family,
+        repeats=args.repeats, rng=_rng(args), family=args.family,
         opts=ReconstructOptions(max_iter=args.max_iter))
-    _emit(args.out, {"curve.csv": curve.to_csv()})
-    sys.stdout.write(curve.to_csv())
-    return 0
+    csv = curve.to_csv()
+    return csv, {"curve.csv": csv}
 
 
-def cmd_tenphoton_cost(args) -> int:
+def cmd_tenphoton_cost(args) -> tuple[str, dict[str, str]]:
     if args.rate8 is None or args.copies is None:
         raise ConfigError("tenphoton-cost needs --rate8 and --copies")
-    report = adaptive_mod.ten_photon_cost(args.rate8, args.copies)
-    _emit(args.out, {"cost.json": report.to_json()})
-    sys.stdout.write(report.to_json() + "\n")
-    return 0
+    text = adaptive_mod.ten_photon_cost(args.rate8, args.copies).to_json()
+    return text + "\n", {"cost.json": text}
 
 
 # --- parser / config plumbing ----------------------------------------------
@@ -328,6 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def state_opt(p):
         p.add_argument("--state", default=None,
                        help="JSON density-matrix file to use instead of --fidelity")
+        p.add_argument("--n", type=int)
+        p.add_argument("--fidelity", type=float)
+        p.add_argument("--corner-mass", type=float, default=None)
 
     p = sub.add_parser("allocate", help="closed-form minimum-copies allocation")
     common(p)
@@ -342,9 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="compare copy distributions by Monte Carlo")
     common(p)
     state_opt(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--fidelity", type=float)
-    p.add_argument("--corner-mass", type=float, default=None)
     p.add_argument("--epsilon0", type=float, default=None)
     p.add_argument("--compare", action="append",
                    help="name:copies-per-setting or name:c1/c2/...; repeatable")
@@ -357,9 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adaptive", help="multi-round feedback protocol")
     common(p)
     state_opt(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--fidelity", type=float)
-    p.add_argument("--corner-mass", type=float, default=None)
     p.add_argument("--schedule", default="0.01:0.1:0.00001",
                    help="start:ratio:final or explicit comma list of squared budgets")
     p.add_argument("--t-initial", type=int, default=5)
@@ -373,9 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     state_opt(p)
     p.add_argument("--coverage", action="store_true")
     p.add_argument("--required", action="store_true")
-    p.add_argument("--n", type=int)
-    p.add_argument("--fidelity", type=float)
-    p.add_argument("--corner-mass", type=float, default=None)
     p.add_argument("--delta", type=float, default=1e-4)
     p.add_argument("--copies", default="50,100,200,400,800,1600,3200")
     p.add_argument("--repeats", type=int, default=10)
@@ -387,9 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tomography", help="phaselift reconstruction curve")
     common(p)
     state_opt(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--fidelity", type=float)
-    p.add_argument("--corner-mass", type=float, default=None)
     p.add_argument("--counts", type=int, default=10000, help="copies per setting")
     p.add_argument("--settings", help="comma list of setting counts for the curve "
                    "(default 8,16,30,45,56,64, each capped at the family's size)")
@@ -458,11 +425,16 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args = _apply_config(args, argv)
-        return args.func(args)
+        stdout, files = args.func(_apply_config(args, argv))
+        try:
+            for name, text in files.items() if args.out else ():
+                write_text(Path(args.out) / name, text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report files to --out {args.out!r}: {exc}") from exc
+        sys.stdout.write(stdout)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

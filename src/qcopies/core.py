@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, QcopiesError
+from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -38,8 +39,11 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def check_qubit_count(n: int) -> None:
-    if not 1 <= int(n) <= MAX_QUBITS:
+    """Raise QcopiesError unless n is a qubit count in [1, MAX_QUBITS]: a
+    Python or numpy integer, not a bool or a float."""
+    if isinstance(n, Integral) and not 1 <= n <= MAX_QUBITS:
         raise QcopiesError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
+    _check_count(n, "qubit count")
 
 
 def _check_dense(n: int) -> None:

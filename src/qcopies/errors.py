@@ -22,8 +22,9 @@ class ConfigError(QcopiesError):
     """Invalid experiment configuration."""
 
 
-def _check_count(value, name: str, error: type[QcopiesError] = QcopiesError) -> None:
-    """Raise `error` unless value is an integer >= 1: a Python or numpy
+def _check_count(value, name: str, error: type[QcopiesError] = QcopiesError,
+                 least: int = 1) -> None:
+    """Raise `error` unless value is an integer >= least: a Python or numpy
     integer, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-        raise error(f"{name} must be an integer >= 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")

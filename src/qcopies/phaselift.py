@@ -32,8 +32,8 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .core import (DensityMatrix, XState, fidelity_pure, frobenius_distance, psd_project,
-                   psd_project_stack, sc_state)
+from .core import (DensityMatrix, XState, check_qubit_count, fidelity_pure,
+                   frobenius_distance, psd_project, psd_project_stack, sc_state)
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
@@ -106,7 +106,7 @@ class ProductSetting:
 
 
 def _family(letters: str, n: int) -> list[ProductSetting]:
-    ProductSetting(letters[0] * n)  # checks n before the enumeration
+    check_qubit_count(n)  # then the first setting checks the family's own cap
     return [ProductSetting("".join(p)) for p in product(letters, repeat=n)]
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Number
 
 import numpy as np
 
@@ -78,9 +79,8 @@ def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
     p = np.asarray(probs, dtype=float)
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
-    if isinstance(copies, (int, np.integer)):
-        if copies < 0:
-            raise QcopiesError(f"copies must be >= 0, got {copies}")
+    if isinstance(copies, Number):
+        _check_count(copies, "copies", least=0)
     else:
         c = np.asarray(copies)
         if c.dtype.kind not in "iu" or c.min(initial=0) < 0:

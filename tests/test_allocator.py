@@ -21,15 +21,23 @@ from qcopies import (
     build_settings,
     compare_distributions,
     coverage_experiment,
+    depolarized_sc,
+    explicit_allocation,
     joint_success,
     noisy_sc_state,
+    pauli_settings,
     rank_two_sc_state,
     reconstruction_curve,
     run_histogram_experiment,
+    sample_counts,
+    sc_state,
     sc_variance_weights,
     solve_budget,
     sweep_epsilon_ratio,
+    ten_photon_cost,
+    tomography_projectors,
     uniform_allocation,
+    white_noise_weight_for_fidelity,
 )
 from qcopies.allocator import _round_up, nonorthogonal_effective_weights
 
@@ -323,6 +331,9 @@ def _count_entry_points():
         "curve repeats": lambda c: reconstruction_curve(tomo, 100, [4], c, rng, few),
         "curve setting count": lambda c: reconstruction_curve(tomo, 100, [c], 1, rng, few),
         "joint copies": lambda c: joint_success([c], [0.1]),
+        "explicit copies": lambda c: explicit_allocation([c, 2]),
+        "uniform settings": lambda c: uniform_allocation(c, 2),
+        "uniform copies": lambda c: uniform_allocation(2, c),
     }
 
 
@@ -335,4 +346,48 @@ def test_counts_are_integers_at_least_one(entry, count):
     call = _count_entry_points()[entry]
     with pytest.raises(QcopiesError, match="must be an integer >= 1"):
         call(count)
+    call(np.int64(3))
+
+
+# Each public entry point that takes a qubit count, called with that count.
+QUBIT_COUNT_ENTRY_POINTS = {
+    "sc_state": sc_state,
+    "noisy_sc_state": lambda n: noisy_sc_state(n, 0.8),
+    "depolarized_sc": lambda n: depolarized_sc(n, 0.8),
+    "rank_two_sc_state": lambda n: rank_two_sc_state(n, 0.8),
+    "white_noise_weight_for_fidelity": lambda n: white_noise_weight_for_fidelity(n, 0.9),
+    "build_settings": build_settings,
+    "pauli_settings": pauli_settings,
+    "tomography_projectors": tomography_projectors,
+}
+
+
+@pytest.mark.parametrize("entry", list(QUBIT_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("n", [2.5, True, np.float64(3.0)])
+def test_qubit_counts_are_integers(entry, n):
+    """A qubit count that is a float or a bool raises QcopiesError rather
+    than a bare TypeError, a wrong answer or one qubit; numpy integers
+    pass."""
+    call = QUBIT_COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(QcopiesError, match="qubit count must be an integer >= 1"):
+        call(n)
+    call(np.int64(3))
+
+
+# Each public entry point that takes a count that may be zero.
+ZERO_COUNT_ENTRY_POINTS = {
+    "sample_counts copies": lambda c: sample_counts([0.5, 0.5], c, np.random.default_rng(0)),
+    "ten_photon_cost copies": lambda c: ten_photon_cost(1.0, c),
+}
+
+
+@pytest.mark.parametrize("entry", list(ZERO_COUNT_ENTRY_POINTS))
+@pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)])
+def test_counts_are_integers_at_least_zero(entry, count):
+    """No copy count is truncated or taken from a bool; zero and numpy
+    integers pass."""
+    call = ZERO_COUNT_ENTRY_POINTS[entry]
+    with pytest.raises(QcopiesError, match="must be an integer >= 0"):
+        call(count)
+    call(0)
     call(np.int64(3))

@@ -596,6 +596,58 @@ def test_readme_adaptive_out_files_are_pinned(tmp_path, capsys):
             for name in README_ADAPTIVE_OUT_DIGESTS} == README_ADAPTIVE_OUT_DIGESTS
 
 
+# SHA-256 of the stdout and of every report file of each README command run
+# with --out (and --histogram on simulate).  The simulate and coverage runs
+# draw from the sampler, so a deliberate sampler change may move them.
+README_RUNS = [
+    ("allocate --n 8 --epsilon0 0.016 --p " + MEASURED_P,
+     "b9d2a37d60954c508d8d4c55f4c5117e773421cb406d62c698e641bfc5e99957",
+     {"allocation.csv": "bbf49da8e51d415edfa8a80e204bd0fd837add7f7f5efe7dcf3fa5fc04cc3162",
+      "allocation.json": "7e7ebf1bcc105ba9e132227f4b4c4d3432d458d1d75377451716534889ed9bd4"}),
+    ("allocate --k 0.01,0.01,0.01,0.01,0.01 --epsilon 0.001",
+     "584d185e0275eb168094dbad2053a0a4b3ede44a04f5283425365b44b29dfcec",
+     {"allocation.csv": "57f2388d4dc568b82aa044cf3b4c715f9ada4ff0bfb1d579295f266af6d31f97",
+      "allocation.json": "0349d240beee539e0da5ce84b3e052c1d1ab5a60e847a701e758adc84567f0f6"}),
+    ("simulate --n 10 --fidelity 0.8414 --corner-mass 0.947 --compare uniform:100 "
+     "--trials 100 --seed 7 --histogram",
+     "9a714dad3b326de8e5cb4ee95aed36b1504b5e59ce5885968623e0f61888c034",
+     {"comparison.csv": "35429ecb7df28dc18194071c8f73b72fc81997a1a55dd605f5d07f7e6d55206a",
+      "comparison.json": "07907b5fd80f4e6496b5de28635de558d22c7982092e23eb444a86b47a17ab40",
+      "histogram_optimized.csv":
+          "2fedbe92fbe1a3188a3ddf7c986db400a9b0cf73691f01b7d0c246580695f140",
+      "histogram_optimized.json":
+          "b40cb0f2c010a197887b5d5afcb891daa6a71247d5d6340be284a8600b7ee14d",
+      "histogram_uniform.csv":
+          "3cfd3e3e5b3813d1c1a439f7e882167881c5469d4b6fb6769ab9e9db6d927eeb",
+      "histogram_uniform.json":
+          "55d3f79a323ea67b09acccf3b3b73d192782f10bc46e7818ca278d00b51b14b4"}),
+    ("adaptive --n 4 --fidelity 0.9374 --schedule 0.01:0.1:0.00001 --seed 0",
+     "22cad60361d7140e71cc28fb9894bf152dae0360886f0f867635195857717ecd",
+     README_ADAPTIVE_OUT_DIGESTS),
+    ("hoeffding --t 110 --h 0.2 --settings 9",
+     "6ad0247f0e09e4d9a9c14cfc6b97b5e14c5b740e3c3694bf846909b3bbd3a1d2", {}),
+    ("hoeffding --coverage --n 8 --fidelity 0.708 --corner-mass 0.8068 --delta 1e-4",
+     "4d6a5159a26800da43f390ee9c15380f0845f875213205f08ceaa356c41c5fc0",
+     {"coverage.csv": "4ba0ae26553fba00eefd1ae3cb8163f07a2f05147f2ea958761a639afae1203f"}),
+    ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
+     "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d",
+     {"curve.csv": "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d"}),
+    ("tenphoton-cost --rate8 2.8e-5 --copies 110",
+     "babdd1f9ac412fe999aba33d4ac73ebd33d4f60f8c3777737ed1ef7ebe2a4487",
+     {"cost.json": "abef40dfb5b6dc1ff27f434a6d7a28d9238af037033aeca11af18d7b1773451a"}),
+]
+
+
+@pytest.mark.parametrize("command, stdout, files", README_RUNS,
+                         ids=[c.split()[0] + str(i) for i, (c, _, _) in enumerate(README_RUNS)])
+def test_readme_stdout_and_out_files_are_pinned(command, stdout, files, tmp_path, capsys):
+    code, out, _ = run_cli(command.split() + ["--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == files
+
+
 class TestSeedFallback:
     def test_env_seed_matches_flag(self, tmp_path, capsys, monkeypatch):
         base = ["simulate", "--n", "2", "--fidelity", "0.9", "--compare", "uniform:50",
@@ -625,6 +677,12 @@ BAD_INPUTS = [
     ("hoeffding --t 110 --h 0.2 --settings 0", {}, 2),
     ("allocate --p 0.5 --epsilon0 0.1", {}, 3),
     ("tenphoton-cost --rate8 inf --copies 110", {}, 3),
+    ("simulate --n 2 --fidelity 0.9 --compare uniform:10 --trials 5 --seed 1 --histogram",
+     {}, 2),
+    ("tomography --n 2 --fidelity 0.8 --rank2 --state missing.json --settings 4 --counts 100 "
+     "--repeats 1", {}, 2),
+    ("tomography --n 2 --fidelity 0.8 --rank2 --corner-mass 0.9 --settings 4 --counts 100 "
+     "--repeats 1", {}, 2),
 ]
 
 
@@ -637,6 +695,14 @@ def test_bad_input_exit_code(command, env, code, capsys, monkeypatch):
     assert got == code
     assert out == ""
     assert "Traceback" not in err and err.startswith(("config error: ", "error: "))
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code, out, err = run_cli(["allocate", "--k", "0.01,0.01", "--epsilon", "0.001",
+                              "--out", str(tmp_path / "file" / "sub")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_console_entry_point():
