@@ -68,6 +68,8 @@ class CopyAllocation:
     def __post_init__(self):
         t = np.array(self.t, dtype=np.int64)
         r = np.array(self.real_t, dtype=float)
+        if t.ndim != 1 or t.size == 0:
+            raise DimensionMismatchError("t must be a nonempty vector")
         if t.shape != r.shape:
             raise DimensionMismatchError("t and real_t must have the same shape")
         if np.any(t < 1):

@@ -7,7 +7,8 @@ variable QCOPIES_SEED is the fallback).  Exit codes: 0 success, 2 bad
 configuration or usage, 3 numerical/domain error.
 
 Each command returns its stdout and its report files; `main` alone writes
-them, the files into --out first, so a run that fails prints nothing.
+them, the files into --out first, so a run that fails prints nothing.  `main`
+builds the parser of the invoked command only; help and usage errors get all six.
 """
 from __future__ import annotations
 
@@ -288,39 +289,24 @@ class _Parser(argparse.ArgumentParser):
         return action
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="qcopies",
-        description="Copy budgeting and simulation for SC-state certification.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _state_options(p):
+    p.add_argument("--state", help="JSON density-matrix file to use instead of --fidelity")
+    p.add_argument("--n", type=int)
+    p.add_argument("--fidelity", type=float)
+    p.add_argument("--corner-mass", type=float, default=None)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file with defaults for this command")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", help="directory for report files")
-        p.set_defaults(config_options=p.options)
 
-    def state_opt(p):
-        p.add_argument("--state", default=None,
-                       help="JSON density-matrix file to use instead of --fidelity")
-        p.add_argument("--n", type=int)
-        p.add_argument("--fidelity", type=float)
-        p.add_argument("--corner-mass", type=float, default=None)
-
-    p = sub.add_parser("allocate", help="closed-form minimum-copies allocation")
-    common(p)
+def _allocate_options(p):
     p.add_argument("--n", type=int)
     p.add_argument("--p", help="comma list of n+1 setting probabilities")
     p.add_argument("--epsilon0", type=float, help="bound on the fidelity deviation")
     p.add_argument("--k", help="comma list of variance weights")
     p.add_argument("--epsilon", type=float, help="squared budget for --k mode")
     p.add_argument("--t-min", type=int, default=1)
-    p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("simulate", help="compare copy distributions by Monte Carlo")
-    common(p)
-    state_opt(p)
+
+def _simulate_options(p):
+    _state_options(p)
     p.add_argument("--epsilon0", type=float, default=None)
     p.add_argument("--compare", action="append",
                    help="name:copies-per-setting or name:c1/c2/...; repeatable")
@@ -328,22 +314,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", action="store_true")
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--t-min", type=int, default=1)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("adaptive", help="multi-round feedback protocol")
-    common(p)
-    state_opt(p)
+
+def _adaptive_options(p):
+    _state_options(p)
     p.add_argument("--schedule", default="0.01:0.1:0.00001",
                    help="start:ratio:final or explicit comma list of squared budgets")
     p.add_argument("--t-initial", type=int, default=5)
     p.add_argument("--initial-p", default=None,
                    help="comma list, or 'target' for pure-state priors")
     p.add_argument("--t-min", type=int, default=1)
-    p.set_defaults(func=cmd_adaptive)
 
-    p = sub.add_parser("hoeffding", help="concentration bounds and coverage")
-    common(p)
-    state_opt(p)
+
+def _hoeffding_options(p):
+    _state_options(p)
     p.add_argument("--coverage", action="store_true")
     p.add_argument("--required", action="store_true")
     p.add_argument("--delta", type=float, default=1e-4)
@@ -352,11 +336,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", help="copies per setting (scalar or comma list)")
     p.add_argument("--h", help="deviation bound (scalar or comma list)")
     p.add_argument("--settings", type=int, default=None)
-    p.set_defaults(func=cmd_hoeffding)
 
-    p = sub.add_parser("tomography", help="phaselift reconstruction curve")
-    common(p)
-    state_opt(p)
+
+def _tomography_options(p):
+    _state_options(p)
     p.add_argument("--counts", type=int, default=10000, help="copies per setting")
     p.add_argument("--settings", help="comma list of setting counts for the curve "
                    "(default 8,16,30,45,56,64, each capped at the family's size)")
@@ -365,13 +348,40 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the rank-two noise model instead of white noise")
     p.add_argument("--repeats", type=int, default=2)
     p.add_argument("--max-iter", type=int, default=5000)
-    p.set_defaults(func=cmd_tomography)
 
-    p = sub.add_parser("tenphoton-cost", help="copy-rate arithmetic for ten photons")
-    common(p)
+
+def _cost_options(p):
     p.add_argument("--rate8", type=float, help="eight-photon coincidence rate in Hz")
     p.add_argument("--copies", type=int)
-    p.set_defaults(func=cmd_tenphoton_cost)
+
+
+# name, help, handler and the options after --config --seed --out, in --help order
+_COMMANDS = (
+    ("allocate", "closed-form minimum-copies allocation", cmd_allocate, _allocate_options),
+    ("simulate", "compare copy distributions by Monte Carlo", cmd_simulate, _simulate_options),
+    ("adaptive", "multi-round feedback protocol", cmd_adaptive, _adaptive_options),
+    ("hoeffding", "concentration bounds and coverage", cmd_hoeffding, _hoeffding_options),
+    ("tomography", "phaselift reconstruction curve", cmd_tomography, _tomography_options),
+    ("tenphoton-cost", "copy-rate arithmetic for ten photons", cmd_tenphoton_cost, _cost_options),
+)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with `command`'s subparser alone, or with all six when it names none.
+    Only the lean one sets metavar, so usage lines and error messages keep their bytes."""
+    names = [name for name, *_ in _COMMANDS]
+    chosen = [row for row in _COMMANDS if row[0] == command]
+    parser = _Parser(prog="qcopies",
+                     description="Copy budgeting and simulation for SC-state certification.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}" if chosen else None)
+    for name, help_text, func, options in chosen or _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file with defaults for this command")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", help="directory for report files")
+        options(p)
+        p.set_defaults(func=func, config_options=p.options)
     return parser
 
 
@@ -425,7 +435,7 @@ def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespa
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         stdout, files = args.func(_apply_config(args, argv))
         try:

@@ -6,6 +6,7 @@ from qcopies import (
     BudgetProblem,
     CopyAllocation,
     DegenerateProblemError,
+    DimensionMismatchError,
     EIGHT_PHOTON_EXPERIMENT_COPIES,
     EIGHT_PHOTON_MEASURED_P,
     EIGHT_PHOTON_REPORTED_OPTIMUM,
@@ -314,6 +315,13 @@ class TestCopyAllocationType:
     def test_rejects_zero_counts(self):
         with pytest.raises(QcopiesError):
             CopyAllocation(t=np.array([0, 5]), epsilon0=0.1, real_t=np.array([0.0, 5.0]))
+
+    @pytest.mark.parametrize("t", [[], [[3, 4], [5, 6]], 5], ids=["empty", "2-D", "scalar"])
+    def test_t_must_be_a_nonempty_vector(self, t):
+        with pytest.raises(DimensionMismatchError, match="t must be a nonempty vector"):
+            CopyAllocation(t=np.array(t), epsilon0=0.1, real_t=np.array(t, dtype=float))
+        with pytest.raises(DimensionMismatchError, match="t must be a nonempty vector"):
+            explicit_allocation(t)
 
 
 def _count_entry_points():

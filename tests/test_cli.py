@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcopies import QcopiesError, ten_photon_cost
-from qcopies.cli import _build_parser, main
+from qcopies.cli import _Parser, _build_parser, main
 
 
 def run_cli(args, capsys):
@@ -304,12 +304,15 @@ class TestSimulate:
     @staticmethod
     def _peak_mb_of_simulate(n):
         """Run the README's simulate command at n qubits in its own process,
-        so the peak RSS is this run's; check its two rows, return that peak."""
+        so the peak RSS is this run's; check its two rows, return that peak.
+        The child reads its VmHWM: its ru_maxrss would carry the high-water
+        mark of the process that spawned it across the exec."""
         argv = ["simulate", "--n", str(n), "--fidelity", "0.8414", "--corner-mass", "0.947",
                 "--compare", "uniform:100", "--trials", "20", "--seed", "1"]
-        proc = _python("-c", "import resource, sys; from qcopies.cli import main; "
+        proc = _python("-c", "import sys; from qcopies.cli import main; "
                              f"code = main({argv!r}); "
-                             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+                             "print(next(line.split()[1] for line in open('/proc/self/status') "
+                             "if line.startswith('VmHWM:'))); "
                              "sys.exit(code)")
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
@@ -317,7 +320,7 @@ class TestSimulate:
         assert [r["name"] for r in rows] == ["uniform", "optimized"]
         for r in rows:
             assert abs(float(r["mean_fidelity"]) - 0.8414) < 0.03
-        return int(lines[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        return int(lines[-1]) / 1024  # VmHWM is in kB
 
     def test_sixteen_qubits_in_o_of_two_to_the_n_memory(self):
         # a dense 16-qubit state alone would take 16 * 4**16 bytes = 64 GiB
@@ -703,6 +706,88 @@ def test_unwritable_out_exit_2(tmp_path, capsys):
                               "--out", str(tmp_path / "file" / "sub")], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+# Help and usage errors keep their bytes now that `main` builds only the
+# invoked command's parser: exit code and SHA-256 of stdout and of stderr at
+# COLUMNS=80, as the full parser printed them under Python 3.11's argparse.
+EMPTY = hashlib.sha256(b"").hexdigest()
+PARSER_OUTPUT_DIGESTS = [
+    ("--help", 0,
+     "f8d59ae1001189b65a57dbbdf4d568acbda6f08b5370218afbcbb42bafa9e8f4", EMPTY),
+    ("", 2,
+     EMPTY, "ef037abed62a2f7d9f0597f48a9a0c9938d1e8c06550389e19dcc5411684e9ae"),
+    ("bogus", 2,
+     EMPTY, "d7dad3c277c46b762ddcd08dfaa370fd08ff6c67198f54dba2823054f609dc76"),
+    ("-h simulate", 0,
+     "f8d59ae1001189b65a57dbbdf4d568acbda6f08b5370218afbcbb42bafa9e8f4", EMPTY),
+    ("allocate --help", 0,
+     "ac304261cdea8bd3f265cbf8b04aa83cbba497657a9dc10db5c2d11a4089149f", EMPTY),
+    ("simulate --help", 0,
+     "630d9fc298dd2b99dbabb73ef3b0537cd7b76091be30bc0247bc730f2ca906e6", EMPTY),
+    ("adaptive --help", 0,
+     "d453b238205232348c415b501629414214ce12a1d9742e2b59d2329e360edf05", EMPTY),
+    ("hoeffding --help", 0,
+     "4ff0d332048cfbdbcb91f60482bcec582ebf158b7ae79b4e43c21df4c099f256", EMPTY),
+    ("tomography --help", 0,
+     "7ce9ff8b6e2de6259aa4b6ac28925e0decf74d4263c6f8c98d310b691248aebf", EMPTY),
+    ("tenphoton-cost --help", 0,
+     "c1cd71ef02fa43e091c9170389871314a672347aae40c28202e74f912b655a1a", EMPTY),
+    ("simulate --n 3 extra", 2,
+     EMPTY, "8fccd1998ad38c04baf7d37e43732286dd5a84a72e49f423f45a96c0aa9c0982"),
+    ("simulate --nope", 2,
+     EMPTY, "93ee157bac2ba33e886fa10b17d455d4d5110b2b2707821c1405ba9a1af64e9f"),
+    ("simulate --trials x", 2,
+     EMPTY, "0bcc7980b72156fa6e3a708f06d00c0830d4b453c94f33d581fa631fec157b6b"),
+    ("simulate --n 3 --fidelity 0.8 --compare uniform:50 --trials 5"
+     " --seed 1 --config /nonexistent", 2,
+     EMPTY, "9912aa83907d0bbdcbda73c6b0b5924be8ac135be0c45d3455303720136d22d8"),
+]
+
+
+@pytest.mark.parametrize("command, code, stdout, stderr", PARSER_OUTPUT_DIGESTS,
+                         ids=[c or "no-argument" for c, *_ in PARSER_OUTPUT_DIGESTS])
+def test_help_and_usage_errors_are_pinned(command, code, stdout, stderr, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        got = main(command.split())
+    except SystemExit as exc:
+        got = exc.code
+    out = capsys.readouterr()
+    assert (got, hashlib.sha256(out.out.encode()).hexdigest(),
+            hashlib.sha256(out.err.encode()).hexdigest()) == (code, stdout, stderr), out
+
+
+@pytest.mark.parametrize("argv", [[c, "--help"] for c in COMMANDS]
+                         + [["tenphoton-cost", "--rate8", "2.8e-5", "--copies", "110"]],
+                         ids=" ".join)
+def test_main_builds_only_the_invoked_commands_parser(argv, capsys, monkeypatch):
+    built = []
+    add_argument = _Parser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        built.append(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(_Parser, "add_argument", spy)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    assert capsys.readouterr().out
+    assert set(built) == {"qcopies", f"qcopies {argv[0]}"}
+
+
+def _option_table(namespace):
+    return {dest: (action.option_strings, kind, action.type, action.default, action.nargs,
+                   action.choices, action.help)
+            for dest, (action, kind) in namespace.config_options.items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_command_parser_matches_the_full_one(command):
+    lean = _build_parser(command).parse_args([command])
+    full = _build_parser().parse_args([command])
+    assert _option_table(lean) == _option_table(full)
+    assert {**vars(lean), "config_options": None} == {**vars(full), "config_options": None}
 
 
 def test_console_entry_point():
