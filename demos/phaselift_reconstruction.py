@@ -1,8 +1,8 @@
 """Reconstructing a density matrix from measured frequencies by minimizing
 the absolute misfit over trace-one PSD matrices.
 
-First a sanity check (noiseless frequencies reproduce the state to
-numerical precision), then the main experiment: how reconstruction quality
+First a sanity check (noiseless frequencies reproduce the state to within
+the solver's stopping tolerance, about 1e-8), then the main experiment: how reconstruction quality
 grows with the number of single-projector settings measured, for a
 cat-dominated three-qubit state with fidelity 0.7068.
 """

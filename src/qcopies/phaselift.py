@@ -11,24 +11,25 @@ rows vec(M_i^T), one per outcome, and that one linear model serves
 throughout: Born probabilities are rows @ vec(rho), the sampler draws from
 them, and the solver fits the rows to the data.
 
-The solver is projected gradient descent on a graduated sequence of
-Huber-smoothed objectives (widths 1e-1 down to 1e-6, each phase ending on
-a stall or its share of the iteration budget) with Nesterov momentum,
-PSD/trace projection after every step and best-iterate tracking, so the
-sequence of accepted objectives never increases.  Each problem's solve is
-one coroutine, `_graduated`, written as those plain loops; `_solve`
-advances a batch of them in lockstep, one round per step, and makes one
-stacked projection per round for every live problem.  `reconstruct`
-passes one problem, while `reconstruction_curve` passes every setting
-count and repeat of the curve at once.  Each problem's result is bit for
-bit the one it gets alone.
+The solver is Chambolle and Pock's primal-dual method (J. Math. Imaging
+Vis. 40, 120 (2011)) on the nonsmooth objective itself: a dual vector in
+[-1, 1] per operator row, a projected primal step along its adjoint, an
+extrapolated primal iterate, and best-iterate tracking, so the sequence of
+accepted objectives never increases.  A solve stops when a window of 100
+steps lowers the best objective by at most 1e-5 relative, or on its
+iteration budget.  Each problem's solve is one coroutine, `_primal_dual`,
+written as that plain loop; `_solve` advances a batch of them in lockstep,
+one round per step, and makes one stacked projection per round for every
+live problem.  `reconstruct` passes one problem, while
+`reconstruction_curve` passes every setting count and repeat of the curve
+at once.  Each problem's result is bit for bit the one it gets alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from math import isqrt, sqrt
+from math import isqrt
 
 import numpy as np
 
@@ -145,12 +146,12 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     return rows
 
 
-# Graduated Huber widths, widest first.  A phase ends after more than
-# _STALL_LIMIT steps in a row that each improve the best objective by less
-# than _MIN_GAIN.
-_HUBER_WIDTHS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-_STALL_LIMIT = 60
-_MIN_GAIN = 1e-9
+# Primal-dual steps tau = _RATIO / |A|, sigma = 1 / (_RATIO |A|).  Every
+# _WINDOW steps the solve stops once the best objective has gained at most
+# _TOL * (1 + best) since the last check.
+_RATIO = 0.03
+_WINDOW = 100
+_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,9 @@ class ReconstructOptions:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """`converged` is True when the final, narrowest smoothing phase stopped
-    on a stall rather than on its iteration budget."""
+    """`converged` is True when the solve stopped on its stall rule (a window
+    of steps that barely lowered the best objective) rather than on its
+    iteration budget."""
 
     rho_hat: DensityMatrix
     objective: float
@@ -198,62 +200,54 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     return _solve([(A, freqs)], opts.max_iter)[0]
 
 
-def _graduated(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: int):
-    """The graduated solve of one problem, as a coroutine: each step yields
-    (y, gradient, step) and is sent back the projection of y - step * grad
+def _primal_dual(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: int):
+    """The primal-dual solve of one problem, as a coroutine: each step yields
+    (x, gradient, step) and is sent back the projection of x - step * grad
     with the gradient symmetrized, a matrix it reads but never writes; it
     returns the ReconstructionResult.
 
-    One phase per Huber width restarts the Nesterov momentum from the best
-    iterate and ends on a stall or after its share of max_iter.  Once
-    max_iter steps are spent, the remaining phases take no step, so
-    `converged` is True only when the narrowest phase ended on a stall."""
-    lipschitz = float(np.linalg.norm(A, 2) ** 2)
+    The dual moves by sigma times the misfit of the extrapolated iterate
+    2 x - x_prev, read off the last two objective products, and is clipped
+    to [-1, 1]; the primal steps along its adjoint.  `converged` is True
+    when the stall rule ended the solve, checked at every _WINDOW-th step."""
+    norm = float(np.linalg.norm(A, 2))
+    tau, sigma = _RATIO / norm, 1.0 / (_RATIO * norm)
     d = start.shape[-1]
-
-    def objective(mat: np.ndarray) -> float:
-        return float(np.abs((A @ mat.ravel()).real - freqs).sum())
-
-    best, best_obj = start, objective(start)
+    x = best = start
+    fit = fit_prev = (A @ start.ravel()).real
+    best_obj = checked = float(np.abs(fit - freqs).sum())
     history = [best_obj]
-    iterations = 0
-    per_phase = max(50, max_iter // len(_HUBER_WIDTHS))
-    for width in _HUBER_WIDTHS:
-        y = prev = best
-        momentum, stall = 1.0, 0
-        for _ in range(min(per_phase, max_iter - iterations)):
-            residual = (A @ y.ravel()).real - freqs
-            wts = residual / np.maximum(np.abs(residual), width)
-            cur = yield y, (wts @ A).reshape(d, d).T, width / lipschitz
-            m_next = (1.0 + sqrt(1.0 + 4.0 * momentum**2)) / 2.0
-            y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
-            prev, momentum = cur, m_next
-            iterations += 1
-            obj = objective(cur)
-            stall = 0 if obj < best_obj - _MIN_GAIN else stall + 1
-            if obj < best_obj:
-                best, best_obj = cur, obj
-            if stall > _STALL_LIMIT:
-                break
-            history.append(best_obj)
+    dual = np.zeros_like(freqs)
+    iterations, converged = 0, False
+    while iterations < max_iter and not converged:
+        dual = np.clip(dual + sigma * (2.0 * fit - fit_prev - freqs), -1.0, 1.0)
+        x = yield x, (dual @ A).reshape(d, d).T, tau
+        fit_prev, fit = fit, (A @ x.ravel()).real
+        iterations += 1
+        obj = float(np.abs(fit - freqs).sum())
+        if obj < best_obj:
+            best, best_obj = x, obj
+        history.append(best_obj)
+        if iterations % _WINDOW == 0:
+            converged, checked = checked - best_obj <= _TOL * (1.0 + best_obj), best_obj
     return ReconstructionResult(rho_hat=psd_project(best), objective=best_obj,
-                                iterations=iterations, converged=stall > _STALL_LIMIT,
+                                iterations=iterations, converged=converged,
                                 objective_history=np.asarray(history))
 
 
 def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Solve every (A, freqs) problem, each by its own `_graduated`
+    """Solve every (A, freqs) problem, each by its own `_primal_dual`
     coroutine, advanced in lockstep.
 
-    Each round stacks the live problems' y - step * grad, with the gradient
+    Each round stacks the live problems' x - step * grad, with the gradient
     symmetrized, and projects the stack with one batched eigendecomposition
-    and simplex projection; each problem gets its row back.  A @ y, w @ A
-    and the objective stay one BLAS call per problem, so every problem's
-    iterates are bit for bit those of solving it alone.
+    and simplex projection; each problem gets its row back.  The products
+    with A stay one BLAS call per problem, so every problem's iterates are
+    bit for bit those of solving it alone.
     """
     d = isqrt(problems[0][0].shape[1])
     start = np.eye(d, dtype=complex) / d
-    solves = [_graduated(A, freqs, start, max_iter) for A, freqs in problems]
+    solves = [_primal_dual(A, freqs, start, max_iter) for A, freqs in problems]
     live = [(i, solve, next(solve)) for i, solve in enumerate(solves)]
     results = [None] * len(solves)
     while live:
@@ -328,6 +322,8 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
         _check_count(m, "a setting count")
         if m > total:
             raise QcopiesError(f"setting counts must lie in [1, {total}]")
+    if len({int(m) for m in setting_counts}) != len(setting_counts):
+        raise QcopiesError("each setting count may appear only once")
     order = rng.generator(0).permutation(total)
     target = sc_state(n)
     opts = opts or ReconstructOptions()

@@ -503,6 +503,14 @@ class TestTomography:
         assert (code, err) == (0, "")
         assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == used
 
+    def test_repeated_settings_exit_3(self, capsys):
+        code, out, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.8",
+                                  "--settings", "4,4", "--counts", "100", "--repeats", "1"],
+                                 capsys)
+        assert code == 3
+        assert out == ""
+        assert "only once" in err
+
     def test_empty_settings_exit_3(self, capsys):
         code, out, err = run_cli(["tomography", "--n", "2", "--fidelity", "0.9",
                                   "--settings", ",", "--counts", "100", "--repeats", "1"],
@@ -572,7 +580,7 @@ def test_readme_stdout_is_pinned(command, digest, capsys):
 # deliberate sampler change may move them; the reconstruction solver must not.
 README_SAMPLED_STDOUT_DIGESTS = [
     ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
-     "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d"),
+     "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c"),
 ]
 
 
@@ -633,8 +641,8 @@ README_RUNS = [
      "4d6a5159a26800da43f390ee9c15380f0845f875213205f08ceaa356c41c5fc0",
      {"coverage.csv": "4ba0ae26553fba00eefd1ae3cb8163f07a2f05147f2ea958761a639afae1203f"}),
     ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
-     "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d",
-     {"curve.csv": "5f151ae4e08eb838b1907b43722b8587fdc17b96a4fe7e540d73fe89e37c809d"}),
+     "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c",
+     {"curve.csv": "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c"}),
     ("tenphoton-cost --rate8 2.8e-5 --copies 110",
      "babdd1f9ac412fe999aba33d4ac73ebd33d4f60f8c3777737ed1ef7ebe2a4487",
      {"cost.json": "abef40dfb5b6dc1ff27f434a6d7a28d9238af037033aeca11af18d7b1773451a"}),

@@ -23,7 +23,8 @@ from qcopies import (
 from qcopies.core import PAULI_X, PAULI_Y, PAULI_Z
 from qcopies.phaselift import _solve
 
-from _oracles import ginibre_density, graduated_reconstruct, product_setting_rows
+from _oracles import (ginibre_density, graduated_reconstruct, primal_dual_reconstruct,
+                      product_setting_rows)
 
 
 class TestPauliSettings:
@@ -130,13 +131,13 @@ class TestReconstruct:
         assert np.all(np.diff(res.objective_history) <= 1e-12)
 
     def test_budget_cut_solve_not_converged(self):
-        # 400 iterations over 6 smoothing widths leave 66 per phase, too few
-        # for the last phase to stall
+        # 50 iterations end the solve before the stall rule's first check at
+        # step 100
         settings = pauli_settings(3)
         freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 2000,
                                     np.random.default_rng(0))
-        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=400))
-        assert result.iterations < 400
+        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=50))
+        assert result.iterations == 50
         assert not result.converged
 
     def test_exact_mixed_data_converges(self):
@@ -202,17 +203,18 @@ class TestLockstep:
         together = _solve([(A, f) for _, _, A, f in problems], max_iter)
         assert all(_same_result(a, b) for a, b in zip(alone, together))
         for r, (_, _, A, f) in zip(alone, problems):
-            rho, obj, iterations, converged, history = graduated_reconstruct(A, f, max_iter)
+            rho, obj, iterations, converged, history = primal_dual_reconstruct(A, f, max_iter)
             assert r.rho_hat.matrix.tobytes() == rho.tobytes()
             assert (r.objective, r.iterations, r.converged) == (obj, iterations, converged)
             assert r.objective_history.tobytes() == history.tobytes()
-        if max_iter < 50:  # every solve is cut inside its first phase
+        if max_iter < 100:  # every solve is cut before the first stall check
             assert [(r.iterations, r.converged) for r in alone] == [(max_iter, False)] * 4
-        elif max_iter == 400:  # one is cut by the budget, the others stall first
-            assert [r.converged for r in alone] == [True, True, False, True]
-        else:  # they drop out far apart
-            iterations = [r.iterations for r in alone]
-            assert max(iterations) > 3 * min(iterations)
+        elif max_iter == 400:  # one is cut by the budget, the others stall by then
+            assert [(r.iterations, r.converged) for r in alone] == [
+                (100, True), (300, True), (400, False), (400, True)]
+        else:  # they all stall, far apart
+            assert [(r.iterations, r.converged) for r in alone] == [
+                (100, True), (300, True), (900, True), (400, True)]
 
     def test_curve_keeps_each_solve(self):
         rho = rank_two_sc_state(2, 0.8)
@@ -234,6 +236,39 @@ class TestLockstep:
             fid = [fidelity_pure(r.rho_hat, sc_state(2)) for r in alone]
             assert row.mean_fidelity == float(np.mean(fid))
             assert row.std_fidelity == float(np.std(fid, ddof=1))
+
+
+class TestQualityAgainstGraduated:
+    """The solver ends each problem no worse than the earlier graduated Huber
+    scheme, kept in the oracles: objective <= old + 1e-3 * (1 + old)."""
+
+    @staticmethod
+    def _assert_no_worse(problems):
+        for r, (A, f) in zip(_solve(problems, 5000), problems):
+            old = graduated_reconstruct(A, f, 5000)[1]
+            assert r.objective <= old + 1e-3 * (1 + old)
+
+    @pytest.mark.parametrize("family, setting_counts", [(pauli_settings, [3, 5, 9]),
+                                                        (tomography_projectors, [4, 8, 16])])
+    def test_two_qubit_problems(self, rng, family, setting_counts):
+        settings = family(2)
+        problems = []
+        for rho in (rank_two_sc_state(2, 0.8), DensityMatrix(ginibre_density(4, rng))):
+            table = sampled_frequencies(rho, settings, 1000, rng)
+            problems += [(np.concatenate([s.rows for s in settings[:m]]),
+                          np.concatenate(table[:m])) for m in setting_counts]
+        self._assert_no_worse(problems)
+
+    def test_three_qubit_curve(self):
+        # the problems of one benchmark curve: seed 1, 20000 counts, rank two
+        settings = tomography_projectors(3)
+        rng = RngSeed(1)
+        order = rng.generator(0).permutation(len(settings))
+        table = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 20000,
+                                    rng.generator(1, 0))
+        A = np.concatenate([settings[j].rows for j in order])  # one row per projector
+        f = np.concatenate([table[j] for j in order])
+        self._assert_no_worse([(A[:m], f[:m]) for m in (8, 16, 30, 45, 50, 56, 64)])
 
 
 class TestReconstructionCurve:
@@ -279,6 +314,13 @@ class TestReconstructionCurve:
         with pytest.raises(QcopiesError):
             reconstruction_curve(rho, counts_per_setting=100, setting_counts=[],
                                  repeats=1, rng=RngSeed(1))
+
+    def test_repeated_setting_count_rejected(self):
+        # a repeated count would solve the same problem twice, and `row`
+        # could return only the first
+        with pytest.raises(QcopiesError, match="only once"):
+            reconstruction_curve(rank_two_sc_state(2, 0.8), counts_per_setting=100,
+                                 setting_counts=[4, 8, 4], repeats=1, rng=RngSeed(1))
 
 
 class TestSmallCopyBias:
