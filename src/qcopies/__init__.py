@@ -19,10 +19,7 @@ from .allocator import (
     EIGHT_PHOTON_EXPERIMENT_COPIES,
     EIGHT_PHOTON_MEASURED_P,
     EIGHT_PHOTON_REPORTED_OPTIMUM,
-    EIGHT_PHOTON_UNIFORM_COPIES,
     allocate_sc,
-    allocate_tomography_nonorthogonal,
-    allocate_tomography_orthogonal,
     explicit_allocation,
     sc_variance_weights,
     solve_budget,
@@ -47,7 +44,6 @@ from .errors import (
     ConfigError,
     DegenerateProblemError,
     DimensionMismatchError,
-    InfeasibleAfterRelaxationError,
     QcopiesError,
 )
 from .hoeffding import (

@@ -384,10 +384,12 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
     (e.g. what a non-optimized experiment spent) the report also gives the
     preparation hours saved.
     """
-    if not copy_rate_per_hour > 0:
-        raise QcopiesError(f"copy rate must be positive, got {copy_rate_per_hour}")
-    if switch_cost_hours < 0:
-        raise QcopiesError(f"switch cost must be >= 0, got {switch_cost_hours}")
+    if not 0 < copy_rate_per_hour < np.inf:
+        raise QcopiesError(f"copy rate must be positive and finite, got {copy_rate_per_hour}")
+    if not 0 <= switch_cost_hours < np.inf:
+        raise QcopiesError(f"switch cost must be finite and >= 0, got {switch_cost_hours}")
+    if baseline_total is not None:
+        _check_count(baseline_total, "baseline total", least=0)
     m = state.n + 1
     rows = []
     pilot = state.cumulative_t - sum(rec.increments for rec in state.rounds)

@@ -1,6 +1,6 @@
 """Minimum-copies allocation: how many copies of a state to spend on each
-measurement setting so the fidelity (or tomography) error stays below a
-budget, using as few copies as possible.
+measurement setting so the fidelity error stays below a budget, using as
+few copies as possible.
 
 The generic problem is
 
@@ -20,17 +20,15 @@ import numpy as np
 from .errors import (
     DegenerateProblemError,
     DimensionMismatchError,
-    InfeasibleAfterRelaxationError,
     QcopiesError,
     _check_count,
 )
 from .witness import SettingProbabilities
 
 # Copy distributions of the eight-photon experiment used as comparison
-# fixtures: what the lab actually spent per setting, the uniform split of the
-# same total, and the reported optimized distribution.
+# fixtures: what the lab actually spent per setting and the reported
+# optimized distribution.
 EIGHT_PHOTON_EXPERIMENT_COPIES = (352, 200, 107, 100, 110, 111, 106, 116, 103)
-EIGHT_PHOTON_UNIFORM_COPIES = (145,) * 9
 EIGHT_PHOTON_REPORTED_OPTIMUM = (415, 106, 103, 106, 103, 108, 101, 108, 103)
 
 # Eight-photon aggregate probabilities as measured: corner mass first, then
@@ -183,63 +181,3 @@ def allocate_sc(p: SettingProbabilities, epsilon0: float, t_min: int = 1) -> Cop
     real_t, t = _round_up(sc_variance_weights(p)[None], eps, t_min)
     return CopyAllocation(t=t[0], epsilon0=float(epsilon0), real_t=real_t[0])
 
-
-def allocate_tomography_orthogonal(
-    frequencies, m_norms=None, epsilon0: float = 0.1, t_min: int = 1
-) -> CopyAllocation:
-    """Copies per tomography setting for mutually orthogonal operators.
-
-    `frequencies` holds one array of outcome frequencies per setting and
-    `m_norms` the matching Tr(M M^dag) weights (default 1, rank-1
-    projectors).  Per setting k_nu = sum_mu f(1-f) * norm, then the generic
-    budget solver applies with eps = epsilon0**2.
-    """
-    eps = _squared_budget(epsilon0)
-    freqs = [np.asarray(f, dtype=float) for f in frequencies]
-    if any(np.any(f < 0) or np.any(f > 1) for f in freqs):
-        raise QcopiesError("frequencies must lie in [0, 1]")
-    if m_norms is None:
-        norms = [np.ones_like(f) for f in freqs]
-    else:
-        norms = [np.asarray(w, dtype=float) for w in m_norms]
-        if len(norms) != len(freqs) or any(w.shape != f.shape for w, f in zip(norms, freqs)):
-            raise DimensionMismatchError("m_norms must match the frequency table shape")
-    k = np.array([float(np.sum(f * (1.0 - f) * w)) for f, w in zip(freqs, norms)])
-    return solve_budget(BudgetProblem(k=k, epsilon=eps), t_min=t_min)
-
-
-def nonorthogonal_effective_weights(k_matrix: np.ndarray) -> np.ndarray:
-    """Per-setting weights after relaxing the bilinear cross terms.
-
-    The arithmetic-geometric mean bound k * sqrt(q_nu q_nu') <=
-    k * (q_nu + q_nu')/2 turns the bilinear constraint into a linear one
-    with effective weight (row sum + column sum)/2 per setting.
-    """
-    km = np.asarray(k_matrix, dtype=float)
-    if km.ndim != 2 or km.shape[0] != km.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {km.shape}")
-    if np.any(km < 0):
-        raise QcopiesError("cross-variance weights must be nonnegative")
-    return (km.sum(axis=1) + km.sum(axis=0)) / 2.0
-
-
-def allocate_tomography_nonorthogonal(
-    k_matrix, epsilon0: float, t_min: int = 1
-) -> CopyAllocation:
-    """Copies per setting when operators overlap across settings.
-
-    Solves the relaxed linear problem, then verifies the original bilinear
-    constraint sum k_{nu,nu'} / sqrt(T_nu T_nu') <= eps on the rounded
-    result (the relaxation is an upper bound, so this should always hold).
-    """
-    eps = _squared_budget(epsilon0)
-    km = np.asarray(k_matrix, dtype=float)
-    eff = nonorthogonal_effective_weights(km)
-    alloc = solve_budget(BudgetProblem(k=eff, epsilon=eps), t_min=t_min)
-    roots = np.sqrt(alloc.t.astype(float))
-    bilinear = float(np.sum(km / np.outer(roots, roots)))
-    if bilinear > eps * (1 + 1e-9):
-        raise InfeasibleAfterRelaxationError(
-            f"bilinear constraint {bilinear:.3e} exceeds budget {eps:.3e}"
-        )
-    return alloc

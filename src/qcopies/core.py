@@ -32,11 +32,6 @@ EIGENVALUE_FLOOR = -1e-9
 MAX_QUBITS = 20
 MAX_DENSE_QUBITS = 12
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def check_qubit_count(n: int) -> None:
     """Raise QcopiesError unless n is a qubit count in [1, MAX_QUBITS]: a
@@ -72,6 +67,16 @@ class PureState:
         return f"PureState(dim={self.dim})"
 
 
+def _check_size_and_entries(m: np.ndarray) -> None:
+    """Raise unless the square matrix m has size 2**n, n >= 1, and finite
+    entries."""
+    d = m.shape[0]
+    if d < 2 or d & (d - 1):
+        raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
+    if not np.isfinite(m).all():
+        raise QcopiesError("matrix entries must be finite")
+
+
 class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix of size 2**n."""
 
@@ -80,11 +85,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         if validate:
-            d = m.shape[0]
-            if d < 2 or d & (d - 1):
-                raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
-            if not np.isfinite(m).all():
-                raise QcopiesError("matrix entries must be finite")
+            _check_size_and_entries(m)
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > HERMITIAN_TOL:
                 raise QcopiesError(f"matrix is not Hermitian: max|rho - rho^dag| = {herm_dev:.3e}")
@@ -325,10 +326,12 @@ def psd_project_stack(m: np.ndarray) -> np.ndarray:
 
 
 def psd_project(m: np.ndarray) -> DensityMatrix:
-    """Nearest (Frobenius) trace-one PSD matrix to a Hermitian input."""
+    """Nearest (Frobenius) trace-one PSD matrix to a Hermitian input of size
+    2**n, n >= 1, with finite entries."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
+    _check_size_and_entries(m)
     return DensityMatrix(psd_project_stack(m), validate=False)
 
 

@@ -14,10 +14,6 @@ class DegenerateProblemError(QcopiesError):
     """Allocation problem has no variance anywhere (all weights zero)."""
 
 
-class InfeasibleAfterRelaxationError(QcopiesError):
-    """Relaxed allocation failed the original bilinear constraint."""
-
-
 class ConfigError(QcopiesError):
     """Invalid experiment configuration."""
 

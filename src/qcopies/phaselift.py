@@ -202,14 +202,16 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
 
 def _primal_dual(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: int):
     """The primal-dual solve of one problem, as a coroutine: each step yields
-    (x, gradient, step) and is sent back the projection of x - step * grad
-    with the gradient symmetrized, a matrix it reads but never writes; it
-    returns the ReconstructionResult.
+    the primal step x - tau * A^T dual and is sent back its projection, a
+    matrix it reads but never writes; it returns the ReconstructionResult.
 
     The dual moves by sigma times the misfit of the extrapolated iterate
     2 x - x_prev, read off the last two objective products, and is clipped
-    to [-1, 1]; the primal steps along its adjoint.  `converged` is True
-    when the stall rule ended the solve, checked at every _WINDOW-th step."""
+    to [-1, 1]; the primal steps along its adjoint.  The dual is real and
+    each row of A is vec(M^T) of a Hermitian M, so the adjoint is Hermitian
+    and equals its symmetrization bit for bit; it is not symmetrized.
+    `converged` is True when the stall rule ended the solve, checked at
+    every _WINDOW-th step."""
     norm = float(np.linalg.norm(A, 2))
     tau, sigma = _RATIO / norm, 1.0 / (_RATIO * norm)
     d = start.shape[-1]
@@ -221,7 +223,7 @@ def _primal_dual(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: 
     iterations, converged = 0, False
     while iterations < max_iter and not converged:
         dual = np.clip(dual + sigma * (2.0 * fit - fit_prev - freqs), -1.0, 1.0)
-        x = yield x, (dual @ A).reshape(d, d).T, tau
+        x = yield x - tau * (dual @ A).reshape(d, d).T
         fit_prev, fit = fit, (A @ x.ravel()).real
         iterations += 1
         obj = float(np.abs(fit - freqs).sum())
@@ -239,11 +241,11 @@ def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
     """Solve every (A, freqs) problem, each by its own `_primal_dual`
     coroutine, advanced in lockstep.
 
-    Each round stacks the live problems' x - step * grad, with the gradient
-    symmetrized, and projects the stack with one batched eigendecomposition
-    and simplex projection; each problem gets its row back.  The products
-    with A stay one BLAS call per problem, so every problem's iterates are
-    bit for bit those of solving it alone.
+    Each round stacks the live problems' primal steps and projects the
+    stack with one batched eigendecomposition and simplex projection; each
+    problem gets its matrix back.  The products with A stay one BLAS call
+    per problem, so every problem's iterates are bit for bit those of
+    solving it alone.
     """
     d = isqrt(problems[0][0].shape[1])
     start = np.eye(d, dtype=complex) / d
@@ -251,10 +253,7 @@ def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
     live = [(i, solve, next(solve)) for i, solve in enumerate(solves)]
     results = [None] * len(solves)
     while live:
-        ys, grads, steps = zip(*(asked for _, _, asked in live))
-        grad = np.stack(grads)
-        grad = 0.5 * (grad + grad.conj().swapaxes(-1, -2))
-        cur = psd_project_stack(np.stack(ys) - np.array(steps)[:, None, None] * grad)
+        cur = psd_project_stack(np.stack([asked for _, _, asked in live]))
         advanced = []
         for (i, solve, _), row in zip(live, cur):
             try:

@@ -14,13 +14,12 @@ the anti-diagonal, never a rotated setting's 2**n outcome probabilities.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import DensityMatrix, XState, check_qubit_count
-from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
+from .errors import DimensionMismatchError, QcopiesError, _check_count
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
@@ -91,21 +90,6 @@ class SettingProbabilities:
             raise QcopiesError("setting probabilities must lie in [0, 1]")
         object.__setattr__(self, "P", np.clip(arr, 0.0, 1.0))
         self.P.flags.writeable = False
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "P": self.P.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "SettingProbabilities":
-        """Inverse of to_json; other text raises ConfigError."""
-        try:
-            obj = json.loads(text)
-            n, P = obj["n"], np.asarray(obj["P"], dtype=float)
-            if type(n) is not int:
-                raise ValueError(f"n must be an integer, got {n!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"not a setting-probabilities JSON object: {exc!r}") from exc
-        return cls(n=n, P=P)
 
 
 def build_settings(n: int) -> WitnessDecomposition:

@@ -327,3 +327,29 @@ class TestTimeline:
         state = self._one_round_state([10, 10, 10])
         with pytest.raises(Exception):
             protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=0.0)
+
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, -1.0])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        state = self._one_round_state([10, 10, 10])
+        with pytest.raises(QcopiesError, match="copy rate"):
+            protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=rate)
+
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -0.1])
+    def test_switch_cost_must_be_finite_and_nonnegative(self, cost):
+        state = self._one_round_state([10, 10, 10])
+        with pytest.raises(QcopiesError, match="switch cost"):
+            protocol_timeline(state, switch_cost_hours=cost, copy_rate_per_hour=8.88)
+
+    @pytest.mark.parametrize("total", [1305.7, 1305.0, -1, True])
+    def test_baseline_total_must_be_a_count(self, total):
+        state = self._one_round_state([10, 10, 10])
+        with pytest.raises(QcopiesError, match="baseline total must be an integer >= 0"):
+            protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=8.88,
+                              baseline_total=total)
+
+    def test_baseline_total_zero_and_numpy_integers_accepted(self):
+        state = self._one_round_state([10, 10, 10])
+        for total in (0, np.int64(1305)):
+            rep = protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=8.88,
+                                    baseline_total=total)
+            assert rep.baseline_total == total and type(rep.baseline_total) is int

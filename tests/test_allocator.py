@@ -10,14 +10,11 @@ from qcopies import (
     EIGHT_PHOTON_EXPERIMENT_COPIES,
     EIGHT_PHOTON_MEASURED_P,
     EIGHT_PHOTON_REPORTED_OPTIMUM,
-    EIGHT_PHOTON_UNIFORM_COPIES,
     QcopiesError,
     ReconstructOptions,
     RngSeed,
     SettingProbabilities,
     allocate_sc,
-    allocate_tomography_nonorthogonal,
-    allocate_tomography_orthogonal,
     allocation_interval,
     build_settings,
     compare_distributions,
@@ -40,7 +37,7 @@ from qcopies import (
     uniform_allocation,
     white_noise_weight_for_fidelity,
 )
-from qcopies.allocator import _round_up, nonorthogonal_effective_weights
+from qcopies.allocator import _round_up
 
 from _oracles import minimize_budget_numeric, round_up_one
 
@@ -148,15 +145,6 @@ class TestNonFiniteInput:
         with pytest.raises(QcopiesError):
             allocate_sc(p, epsilon0=np.inf)
 
-    def test_tomography_allocators_reject_non_finite(self):
-        with pytest.raises(QcopiesError):
-            allocate_tomography_orthogonal([np.array([np.nan, 0.5])], epsilon0=0.05)
-        for bad in (np.inf, np.nan):
-            km = np.diag([0.02, 0.01])
-            km[0, 1] = bad
-            with pytest.raises(QcopiesError):
-                allocate_tomography_nonorthogonal(km, epsilon0=0.05)
-
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda k: max(k) > 0),
@@ -215,7 +203,6 @@ class TestAllocateSc:
 
     def test_reference_distributions(self):
         assert sum(EIGHT_PHOTON_EXPERIMENT_COPIES) == 1305
-        assert sum(EIGHT_PHOTON_UNIFORM_COPIES) == 1305
         assert sum(EIGHT_PHOTON_REPORTED_OPTIMUM) == 1253
         assert EIGHT_PHOTON_REPORTED_OPTIMUM[0] == 415
 
@@ -236,10 +223,6 @@ class TestInputsCheckedOnce:
     def test_epsilon0_needs_a_positive_finite_square(self, epsilon0):
         p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
         for allocate in (lambda: allocate_sc(p, epsilon0),
-                         lambda: allocate_tomography_orthogonal([np.array([0.3, 0.7])],
-                                                                epsilon0=epsilon0),
-                         lambda: allocate_tomography_nonorthogonal(np.diag([0.02, 0.01]),
-                                                                   epsilon0),
                          lambda: allocation_interval(p, 0.1, epsilon0)):
             with pytest.raises(QcopiesError, match="epsilon0"):
                 allocate()
@@ -255,60 +238,6 @@ class TestInputsCheckedOnce:
     def test_numpy_integer_t_min_accepted(self):
         p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
         assert list(allocate_sc(p, 0.3, t_min=np.int64(4)).t) == [4, 4, 4]
-
-
-class TestTomographyOrthogonal:
-    def test_all_frequencies_deterministic_degenerate(self):
-        with pytest.raises(DegenerateProblemError):
-            allocate_tomography_orthogonal([np.array([1.0, 0.0, 0.0, 0.0])], epsilon0=0.05)
-
-    def test_uniform_single_setting(self):
-        d = 8
-        freqs = [np.full(d, 1 / d)]
-        alloc = allocate_tomography_orthogonal(freqs, epsilon0=0.1)
-        k = (d - 1) / d
-        assert alloc.real_t[0] == pytest.approx(k / 0.1**2, rel=1e-12)
-
-    def test_equal_weights_equal_counts(self):
-        freqs = [np.array([0.5, 0.5]), np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-        alloc = allocate_tomography_orthogonal(freqs, epsilon0=0.05)
-        assert alloc.t[0] == alloc.t[1] == alloc.t[2]
-
-    def test_norm_weighting(self):
-        freqs = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
-        norms = [np.array([1.0, 1.0]), np.array([4.0, 4.0])]
-        alloc = allocate_tomography_orthogonal(freqs, m_norms=norms, epsilon0=0.05)
-        assert alloc.real_t[1] == pytest.approx(2 * alloc.real_t[0], rel=1e-12)
-
-    def test_rejects_bad_frequencies(self):
-        with pytest.raises(QcopiesError):
-            allocate_tomography_orthogonal([np.array([1.2, -0.2])], epsilon0=0.05)
-
-
-class TestTomographyNonorthogonal:
-    def test_diagonal_reduces_to_orthogonal(self):
-        km = np.diag([0.02, 0.01, 0.04])
-        alloc = allocate_tomography_nonorthogonal(km, epsilon0=0.05)
-        direct = solve_budget(BudgetProblem(k=np.array([0.02, 0.01, 0.04]), epsilon=0.05**2))
-        assert list(alloc.t) == list(direct.t)
-
-    def test_two_by_two_effective_weights(self):
-        km = np.array([[0.02, 0.005], [0.005, 0.01]])
-        eff = nonorthogonal_effective_weights(km)
-        assert eff == pytest.approx([0.025, 0.015], abs=1e-15)
-
-    def test_bilinear_constraint_holds(self, rng):
-        for _ in range(20):
-            m = int(rng.integers(2, 6))
-            km = rng.uniform(0, 0.02, size=(m, m))
-            eps0 = float(rng.uniform(0.02, 0.1))
-            alloc = allocate_tomography_nonorthogonal(km, epsilon0=eps0)
-            roots = np.sqrt(alloc.t.astype(float))
-            assert np.sum(km / np.outer(roots, roots)) <= eps0**2 * (1 + 1e-9)
-
-    def test_all_zero_matrix_degenerate(self):
-        with pytest.raises(DegenerateProblemError):
-            allocate_tomography_nonorthogonal(np.zeros((3, 3)), epsilon0=0.05)
 
 
 class TestCopyAllocationType:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from qcopies import (
     ConfigError,
     DensityMatrix,
+    DimensionMismatchError,
     PureState,
     QcopiesError,
     XState,
@@ -174,10 +175,10 @@ class TestPsdProject:
             d = int(rng.integers(2, 9))
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             h = (g + g.conj().T) / 2
-            out = psd_project(h)
-            assert np.max(np.abs(out.matrix - out.matrix.conj().T)) <= 1e-10
-            assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-10)
-            assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
+            out = psd_project_stack(h)  # any size; psd_project takes only 2**n
+            assert np.max(np.abs(out - out.conj().T)) <= 1e-10
+            assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+            assert np.linalg.eigvalsh(out).min() >= -1e-9
 
 
     @pytest.mark.parametrize("d", range(2, 9))
@@ -187,7 +188,21 @@ class TestPsdProject:
         out = psd_project_stack(stack)
         assert out.shape == stack.shape
         for h, o in zip(stack.reshape(-1, d, d), out.reshape(-1, d, d)):
-            assert np.array_equal(o, psd_project(h).matrix)
+            # psd_project takes only sizes 2**n
+            alone = psd_project_stack(h) if d & (d - 1) else psd_project(h).matrix
+            assert np.array_equal(o, alone)
+
+    @pytest.mark.parametrize("m, error", [
+        (np.eye(3) / 3, DimensionMismatchError),
+        (np.eye(1), DimensionMismatchError),
+        (np.zeros((0, 0)), DimensionMismatchError),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), QcopiesError),
+        (np.array([[np.inf, 0.0], [0.0, 0.5]]), QcopiesError),
+    ], ids=["3x3", "1x1", "0x0", "nan", "inf"])
+    def test_rejects_other_sizes_and_non_finite_entries(self, m, error):
+        with pytest.raises(error) as caught:
+            psd_project(m)
+        assert caught.type is error
 
 
 class TestDensityMatrixValidation:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcopies import (
     DensityMatrix,
@@ -20,7 +21,6 @@ from qcopies import (
     sc_state,
     tomography_projectors,
 )
-from qcopies.core import PAULI_X, PAULI_Y, PAULI_Z
 from qcopies.phaselift import _solve
 
 from _oracles import (ginibre_density, graduated_reconstruct, primal_dual_reconstruct,
@@ -39,7 +39,9 @@ class TestPauliSettings:
             assert np.allclose(total, np.eye(4), atol=1e-10)
 
     def test_elements_are_eigenvectors(self):
-        ops = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+        ops = {"X": np.array([[0, 1], [1, 0]], dtype=complex),
+               "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+               "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
         for name, op in ops.items():
             plus, minus = ProductSetting(name).kets.T
             assert np.allclose(op @ plus, plus)
@@ -236,6 +238,21 @@ class TestLockstep:
             fid = [fidelity_pure(r.rho_hat, sc_state(2)) for r in alone]
             assert row.mean_fidelity == float(np.mean(fid))
             assert row.std_fidelity == float(np.std(fid, ddof=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([pauli_settings, tomography_projectors]), st.integers(1, 3),
+       st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_dual_adjoint_is_hermitian_to_the_bit(family, n, seed, scale):
+    """The solver steps along (dual @ A).reshape(d, d).T unsymmetrized: for a
+    real dual in [-1, 1] it already equals its conjugate transpose, and
+    symmetrizing it, 0.5 * (g + g^H), gives back its bytes.  (g^H itself
+    differs in bytes only by the sign of the diagonal's zero imaginary parts.)"""
+    A = np.concatenate([s.rows for s in family(n)])
+    dual = np.clip(scale * np.random.default_rng(seed).standard_normal(len(A)), -1.0, 1.0)
+    g = (dual @ A).reshape(2**n, 2**n).T
+    assert np.array_equal(g, g.conj().T)
+    assert (0.5 * (g + g.conj().T)).tobytes() == g.tobytes()
 
 
 class TestQualityAgainstGraduated:

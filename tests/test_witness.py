@@ -3,7 +3,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qcopies import (
-    ConfigError,
     DensityMatrix,
     QcopiesError,
     RngSeed,
@@ -232,18 +231,3 @@ def test_delta_f_matches_simulated_spread(n, model, fidelity, epsilon0, seed):
                                    rng=RngSeed(seed))
     assert abs(res.std - res.predicted_delta_f) <= 0.15 * res.predicted_delta_f
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        p = SettingProbabilities(n=3, P=np.array([0.8, 0.1, 0.9, 0.2]))
-        back = SettingProbabilities.from_json(p.to_json())
-        assert back.n == 3
-        assert back.P == pytest.approx(p.P, abs=0)
-
-    @pytest.mark.parametrize("text", ["{}", "nope", "[1]", '{"n": 2, "P": "x"}',
-                                      '{"n": "a", "P": [0.5, 0.5, 0.5]}',
-                                      '{"n": 2.9, "P": [0.5, 0.5, 0.5]}',
-                                      '{"n": true, "P": [0.5, 0.5]}'])
-    def test_malformed_text_raises_config_error(self, text):
-        with pytest.raises(ConfigError, match="not a setting-probabilities JSON object"):
-            SettingProbabilities.from_json(text)
