@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -384,6 +385,9 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
     (e.g. what a non-optimized experiment spent) the report also gives the
     preparation hours saved.
     """
+    for value, name in ((copy_rate_per_hour, "copy rate"), (switch_cost_hours, "switch cost")):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise QcopiesError(f"{name} must be a real number, got {value!r}")
     if not 0 < copy_rate_per_hour < np.inf:
         raise QcopiesError(f"copy rate must be positive and finite, got {copy_rate_per_hour}")
     if not 0 <= switch_cost_hours < np.inf:

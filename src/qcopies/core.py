@@ -295,13 +295,14 @@ def rank_two_sc_state(n: int, fidelity: float) -> XState:
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of a real array onto {x >= 0, sum(x) = 1}."""
+    """Euclidean projection of each row of a real array onto {x >= 0, sum(x) = 1}.
+    Each row must ascend, as `eigh`'s eigenvalues do."""
     rows = values.reshape(-1, values.shape[-1])
-    u = np.sort(rows, axis=-1)[:, ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
+    u = rows[:, ::-1]
+    css = u.cumsum(axis=-1) - 1.0
     k = np.arange(1, u.shape[1] + 1)
     # rho = the largest k with u_k > css_k / k
-    rho = u.shape[1] - np.argmax((u - css / k > 0)[:, ::-1], axis=-1)
+    rho = u.shape[1] - (u - css / k > 0)[:, ::-1].argmax(axis=-1)
     tau = css[np.arange(len(rows)), rho - 1] / rho
     return np.maximum(values - tau.reshape(values.shape[:-1] + (1,)), 0.0)
 

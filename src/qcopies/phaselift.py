@@ -17,12 +17,10 @@ Vis. 40, 120 (2011)) on the nonsmooth objective itself: a dual vector in
 extrapolated primal iterate, and best-iterate tracking, so the sequence of
 accepted objectives never increases.  A solve stops when a window of 100
 steps lowers the best objective by at most 1e-5 relative, or on its
-iteration budget.  Each problem's solve is one coroutine, `_primal_dual`,
-written as that plain loop; `_solve` advances a batch of them in lockstep,
-one round per step, and makes one stacked projection per round for every
-live problem.  `reconstruct` passes one problem, while
-`reconstruction_curve` passes every setting count and repeat of the curve
-at once.  Each problem's result is bit for bit the one it gets alone.
+iteration budget.  `_solve` steps a batch of problems in lockstep over
+stacked arrays, each getting the bits it gets alone: `reconstruct` passes
+one problem, and `reconstruction_curve` every setting count and repeat of
+the curve at once.
 """
 from __future__ import annotations
 
@@ -200,67 +198,69 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     return _solve([(A, freqs)], opts.max_iter)[0]
 
 
-def _primal_dual(A: np.ndarray, freqs: np.ndarray, start: np.ndarray, max_iter: int):
-    """The primal-dual solve of one problem, as a coroutine: each step yields
-    the primal step x - tau * A^T dual and is sent back its projection, a
-    matrix it reads but never writes; it returns the ReconstructionResult.
-
-    The dual moves by sigma times the misfit of the extrapolated iterate
-    2 x - x_prev, read off the last two objective products, and is clipped
-    to [-1, 1]; the primal steps along its adjoint.  The dual is real and
-    each row of A is vec(M^T) of a Hermitian M, so the adjoint is Hermitian
-    and equals its symmetrization bit for bit; it is not symmetrized.
-    `converged` is True when the stall rule ended the solve, checked at
-    every _WINDOW-th step."""
-    norm = float(np.linalg.norm(A, 2))
-    tau, sigma = _RATIO / norm, 1.0 / (_RATIO * norm)
-    d = start.shape[-1]
-    x = best = start
-    fit = fit_prev = (A @ start.ravel()).real
-    best_obj = checked = float(np.abs(fit - freqs).sum())
-    history = [best_obj]
-    dual = np.zeros_like(freqs)
-    iterations, converged = 0, False
-    while iterations < max_iter and not converged:
-        dual = np.clip(dual + sigma * (2.0 * fit - fit_prev - freqs), -1.0, 1.0)
-        x = yield x - tau * (dual @ A).reshape(d, d).T
-        fit_prev, fit = fit, (A @ x.ravel()).real
-        iterations += 1
-        obj = float(np.abs(fit - freqs).sum())
-        if obj < best_obj:
-            best, best_obj = x, obj
-        history.append(best_obj)
-        if iterations % _WINDOW == 0:
-            converged, checked = checked - best_obj <= _TOL * (1.0 + best_obj), best_obj
-    return ReconstructionResult(rho_hat=psd_project(best), objective=best_obj,
-                                iterations=iterations, converged=converged,
-                                objective_history=np.asarray(history))
-
-
 def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Solve every (A, freqs) problem, each by its own `_primal_dual`
-    coroutine, advanced in lockstep.
+    """Solve every (A, freqs) problem in lockstep and return their results.
 
-    Each round stacks the live problems' primal steps and projects the
-    stack with one batched eigendecomposition and simplex projection; each
-    problem gets its matrix back.  The products with A stay one BLAS call
-    per problem, so every problem's iterates are bit for bit those of
-    solving it alone.
+    The live problems sit in stacked arrays (operators zero-padded to
+    (P, m_max, d*d), tau and sigma per problem), so a round makes the same
+    numpy calls whatever P is.  The dual steps along the misfit of the
+    extrapolated iterate 2 x - x_prev and is clipped to [-1, 1]; the primal
+    steps along its adjoint, Hermitian to the bit and so not symmetrized.
+    Padded rows add only zero terms, so each problem gets the bits it gets
+    alone.  A problem leaves the stack when the stall rule (checked every
+    _WINDOW steps; `converged`) or the budget stops it.
     """
+    ids, lens = np.arange(len(problems)), np.array([len(f) for _, f in problems])
     d = isqrt(problems[0][0].shape[1])
-    start = np.eye(d, dtype=complex) / d
-    solves = [_primal_dual(A, freqs, start, max_iter) for A, freqs in problems]
-    live = [(i, solve, next(solve)) for i, solve in enumerate(solves)]
-    results = [None] * len(solves)
-    while live:
-        cur = psd_project_stack(np.stack([asked for _, _, asked in live]))
-        advanced = []
-        for (i, solve, _), row in zip(live, cur):
-            try:
-                advanced.append((i, solve, solve.send(row)))
-            except StopIteration as done:
-                results[i] = done.value
-        live = advanced
+    A = np.zeros((len(ids), lens.max(), d * d), dtype=complex)
+    freqs = np.zeros(A.shape[:2])
+    for p in ids:
+        A[p, :lens[p]], freqs[p, :lens[p]] = problems[p]
+    norm = np.array([np.linalg.norm(A_p, 2) for A_p, _ in problems])
+    tau, sigma = (_RATIO / norm)[:, None, None], (1.0 / (_RATIO * norm))[:, None]
+    resid = np.zeros((len(ids), A.shape[1] + 2))  # each row: a zero, one problem's misfits, zeros
+    spans = np.column_stack([0 * lens, 1 + lens])  # the zero and the misfits of each row
+    bounds = (np.arange(len(spans))[:, None] * resid.shape[1] + spans).ravel()
+
+    # reduceat over each span gives 0 + the pairwise sum of the problem's own
+    # misfits, the bits of its own sum; a sum over the padded row would regroup
+    def objectives(fit):
+        np.abs(fit - freqs, out=resid[:, 1:-1])
+        return np.add.reduceat(resid.ravel(), bounds)[::2]
+
+    x = np.repeat(np.eye(d, dtype=complex)[None] / d, len(ids), axis=0)
+    best = x.copy()
+    fit = fit_prev = np.matmul(A, x.reshape(len(ids), -1, 1))[..., 0].real
+    best_obj = checked = objectives(fit)
+    history = np.array([best_obj])  # doubled as the steps need
+    dual = np.zeros_like(freqs)
+    results, iterations = [None] * len(problems), 0
+    while len(ids):
+        dual = np.clip(dual + sigma * (2.0 * fit - fit_prev - freqs), -1.0, 1.0)
+        adjoint = np.matmul(dual[:, None, :], A).reshape(-1, d, d).transpose(0, 2, 1)
+        x = psd_project_stack(x - tau * adjoint)
+        fit_prev, fit = fit, np.matmul(A, x.reshape(len(ids), -1, 1))[..., 0].real
+        iterations += 1
+        obj = objectives(fit)
+        better = obj < best_obj
+        np.copyto(best, x, where=better[:, None, None])
+        best_obj = np.where(better, obj, best_obj)
+        if iterations == len(history):
+            history = np.concatenate([history, np.empty_like(history)])
+        history[iterations, ids] = best_obj
+        if iterations % _WINDOW and iterations < max_iter:
+            continue
+        converged = (iterations % _WINDOW == 0) & (checked - best_obj <= _TOL * (1.0 + best_obj))
+        checked, done = best_obj, converged | (iterations == max_iter)
+        for p in np.flatnonzero(done):
+            results[ids[p]] = ReconstructionResult(
+                rho_hat=psd_project(best[p]), objective=float(best_obj[p]),
+                iterations=iterations, converged=bool(converged[p]),
+                objective_history=history[:iterations + 1, ids[p]].copy())
+        (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev, best_obj, checked, dual,
+         resid) = (a[~done] for a in (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev,
+                                      best_obj, checked, dual, resid))
+        bounds = (np.arange(len(spans))[:, None] * resid.shape[1] + spans).ravel()
     return results
 
 

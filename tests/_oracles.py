@@ -281,6 +281,22 @@ def _project_density(m):
     return 0.5 * (out + out.conj().T)
 
 
+def sorting_psd_project_stack(m):
+    """The library's stacked projection with its simplex step sorting each
+    eigenvalue row, rather than reversing eigh's ascending order."""
+    def dagger(a):
+        return a.conj().swapaxes(-1, -2)
+    vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
+    rows = vals.reshape(-1, vals.shape[-1])
+    u = np.sort(rows, axis=-1)[:, ::-1]
+    css = np.cumsum(u, axis=-1) - 1.0
+    r = u.shape[1] - np.argmax((u - css / np.arange(1, u.shape[1] + 1) > 0)[:, ::-1], axis=-1)
+    tau = css[np.arange(len(rows)), r - 1] / r
+    weights = np.maximum(vals - tau.reshape(vals.shape[:-1] + (1,)), 0.0)
+    out = (vecs * weights[..., None, :]) @ dagger(vecs)
+    return 0.5 * (out + dagger(out))
+
+
 def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5):
     """The documented reconstruction scheme for one problem, as one plain
     loop: Chambolle-Pock steps tau = ratio / |A| and sigma = 1 / (ratio |A|),

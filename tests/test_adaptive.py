@@ -340,6 +340,22 @@ class TestTimeline:
         with pytest.raises(QcopiesError, match="switch cost"):
             protocol_timeline(state, switch_cost_hours=cost, copy_rate_per_hour=8.88)
 
+    @pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, 1 + 0j],
+                             ids=["bool", "numpy-bool", "str", "none", "complex"])
+    @pytest.mark.parametrize("name, kwarg", [("copy rate", "copy_rate_per_hour"),
+                                             ("switch cost", "switch_cost_hours")])
+    def test_rate_and_cost_must_be_real_numbers(self, value, name, kwarg):
+        state = self._one_round_state([10, 10, 10])
+        args = dict(switch_cost_hours=0.1, copy_rate_per_hour=8.88) | {kwarg: value}
+        with pytest.raises(QcopiesError, match=f"{name} must be a real number"):
+            protocol_timeline(state, **args)
+
+    def test_numpy_and_integer_rates_accepted(self):
+        state = self._one_round_state([10, 10, 10])
+        rep = protocol_timeline(state, switch_cost_hours=np.float32(0.5),
+                                copy_rate_per_hour=np.int64(10))
+        assert rep.adaptive_prep_hours == 3.0
+
     @pytest.mark.parametrize("total", [1305.7, 1305.0, -1, True])
     def test_baseline_total_must_be_a_count(self, total):
         state = self._one_round_state([10, 10, 10])

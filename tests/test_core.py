@@ -29,7 +29,8 @@ from qcopies.witness import ROTATED, MeasurementSetting
 
 from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
                       dense_rank_two_sc_state, ginibre_density, phase_table_probabilities,
-                      pure_density, white_noise_mix, x_noise_model)
+                      pure_density, sorting_psd_project_stack, white_noise_mix,
+                      x_noise_model)
 
 
 class TestScState:
@@ -191,6 +192,23 @@ class TestPsdProject:
             # psd_project takes only sizes 2**n
             alone = psd_project_stack(h) if d & (d - 1) else psd_project(h).matrix
             assert np.array_equal(o, alone)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3), st.booleans())
+    def test_stack_matches_sorting_projection(self, d, count, seed, scale, ties):
+        """Reversing eigh's ascending eigenvalues gives the bytes of sorting
+        them, on random Hermitian stacks and on diagonal ones with ties and
+        signed zeros."""
+        gen = np.random.default_rng(seed)
+        if ties:
+            stack = np.zeros((count, d, d), dtype=complex)
+            diag = gen.choice([-1.0, -0.0, 0.0, 0.5, 1.0], (count, d))
+            stack[:, np.arange(d), np.arange(d)] = scale * diag
+        else:
+            g = gen.standard_normal((count, d, d)) + 1j * gen.standard_normal((count, d, d))
+            stack = scale * (g + np.swapaxes(g.conj(), -1, -2))
+        assert psd_project_stack(stack).tobytes() == sorting_psd_project_stack(stack).tobytes()
 
     @pytest.mark.parametrize("m, error", [
         (np.eye(3) / 3, DimensionMismatchError),

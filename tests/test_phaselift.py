@@ -1,3 +1,6 @@
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +145,22 @@ class TestReconstruct:
         assert result.iterations == 50
         assert not result.converged
 
+    def test_budget_allocates_nothing_ahead(self):
+        # a history sized by the budget would take 8 GB here; the solve
+        # stalls at step 200 and keeps one history entry per step taken
+        settings = pauli_settings(1)
+        rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
+        freqs = exact_frequencies(rho, settings)
+        tracemalloc.start()
+        try:
+            result = reconstruct(settings, freqs, ReconstructOptions(max_iter=10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.iterations, result.converged) == (200, True)
+        assert len(result.objective_history) == 201
+        assert peak < 2**20
+
     def test_exact_mixed_data_converges(self):
         settings = pauli_settings(3)
         mixed = DensityMatrix(np.eye(8) / 8)
@@ -217,6 +236,29 @@ class TestLockstep:
         else:  # they all stall, far apart
             assert [(r.iterations, r.converged) for r in alone] == [
                 (100, True), (300, True), (900, True), (400, True)]
+
+    @pytest.mark.parametrize("max_iter", [1, 400, 5000])
+    def test_padding_and_drop_out_keep_each_solve(self, rng, max_iter):
+        # 8-, 64- and 216-row problems share one zero-padded stack and leave
+        # it on different rounds, in whatever order they are given
+        cases = self._problems(rng)
+        problems = [cases[i][2:] for i in (1, 2, 0)]
+        assert [len(f) for _, f in problems] == [8, 64, 216]
+        alone = [_solve([p], max_iter)[0] for p in problems]
+        for perm in permutations(range(3)):
+            together = _solve([problems[i] for i in perm], max_iter)
+            assert all(_same_result(alone[i], r) for i, r in zip(perm, together))
+
+    def test_objectives_sum_each_problems_own_rows(self, rng):
+        # a sum over the zero-padded row regroups the pairwise sum's terms
+        # when the row count is not a multiple of 8
+        rho, proj = rank_two_sc_state(3, 0.7068), tomography_projectors(3)
+        problems = [(np.concatenate([s.rows for s in proj[:m]]),
+                     np.concatenate(sampled_frequencies(rho, proj[:m], 20000, rng)))
+                    for m in (30, 45, 64)]
+        alone = [_solve([p], 400)[0] for p in problems]
+        together = _solve(problems[::-1], 400)[::-1]
+        assert all(_same_result(a, b) for a, b in zip(alone, together))
 
     def test_curve_keeps_each_solve(self):
         rho = rank_two_sc_state(2, 0.8)
