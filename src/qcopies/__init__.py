@@ -27,17 +27,14 @@ from .allocator import (
 )
 from .core import (
     DensityMatrix,
-    PureState,
     XState,
     density_from_json,
-    density_to_json,
     depolarized_sc,
-    fidelity_pure,
     frobenius_distance,
     noisy_sc_state,
     psd_project,
     rank_two_sc_state,
-    sc_state,
+    sc_fidelity,
     white_noise_weight_for_fidelity,
 )
 from .errors import (

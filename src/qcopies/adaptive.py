@@ -365,14 +365,6 @@ class TimelineReport:
     baseline_prep_hours: float | None = None
     prep_hours_saved: float | None = None
 
-    @property
-    def adaptive_total_hours(self) -> float:
-        return self.adaptive_prep_hours + self.adaptive_switch_hours
-
-    def to_csv(self) -> str:
-        return csv_text(["label", "copies", "prep_hours", "switches"],
-                        [(r.label, r.copies, r.prep_hours, r.switches) for r in self.rows])
-
 
 def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
                       copy_rate_per_hour: float,

@@ -1,6 +1,5 @@
-"""Complex linear algebra substrate: pure states, density matrices,
-X-states, synthetic noise models, fidelity, norms and PSD/trace-one
-projection.
+"""Complex linear algebra substrate: density matrices, X-states, synthetic
+noise models, the cat-state fidelity, norms and PSD/trace-one projection.
 
 Conventions: qubit basis states are |H> = (1,0) and |V> = (0,1); a register
 of n qubits lives in dimension 2**n with qubit 0 as the most significant bit
@@ -14,7 +13,9 @@ spikes from its mixture weights.  A dense 2**n x 2**n matrix,
 `DensityMatrix` or an X-state's `matrix` view, exists only up to
 MAX_DENSE_QUBITS = 12 qubits.  The library builds no dense state of its
 own: a `DensityMatrix` comes from a state file (`density_from_json`) or
-from reconstruction (`psd_project`).
+from reconstruction (`psd_project`).  The fidelity with the cat state reads
+only the two corners and one anti-diagonal entry, so `sc_fidelity` needs no
+dense view at any n.
 """
 from __future__ import annotations
 
@@ -45,26 +46,6 @@ def _check_dense(n: int) -> None:
     if n > MAX_DENSE_QUBITS:
         raise QcopiesError(f"a dense {n}-qubit matrix needs {16 * 4**n} bytes; "
                            f"dense matrices go up to {MAX_DENSE_QUBITS} qubits")
-
-
-class PureState:
-    """Normalized state vector of an n-qubit register."""
-
-    def __init__(self, amplitudes: np.ndarray):
-        amps = np.array(amplitudes, dtype=complex).ravel()
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > 1e-12:
-            raise QcopiesError(f"state vector norm^2 = {norm2!r}, expected 1")
-        self.amplitudes = amps
-        self.amplitudes.flags.writeable = False
-        self.dim = amps.size
-
-    @property
-    def n_qubits(self) -> int:
-        return int(round(np.log2(self.dim)))
-
-    def __repr__(self):
-        return f"PureState(dim={self.dim})"
 
 
 def _check_size_and_entries(m: np.ndarray) -> None:
@@ -186,22 +167,13 @@ class XState:
         return f"XState(dim={self.dim})"
 
 
-def sc_state(n: int) -> PureState:
-    """The n-qubit Schrodinger-cat state (|H...H> + |V...V>) / sqrt(2)."""
-    check_qubit_count(n)
-    amps = np.zeros(2**n, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return PureState(amps)
-
-
-def fidelity_pure(rho: DensityMatrix, psi: PureState) -> float:
-    """<psi| rho |psi>, clamped to [0, 1]."""
-    if rho.dim != psi.dim:
-        raise DimensionMismatchError(f"dim mismatch: {rho.dim} vs {psi.dim}")
-    val = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)
-    if abs(val.imag) > 1e-10:
-        raise QcopiesError(f"fidelity has imaginary part {val.imag:.3e}")
-    return float(min(1.0, max(0.0, val.real)))
+def sc_fidelity(rho: DensityMatrix | XState) -> float:
+    """<SC| rho |SC> for the n-qubit cat state (|H...H> + |V...V>) / sqrt(2),
+    clamped to [0, 1]: half the two corners plus Re rho[0, d-1], read
+    without a dense view."""
+    diag, anti = rho.diagonal(), rho.anti_diagonal()
+    val = 0.5 * (diag[0] + diag[-1]) + anti[0].real
+    return float(min(1.0, max(0.0, val)))
 
 
 def frobenius_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -336,18 +308,9 @@ def psd_project(m: np.ndarray) -> DensityMatrix:
     return DensityMatrix(psd_project_stack(m), validate=False)
 
 
-def density_to_json(rho: DensityMatrix) -> str:
-    """Serialize as {"n": qubits, "re": [[...]], "im": [[...]]}."""
-    return json.dumps({
-        "n": rho.n_qubits,
-        "re": rho.matrix.real.tolist(),
-        "im": rho.matrix.imag.tolist(),
-    })
-
-
 def density_from_json(text: str) -> DensityMatrix:
-    """Inverse of density_to_json, revalidating all invariants; text that
-    is not such a JSON object raises ConfigError."""
+    """Read {"n": qubits, "re": [[...]], "im": [[...]]}, revalidating all
+    invariants; text that is not such a JSON object raises ConfigError."""
     try:
         obj = json.loads(text)
         re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))

@@ -24,15 +24,15 @@ the curve at once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import isqrt
 
 import numpy as np
 
-from .core import (DensityMatrix, XState, check_qubit_count, fidelity_pure,
-                   frobenius_distance, psd_project, psd_project_stack, sc_state)
+from .core import (DensityMatrix, XState, check_qubit_count, frobenius_distance,
+                   psd_project, psd_project_stack, sc_fidelity)
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
@@ -170,7 +170,6 @@ class ReconstructionResult:
     objective: float
     iterations: int
     converged: bool
-    objective_history: np.ndarray = field(repr=False)
 
 
 def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
@@ -232,7 +231,6 @@ def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
     best = x.copy()
     fit = fit_prev = np.matmul(A, x.reshape(len(ids), -1, 1))[..., 0].real
     best_obj = checked = objectives(fit)
-    history = np.array([best_obj])  # doubled as the steps need
     dual = np.zeros_like(freqs)
     results, iterations = [None] * len(problems), 0
     while len(ids):
@@ -245,9 +243,6 @@ def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
         better = obj < best_obj
         np.copyto(best, x, where=better[:, None, None])
         best_obj = np.where(better, obj, best_obj)
-        if iterations == len(history):
-            history = np.concatenate([history, np.empty_like(history)])
-        history[iterations, ids] = best_obj
         if iterations % _WINDOW and iterations < max_iter:
             continue
         converged = (iterations % _WINDOW == 0) & (checked - best_obj <= _TOL * (1.0 + best_obj))
@@ -255,8 +250,7 @@ def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
         for p in np.flatnonzero(done):
             results[ids[p]] = ReconstructionResult(
                 rho_hat=psd_project(best[p]), objective=float(best_obj[p]),
-                iterations=iterations, converged=bool(converged[p]),
-                objective_history=history[:iterations + 1, ids[p]].copy())
+                iterations=iterations, converged=bool(converged[p]))
         (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev, best_obj, checked, dual,
          resid) = (a[~done] for a in (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev,
                                       best_obj, checked, dual, resid))
@@ -278,12 +272,6 @@ class CurveRow:
 @dataclass(frozen=True)
 class ReconstructionCurve:
     rows: tuple[CurveRow, ...]
-
-    def row(self, settings_used: int) -> CurveRow:
-        for r in self.rows:
-            if r.settings_used == settings_used:
-                return r
-        raise KeyError(settings_used)
 
     def to_csv(self) -> str:
         return csv_text(
@@ -324,7 +312,6 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     if len({int(m) for m in setting_counts}) != len(setting_counts):
         raise QcopiesError("each setting count may appear only once")
     order = rng.generator(0).permutation(total)
-    target = sc_state(n)
     opts = opts or ReconstructOptions()
 
     # Every subset is a prefix of one setting order, so each problem's
@@ -344,7 +331,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
 
     rows = []
     for m, solves in zip(setting_counts, by_count):
-        fid = np.array([fidelity_pure(r.rho_hat, target) for r in solves])
+        fid = np.array([sc_fidelity(r.rho_hat) for r in solves])
         mse = np.array([frobenius_distance(r.rho_hat, rho_true) ** 2 for r in solves])
         rows.append(CurveRow(
             settings_used=int(m),

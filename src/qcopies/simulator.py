@@ -7,17 +7,16 @@ reads one random stream.  Setting by setting, in setting order, it draws
 the hit counts of all its trials in one call; a trial is one row of those
 draws.  It yields one frozen `HistogramResult`; a comparison keeps one per
 allocation next to its row, and only the result's writers take a bin count.
-`sample_counts` takes one copy count for all rows or one per row.  It
-validates its input and hands the normalized rows to `_multinomial`, the one
-draw behind every sample; the adaptive protocol, whose rows are valid by
-construction, calls `_multinomial` directly with one copy count per setting
-and draws all of a run's settings per pass in one call.
+`sample_counts` takes one copy count for all rows.  It validates its input
+and hands the normalized rows to `_multinomial`, the one draw behind every
+sample; the adaptive protocol, whose rows are valid by construction, calls
+`_multinomial` directly with one copy count per setting and draws all of a
+run's settings per pass in one call.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Number
 
 import numpy as np
 
@@ -68,28 +67,13 @@ def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
     axes is one independent draw, so a stack of k rows costs one call and
     gives the same counts as k single-row calls on the same generator.  A
     row's weights need not be normalized, but must be finite, nonnegative
-    and not all zero.  One draw costs O(outcomes), independent of `copies`.
-
-    `copies` is one count for every row, or an integer array that
-    broadcasts to the rows' shape and gives each row its own count.  A row
-    of zero copies draws nothing and leaves the generator's stream as it
-    was, so one call with per-row counts equals one single-row call per
-    row with copies, in row order.
+    and not all zero.  One draw costs O(outcomes), independent of `copies`,
+    the one nonnegative integer count every row draws.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
-    if isinstance(copies, Number):
-        _check_count(copies, "copies", least=0)
-    else:
-        c = np.asarray(copies)
-        if c.dtype.kind not in "iu" or c.min(initial=0) < 0:
-            raise QcopiesError(f"copies must be nonnegative integers, got {copies!r}")
-        try:
-            np.broadcast_to(c, p.shape[:-1])
-        except ValueError:
-            raise DimensionMismatchError(f"copies of shape {c.shape} do not broadcast "
-                                         f"to rows of shape {p.shape[:-1]}") from None
+    _check_count(copies, "copies", least=0)
     total = p.sum(axis=-1, keepdims=True)
     if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
             and total.max(initial=0.0) < np.inf):

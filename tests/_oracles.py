@@ -6,7 +6,7 @@ are checked against computations that share nothing with them.  The
 per-outcome witness references below are the exception: they are the
 dense paths the library no longer takes, the noise models mixed entry by
 entry from full-length component arrays, a pure-state projector, a
-white-noise mixture, each rotated outcome's Born probability from the
+state file's text, a white-noise mixture, each rotated outcome's Born probability from the
 Kronecker product of its kets, and the aggregates read through the full
 2**n x n phase table.  `product_setting_rows` builds phaselift's operator
 rows one outcome at a time, the way the library built them before a
@@ -15,6 +15,8 @@ run one run at a time; they share with the library only the sampler's
 one-row path, `setting_probabilities`, the fidelity formula, the schedule
 and the config and result types.
 """
+import json
+
 import numpy as np
 
 from qcopies import (AdaptiveConfig, AdaptiveState, DensityMatrix, QcopiesError,
@@ -108,10 +110,17 @@ def x_noise_model(name, n, fidelity, corner_mass=None):
     return _x_mix(lambda s, f: fidelity * s + (1.0 - fidelity) * f, cat, flipped)
 
 
-def pure_density(psi):
-    """Rank-one projector |psi><psi|."""
-    _check_dense(psi.n_qubits)
-    return DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()), validate=False)
+def pure_density(amps):
+    """Rank-one projector |psi><psi| of the amplitude vector `amps`."""
+    amps = np.asarray(amps, dtype=complex)
+    _check_dense(amps.size.bit_length() - 1)
+    return DensityMatrix(np.outer(amps, amps.conj()), validate=False)
+
+
+def density_json(rho):
+    """A state file's text, {"n": qubits, "re": [[...]], "im": [[...]]}."""
+    return json.dumps({"n": rho.n_qubits, "re": rho.matrix.real.tolist(),
+                       "im": rho.matrix.imag.tolist()})
 
 
 def white_noise_mix(target, p):
@@ -306,7 +315,7 @@ def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5
     steps gains at most tol * (1 + best).  Uses the same floating-point
     operations as the library, so results agree bit for bit.
 
-    Returns (rho, objective, iterations, converged, history).
+    Returns (rho, objective, iterations, converged).
     """
     d = int(round(np.sqrt(A.shape[1])))
     norm = float(np.linalg.norm(A, 2))
@@ -314,7 +323,6 @@ def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5
     x = np.eye(d, dtype=complex) / d
     fit = fit_prev = (A @ x.ravel()).real
     best, best_obj = x, float(np.abs(fit - freqs).sum())
-    history = [best_obj]
     checked = best_obj
     dual = np.zeros(len(freqs))
     iterations, converged = 0, False
@@ -328,11 +336,10 @@ def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5
         obj = float(np.abs(fit - freqs).sum())
         if obj < best_obj:
             best, best_obj = x, obj
-        history.append(best_obj)
         if iterations % window == 0:
             converged = checked - best_obj <= tol * (1.0 + best_obj)
             checked = best_obj
-    return _project_density(best), best_obj, iterations, converged, np.array(history)
+    return _project_density(best), best_obj, iterations, converged
 
 
 def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),

@@ -174,7 +174,7 @@ def test_acceptance_09_phaselift_plateau():
     plateau = [r for r in curve.rows if r.settings_used >= 45]
     worst = max(abs(r.mean_fidelity - true_f) for r in plateau)
     assert worst <= 0.05
-    full_mse = curve.row(64).mean_mse
+    full_mse = next(r for r in curve.rows if r.settings_used == 64).mean_mse
     assert full_mse <= 0.01
     _report(9, time.time() - t0, 300,
             f"fidelity within {worst:.4f} of {true_f} from 45 settings on, "

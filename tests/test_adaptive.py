@@ -303,7 +303,8 @@ class TestTimeline:
     def test_zero_switch_cost_time_tracks_copies(self):
         state = self._one_round_state([100, 50, 50, 50, 50, 50, 50, 50, 50])
         rep = protocol_timeline(state, switch_cost_hours=0.0, copy_rate_per_hour=10.0)
-        assert rep.adaptive_total_hours == pytest.approx(state.total_copies / 10.0)
+        hours = rep.adaptive_prep_hours + rep.adaptive_switch_hours
+        assert hours == pytest.approx(state.total_copies / 10.0)
 
     def test_hours_saved_against_reference_experiment(self):
         # 1253 optimized vs 1305 at 8.88 copies/hour recovers ~5.9 hours

@@ -28,7 +28,6 @@ from qcopies import (
     reconstruction_curve,
     run_histogram_experiment,
     sample_counts,
-    sc_state,
     sc_variance_weights,
     solve_budget,
     sweep_epsilon_ratio,
@@ -288,7 +287,6 @@ def test_counts_are_integers_at_least_one(entry, count):
 
 # Each public entry point that takes a qubit count, called with that count.
 QUBIT_COUNT_ENTRY_POINTS = {
-    "sc_state": sc_state,
     "noisy_sc_state": lambda n: noisy_sc_state(n, 0.8),
     "depolarized_sc": lambda n: depolarized_sc(n, 0.8),
     "rank_two_sc_state": lambda n: rank_two_sc_state(n, 0.8),

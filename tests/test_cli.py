@@ -343,10 +343,11 @@ class TestAdaptive:
         assert (d1 / "rounds.csv").read_bytes() == (d2 / "rounds.csv").read_bytes()
 
     def test_state_file_round_trip(self, tmp_path, capsys):
-        from qcopies import density_to_json, depolarized_sc
+        from qcopies import depolarized_sc
+        from _oracles import density_json
 
         state = tmp_path / "rho.json"
-        state.write_text(density_to_json(depolarized_sc(2, 0.9)))
+        state.write_text(density_json(depolarized_sc(2, 0.9)))
         code, out, _ = run_cli(
             ["adaptive", "--n", "2", "--state", str(state),
              "--schedule", "0.01:0.1:0.001", "--seed", "8"], capsys)

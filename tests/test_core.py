@@ -8,19 +8,16 @@ from qcopies import (
     ConfigError,
     DensityMatrix,
     DimensionMismatchError,
-    PureState,
     QcopiesError,
     XState,
     build_settings,
     density_from_json,
-    density_to_json,
     depolarized_sc,
-    fidelity_pure,
     frobenius_distance,
     noisy_sc_state,
     psd_project,
     rank_two_sc_state,
-    sc_state,
+    sc_fidelity,
     setting_probabilities,
     white_noise_weight_for_fidelity,
 )
@@ -28,38 +25,42 @@ from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS, psd_project_stack
 from qcopies.witness import ROTATED, MeasurementSetting
 
 from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
-                      dense_rank_two_sc_state, ginibre_density, phase_table_probabilities,
-                      pure_density, sorting_psd_project_stack, white_noise_mix,
+                      dense_rank_two_sc_state, density_json, fidelity_direct,
+                      ginibre_density, phase_table_probabilities, pure_density,
+                      sc_projector, sorting_psd_project_stack, white_noise_mix,
                       x_noise_model)
 
 
 class TestScState:
-    def test_single_qubit(self):
-        psi = sc_state(1)
-        assert np.allclose(psi.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)])
+    """`sc_fidelity` reads the cat state (|H..H> + |V..V>) / sqrt(2) off two
+    corners and one coherence."""
 
-    def test_three_qubits_support(self):
-        psi = sc_state(3)
-        nonzero = np.nonzero(psi.amplitudes)[0]
-        assert list(nonzero) == [0, 7]
+    def test_single_qubit(self):
+        # the one-qubit cat is |D> = (|H> + |V>) / sqrt(2)
+        for amps, f in (([1.0, 1.0], 1.0), ([1.0, -1.0], 0.0), ([np.sqrt(2.0), 0.0], 0.5)):
+            rho = pure_density(np.array(amps) / np.sqrt(2.0))
+            assert sc_fidelity(rho) == pytest.approx(f, abs=1e-15)
+
+    def test_three_qubits_support(self, rng):
+        # only rho[0, 0], rho[7, 7] and rho[0, 7] are read
+        rho = ginibre_density(8, rng)
+        support = np.zeros_like(rho)
+        support[np.ix_([0, 7], [0, 7])] = rho[np.ix_([0, 7], [0, 7])]
+        f = sc_fidelity(DensityMatrix(rho))
+        assert f == sc_fidelity(DensityMatrix(support, validate=False))
+        assert f == pytest.approx(fidelity_direct(rho, 3), abs=1e-15)
 
     def test_self_fidelity_eight_qubits(self):
-        psi = sc_state(8)
-        assert fidelity_pure(pure_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, -1])
-    def test_out_of_range(self, n):
-        with pytest.raises(QcopiesError):
-            sc_state(n)
+        assert sc_fidelity(DensityMatrix(sc_projector(8))) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPureDensity:
     def test_ground_state(self):
-        rho = pure_density(PureState(np.array([1.0, 0.0])))
+        rho = pure_density(np.array([1.0, 0.0]))
         assert np.allclose(rho.matrix, np.diag([1.0, 0.0]))
 
     def test_sc2_corners(self):
-        rho = pure_density(sc_state(2)).matrix
+        rho = pure_density(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)).matrix
         expected = np.zeros((4, 4))
         expected[np.ix_([0, 3], [0, 3])] = 0.5
         assert np.allclose(rho, expected)
@@ -67,15 +68,14 @@ class TestPureDensity:
     def test_purity_and_idempotence(self, rng):
         for _ in range(5):
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            psi = PureState(v / np.linalg.norm(v))
-            rho = pure_density(psi).matrix
+            rho = pure_density(v / np.linalg.norm(v)).matrix
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-10)
             assert np.max(np.abs(rho @ rho - rho)) < 1e-10
 
 
 class TestWhiteNoise:
     def test_endpoints(self):
-        rho = pure_density(sc_state(3))
+        rho = DensityMatrix(sc_projector(3))
         assert np.allclose(white_noise_mix(rho, 1.0).matrix, rho.matrix)
         assert np.allclose(white_noise_mix(rho, 0.0).matrix, np.eye(8) / 8)
 
@@ -84,7 +84,7 @@ class TestWhiteNoise:
         p = white_noise_weight_for_fidelity(10, 0.8414)
         assert p == pytest.approx((0.8414 - 2**-10) / (1 - 2**-10), abs=1e-15)
         rho = depolarized_sc(10, 0.8414)
-        assert fidelity_pure(rho, sc_state(10)) == pytest.approx(0.8414, abs=1e-10)
+        assert sc_fidelity(rho) == pytest.approx(0.8414, abs=1e-10)
 
     @pytest.mark.parametrize("n", [0, 2000])
     def test_weight_checks_the_qubit_count_first(self, n):
@@ -94,16 +94,16 @@ class TestWhiteNoise:
 
     def test_affine_fidelity_formula(self, rng):
         for n in range(2, 9):
-            target = pure_density(sc_state(n))
+            target = DensityMatrix(sc_projector(n))
             for p in rng.uniform(0, 1, size=20):
-                f = fidelity_pure(white_noise_mix(target, p), sc_state(n))
+                f = sc_fidelity(white_noise_mix(target, p))
                 assert f == pytest.approx(p + (1 - p) / 2**n, abs=1e-10)
 
 
 class TestNoisyScState:
     def test_matches_requested_profile(self):
         rho = noisy_sc_state(8, 0.708, corner_mass=0.8068)
-        assert fidelity_pure(rho, sc_state(8)) == pytest.approx(0.708, abs=1e-10)
+        assert sc_fidelity(rho) == pytest.approx(0.708, abs=1e-10)
         corners = (rho.matrix[0, 0] + rho.matrix[-1, -1]).real
         assert corners == pytest.approx(0.8068, abs=1e-10)
 
@@ -124,25 +124,28 @@ class TestNoisyScState:
 
 
 class TestFidelityPure:
-    def test_projector_is_one(self, rng):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = PureState(v / np.linalg.norm(v))
-        assert fidelity_pure(pure_density(psi), psi) == pytest.approx(1.0, abs=1e-12)
+    """`sc_fidelity`, the fidelity with the pure cat state."""
+
+    def test_projector_is_one(self):
+        for n in range(1, 9):
+            assert sc_fidelity(DensityMatrix(sc_projector(n))) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(np.eye(8) / 8)
-        assert fidelity_pure(rho, sc_state(3)) == pytest.approx(1 / 8, abs=1e-12)
+        assert sc_fidelity(rho) == pytest.approx(1 / 8, abs=1e-12)
 
     def test_mixture_value_and_direct_contraction(self):
-        rho = white_noise_mix(pure_density(sc_state(3)), 0.7)
-        f = fidelity_pure(rho, sc_state(3))
+        rho = white_noise_mix(DensityMatrix(sc_projector(3)), 0.7)
+        f = sc_fidelity(rho)
         assert f == pytest.approx(0.7 + 0.3 / 8, abs=1e-12)
-        direct = np.real(sc_state(3).amplitudes.conj() @ rho.matrix @ sc_state(3).amplitudes)
-        assert f == pytest.approx(direct, abs=1e-12)
+        assert f == pytest.approx(fidelity_direct(rho.matrix, 3), abs=1e-12)
 
-    def test_dim_mismatch(self):
-        with pytest.raises(QcopiesError):
-            fidelity_pure(DensityMatrix(np.eye(4) / 4), sc_state(3))
+    @pytest.mark.parametrize("name", ["depolarized", "corner-mass", "rank-two"])
+    @pytest.mark.parametrize("n", [2, 10, 16, 20])
+    def test_models_give_the_requested_fidelity(self, name, n):
+        # the read needs no dense view, so it reaches the 20-qubit cap
+        rho = NOISE_MODELS[name][0](n, 0.8414, 0.947)
+        assert sc_fidelity(rho) == pytest.approx(0.8414, abs=1e-12)
 
 
 class TestFrobenius:
@@ -262,7 +265,7 @@ class TestDensityMatrixValidation:
 class TestJson:
     def test_round_trip(self, rng):
         rho = DensityMatrix(ginibre_density(8, rng))
-        back = density_from_json(density_to_json(rho))
+        back = density_from_json(density_json(rho))
         assert frobenius_distance(rho, back) < 1e-12
         assert back.n_qubits == 3
 
@@ -284,7 +287,7 @@ class TestJson:
             density_from_json(text)
 
     def test_qubit_count_must_match_the_matrix(self):
-        text = density_to_json(depolarized_sc(2, 0.9)).replace('"n": 2', '"n": 3')
+        text = density_json(depolarized_sc(2, 0.9)).replace('"n": 2', '"n": 3')
         with pytest.raises(QcopiesError, match="n=3"):
             density_from_json(text)
 
@@ -414,11 +417,11 @@ class TestXState:
         n = 16
         rho = noisy_sc_state(n, 0.8414, corner_mass=0.947)
         assert rho.diagonal()[0] + rho.diagonal()[-1] == pytest.approx(0.947, abs=1e-12)
+        assert sc_fidelity(rho) == pytest.approx(0.8414, abs=1e-12)
         for dense_use in (lambda: rho.matrix,
-                          lambda: fidelity_pure(rho, sc_state(n)),
                           lambda: born_probabilities(MeasurementSetting(n, ROTATED, np.pi / n),
                                                      rho),
-                          lambda: pure_density(sc_state(n))):
+                          lambda: pure_density(np.ones(2**n) / 2**(n / 2))):
             with pytest.raises(QcopiesError, match=f"up to {MAX_DENSE_QUBITS} qubits"):
                 dense_use()
 

@@ -18,12 +18,10 @@ from qcopies import (
     fidelity_from_probabilities,
     run_histogram_experiment,
     sample_counts,
-    sc_state,
     setting_probabilities,
     uniform_allocation,
 )
-from qcopies.core import PureState
-from qcopies.simulator import _simulate_fidelities
+from qcopies.simulator import _multinomial, _simulate_fidelities
 from qcopies.witness import _fidelities
 
 from _oracles import born_probabilities, popcounts, pure_density
@@ -71,7 +69,7 @@ class TestSampleSetting:
         n = 3
         amps = np.zeros(2**n)
         amps[0] = 1.0
-        rho = pure_density(PureState(amps))
+        rho = pure_density(amps)
         wd = build_settings(n)
         counts = outcome_counts(rho, wd.settings[0], 1000, RngSeed(3))
         assert counts[0] == 1000
@@ -164,15 +162,16 @@ class TestSampleCounts:
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), outcomes=st.integers(2, 4),
            data=st.data())
     def test_per_row_copies_match_one_call_per_row(self, seed, rows, outcomes, data):
-        # rows with zero copies are skipped, as a caller with nothing to
-        # measure makes no call; the streams must end in the same place
+        # the adaptive protocol's draw, one copy count per row: rows with
+        # zero copies are skipped, as a caller with nothing to measure makes
+        # no call; the streams must end in the same place
         gen = np.random.default_rng(seed)
         probs = gen.random((rows, outcomes)) * (gen.random((rows, outcomes)) < 0.8)
         probs[:, 0] += 0.01
         copies = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 7, 250, 10**6]),
                                              min_size=rows, max_size=rows)))
         stacked, alone = RngSeed(seed).generator(), RngSeed(seed).generator()
-        counts = sample_counts(probs, copies, stacked)
+        counts = _multinomial(probs / probs.sum(axis=-1, keepdims=True), copies, stacked)
         expected = [sample_counts(p, int(c), alone) if c else np.zeros(outcomes, np.int64)
                     for p, c in zip(probs, copies)]
         assert counts.dtype == np.int64
@@ -181,28 +180,26 @@ class TestSampleCounts:
 
     def test_zero_copies_leave_the_stream_untouched(self):
         gen = RngSeed(3).generator()
-        counts = sample_counts([[0.3, 0.7], [0.5, 0.5]], np.zeros(2, dtype=np.int64), gen)
+        counts = _multinomial(np.array([[0.3, 0.7], [0.5, 0.5]]), np.zeros(2, dtype=np.int64),
+                              gen)
         assert not counts.any()
         assert gen.bit_generator.state == RngSeed(3).generator().bit_generator.state
 
-    def test_copies_broadcast_against_rows(self):
-        rows = np.array([[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]])
-        assert np.array_equal(sample_counts(rows, np.array([40]), RngSeed(2).generator()),
-                              sample_counts(rows, 40, RngSeed(2).generator()))
-
     @pytest.mark.parametrize("copies", [-1, np.array([3, -1]), 4.5, np.array([2.0, 3.0]),
-                                        np.array([1.5, 2]), np.array(["a", "b"]), None])
+                                        np.array([1.5, 2]), np.array(["a", "b"]), None,
+                                        np.array([40, 40]), np.array(40)])
     def test_bad_copies_rejected(self, copies):
         with pytest.raises(QcopiesError, match="copies"):
             sample_counts([[0.3, 0.7], [0.5, 0.5]], copies, RngSeed(1).generator())
 
     @pytest.mark.parametrize("shape", [(3,), (3, 2), (1, 2)])
     def test_copies_of_the_wrong_shape_rejected(self, shape):
-        # copies must give one count per row, so they may not broadcast
-        # past the rows either
-        with pytest.raises(DimensionMismatchError):
+        # one count serves every row, so an array of counts is rejected
+        # whatever its shape
+        with pytest.raises(QcopiesError, match="copies must be an integer >= 0") as caught:
             sample_counts([[0.3, 0.7], [0.5, 0.5]], np.ones(shape, dtype=np.int64),
                           RngSeed(1).generator())
+        assert caught.type is QcopiesError
 
 
 class TestSimulateFidelities:

@@ -13,18 +13,17 @@ from qcopies import (
     delta_f,
     depolarized_sc,
     fidelity_from_probabilities,
-    fidelity_pure,
     noisy_sc_state,
     rank_two_sc_state,
     run_histogram_experiment,
-    sc_state,
+    sc_fidelity,
     setting_probabilities,
 )
 from qcopies.core import MAX_QUBITS
 from qcopies.witness import MeasurementSetting, ROTATED, _spreads
 
 from _oracles import (born_probabilities, fidelity_direct, ginibre_density, m_tensor_expectation,
-                      popcounts, pure_density, rotated_projovers, spread_one)
+                      popcounts, rotated_projovers, sc_projector, spread_one)
 
 
 class TestBuildSettings:
@@ -167,15 +166,20 @@ class TestFidelityFromProbabilities:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
 def test_decomposition_equals_direct_fidelity(n, rank, cat_weight, seed):
-    # a random rank-limited state mixed with the cat, so the fidelity spans [0, 1]
+    """The witness decomposition, the corner-and-coherence read and the
+    plain contraction Tr(rho |SC><SC|) agree."""
+    # a random rank-limited Ginibre state mixed with the cat, so the
+    # fidelity spans [0, 1]
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
     noise = g @ g.conj().T
-    m = (cat_weight * pure_density(sc_state(n)).matrix
-         + (1.0 - cat_weight) * noise / np.trace(noise).real)
+    m = cat_weight * sc_projector(n) + (1.0 - cat_weight) * noise / np.trace(noise).real
     rho = DensityMatrix(m)
     via_settings = fidelity_from_probabilities(setting_probabilities(rho, build_settings(n)))
-    assert via_settings == pytest.approx(fidelity_pure(rho, sc_state(n)), abs=1e-10)
+    direct = fidelity_direct(m, n)
+    assert sc_fidelity(rho) == pytest.approx(direct, abs=1e-12)
+    assert via_settings == pytest.approx(direct, abs=1e-10)
+    assert via_settings == pytest.approx(sc_fidelity(rho), abs=1e-10)
 
 
 class TestDeltaF:
