@@ -29,7 +29,7 @@ from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
 from .errors import ConfigError, QcopiesError, _check_count
 from .reports import csv_text
-from .simulator import RngSeed, _as_generator, _multinomial
+from .simulator import RngSeed, _as_generator, _check_seed, _multinomial
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -317,6 +317,7 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
     and its measurements from `rng.generator(i, rep, 1)`.  A ratio's
     repeats advance together in one lockstep core.
     """
+    _check_seed(rng)
     _check_count(repeats, "repeats")
     if len(ratios) == 0:
         raise QcopiesError("need at least one ratio")

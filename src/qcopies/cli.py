@@ -83,6 +83,13 @@ def _parse_compare(specs, n_settings: int) -> dict[str, CopyAllocation]:
         if ":" not in spec:
             raise ConfigError(f"comparisons look like name:copies, got {spec!r}")
         name, payload = spec.split(":", 1)
+        if not name:
+            raise ConfigError(f"comparison {spec!r} has no name")
+        if name == "optimized":
+            raise ConfigError("the comparison name 'optimized' is reserved for the "
+                              "optimized allocation")
+        if name in out:
+            raise ConfigError(f"comparison name {name!r} is given twice")
         try:
             if "/" in payload:
                 counts = [int(x) for x in payload.split("/")]

@@ -21,6 +21,9 @@ class ConfigError(QcopiesError):
 def _check_count(value, name: str, error: type[QcopiesError] = QcopiesError,
                  least: int = 1) -> None:
     """Raise `error` unless value is an integer >= least: a Python or numpy
-    integer, not a bool or a float."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    integer, not a bool or a float.  An integer is shown as a plain int,
+    anything else by its repr, so that 2.5 and '2' stay distinct."""
+    integer = isinstance(value, Integral) and not isinstance(value, bool)
+    if not integer or value < least:
+        shown = int(value) if integer else repr(value)
+        raise error(f"{name} must be an integer >= {least}, got {shown}")

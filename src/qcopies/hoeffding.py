@@ -14,7 +14,7 @@ from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
-from .simulator import RngSeed, sample_counts
+from .simulator import RngSeed, _check_seed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
 
 
@@ -146,17 +146,18 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
 
     Copy count i reads the stream `rng.generator(i)` and draws all its
     repeats in one call."""
+    _check_seed(rng)
     _check_count(repeats, "repeats")
     if len(copy_counts) == 0:
         raise QcopiesError("need at least one copy count")
     true_value = float(setting_probabilities(rho, wd).P[0])
-    outcomes = np.broadcast_to([true_value, 1.0 - true_value], (repeats, 2))
     rows = []
     for i, copies in enumerate(copy_counts):
         _check_count(copies, "copies")
         copies = int(copies)
         radius = hoeffding_radius(copies, delta)
-        hits = sample_counts(outcomes, copies, rng.generator(i))[:, 0]
+        hits = sample_counts([true_value, 1.0 - true_value], copies, rng.generator(i),
+                             size=repeats)[:, 0]
         rows.append(CoverageRow(
             copies=copies,
             lower=true_value - radius,

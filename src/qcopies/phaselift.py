@@ -35,7 +35,7 @@ from .core import (DensityMatrix, XState, check_qubit_count, frobenius_distance,
                    psd_project, psd_project_stack, sc_fidelity)
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
-from .simulator import RngSeed, sample_counts
+from .simulator import RngSeed, _check_seed, sample_counts
 
 # Rows are the measurement bras of the +1 / -1 eigenvectors.
 _PAULI_BRAS = {
@@ -294,6 +294,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     is the single-projector one; family="pauli" subsamples whole X/Y/Z
     bases instead.
     """
+    _check_seed(rng)
     _check_count(repeats, "repeats")
     n = rho_true.n_qubits
     if family == "projectors":

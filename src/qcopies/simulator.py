@@ -4,14 +4,17 @@ experiments and copy-distribution comparisons.
 
 An experiment (a histogram experiment, or one allocation of a comparison)
 reads one random stream.  Setting by setting, in setting order, it draws
-the hit counts of all its trials in one call; a trial is one row of those
-draws.  It yields one frozen `HistogramResult`; a comparison keeps one per
-allocation next to its row, and only the result's writers take a bin count.
-`sample_counts` takes one copy count for all rows.  It validates its input
-and hands the normalized rows to `_multinomial`, the one draw behind every
-sample; the adaptive protocol, whose rows are valid by construction, calls
-`_multinomial` directly with one copy count per setting and draws all of a
-run's settings per pass in one call.
+the hit counts of all its trials in one call: the setting's one row of
+outcome probabilities, validated once and drawn `size=trials` times; a
+trial is one row of those draws.  It yields one frozen `HistogramResult`; a
+comparison keeps one per allocation next to its row, and only the result's
+writers take a bin count.  `sample_counts` takes one copy count for all
+rows.  It validates its input and hands the normalized rows to
+`_multinomial`, the one draw behind every sample; the adaptive protocol,
+whose rows are valid by construction, calls `_multinomial` directly with
+one copy count per setting and draws all of a run's settings per pass in
+one call.  `run_histogram_experiment` and `compare_distributions` take an
+`RngSeed` and reject anything else with a `QcopiesError`.
 """
 from __future__ import annotations
 
@@ -52,6 +55,12 @@ class RngSeed:
         return np.random.default_rng(ss)
 
 
+def _check_seed(rng) -> None:
+    """Raise `QcopiesError` unless `rng` is an `RngSeed`."""
+    if not isinstance(rng, RngSeed):
+        raise QcopiesError(f"expected RngSeed, got {type(rng).__name__}")
+
+
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngSeed):
         return rng.generator()
@@ -60,7 +69,7 @@ def _as_generator(rng) -> np.random.Generator:
     raise QcopiesError(f"expected RngSeed or numpy Generator, got {type(rng).__name__}")
 
 
-def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
+def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndarray:
     """Draw multinomial counts of `copies` copies over outcome probabilities.
 
     The last axis of `probs` holds the outcomes; each row along the leading
@@ -68,23 +77,30 @@ def sample_counts(probs, copies, gen: np.random.Generator) -> np.ndarray:
     gives the same counts as k single-row calls on the same generator.  A
     row's weights need not be normalized, but must be finite, nonnegative
     and not all zero.  One draw costs O(outcomes), independent of `copies`,
-    the one nonnegative integer count every row draws.
+    the one nonnegative integer count every row draws.  With `size`, an
+    integer >= 1, every row is validated once and drawn `size` times on a
+    new leading axis: the counts and the generator's next state are those
+    of the stack `np.broadcast_to(probs, (size, *probs.shape))`.
     """
     p = np.asarray(probs, dtype=float)
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
     _check_count(copies, "copies", least=0)
+    if size is not None:
+        _check_count(size, "size")
+        size = (size, *p.shape[:-1])
     total = p.sum(axis=-1, keepdims=True)
     if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
             and total.max(initial=0.0) < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
-    return _multinomial(p / total, copies, gen)
+    return _multinomial(p / total, copies, gen, size)
 
 
-def _multinomial(pvals: np.ndarray, copies, gen: np.random.Generator) -> np.ndarray:
+def _multinomial(pvals: np.ndarray, copies, gen: np.random.Generator,
+                 size=None) -> np.ndarray:
     """Multinomial counts of `copies` over each row of normalized `pvals`,
-    unchecked; a row of zero copies draws nothing."""
-    return gen.multinomial(copies, pvals).astype(np.int64)
+    unchecked, with numpy's `size`; a row of zero copies draws nothing."""
+    return gen.multinomial(copies, pvals, size=size).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -132,9 +148,8 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
     if t.shape != p_true.P.shape:
         raise DimensionMismatchError(f"allocation has {t.size} settings, expected {p_true.P.size}")
     gen = rng.generator(*base_path)
-    hits = np.column_stack([
-        sample_counts(np.broadcast_to([p, 1.0 - p], (trials, 2)), int(t_j), gen)[:, 0]
-        for p, t_j in zip(p_true.P, t)])
+    hits = np.column_stack([sample_counts([p, 1.0 - p], int(t_j), gen, size=trials)[:, 0]
+                            for p, t_j in zip(p_true.P, t)])
     return _fidelities(p_true.n, hits / t)
 
 
@@ -161,6 +176,7 @@ def run_histogram_experiment(rho: DensityMatrix | XState, wd: WitnessDecompositi
     prediction evaluated at the true probabilities, so the two can be
     compared.
     """
+    _check_seed(rng)
     return _experiment(setting_probabilities(rho, wd), allocation, trials, rng, ())
 
 
@@ -214,6 +230,7 @@ def compare_distributions(rho: DensityMatrix | XState, wd: WitnessDecomposition,
     baseline.  Allocation i draws its trials from the stream
     `rng.generator(i)`; its row summarizes `results[i]`.
     """
+    _check_seed(rng)
     if len(allocations) < 2:
         raise QcopiesError("need at least two allocations to compare")
     names = list(allocations)

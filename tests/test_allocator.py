@@ -21,6 +21,7 @@ from qcopies import (
     coverage_experiment,
     depolarized_sc,
     explicit_allocation,
+    failure_probability,
     joint_success,
     noisy_sc_state,
     pauli_settings,
@@ -283,6 +284,41 @@ def test_counts_are_integers_at_least_one(entry, count):
     with pytest.raises(QcopiesError, match="must be an integer >= 1"):
         call(count)
     call(np.int64(3))
+
+
+def _seed_entry_points():
+    """Each public entry point that takes an `RngSeed`, called with that seed."""
+    wd, rho, alloc = build_settings(2), noisy_sc_state(2, 0.9), uniform_allocation(3, 10)
+    tomo, few = rank_two_sc_state(2, 0.8), ReconstructOptions(max_iter=5)
+    return {
+        "run_histogram_experiment": lambda r: run_histogram_experiment(rho, wd, alloc, 3, r),
+        "compare_distributions": lambda r: compare_distributions(
+            rho, wd, {"a": alloc, "b": alloc}, 3, r),
+        "coverage_experiment": lambda r: coverage_experiment(rho, wd, [50], 0.01, 2, r),
+        "sweep_epsilon_ratio": lambda r: sweep_epsilon_ratio(rho, wd, [0.1], 2, r),
+        "reconstruction_curve": lambda r: reconstruction_curve(tomo, 100, [4], 1, r, few),
+    }
+
+
+@pytest.mark.parametrize("entry", list(_seed_entry_points()))
+@pytest.mark.parametrize("rng", [np.random.default_rng(1), 1, None],
+                         ids=["Generator", "int", "None"])
+def test_seeds_are_rng_seeds(entry, rng):
+    """A seed that is not an `RngSeed` raises QcopiesError naming its type
+    rather than a bare AttributeError; an `RngSeed` passes."""
+    call = _seed_entry_points()[entry]
+    with pytest.raises(QcopiesError, match=f"expected RngSeed, got {type(rng).__name__}$"):
+        call(rng)
+    call(RngSeed(1))
+
+
+@pytest.mark.parametrize("value, shown", [(np.int64(0), "0"), (-2, "-2"), (2.5, "2.5"),
+                                          ("2", "'2'"), (True, "True")])
+def test_count_messages_show_integers_plainly(value, shown):
+    """A rejected integer reads as a plain int, whatever its numpy type;
+    anything else keeps its repr, so 2.5 and '2' stay distinct."""
+    with pytest.raises(QcopiesError, match=f"^copies must be an integer >= 1, got {shown}$"):
+        failure_probability(value, 0.1)
 
 
 # Each public entry point that takes a qubit count, called with that count.

@@ -459,6 +459,13 @@ class TestHoeffding:
     def test_joint_needs_inputs(self, capsys):
         assert run_cli(["hoeffding"], capsys)[0] == 2
 
+    def test_zero_copies_message_shows_a_plain_int(self, capsys):
+        code, out, err = run_cli(["hoeffding", "--n", "4", "--fidelity", "0.8", "--t", "0",
+                                  "--h", "0.1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: copies must be an integer >= 1, got 0\n"
+
     def test_empty_copies_exit_3(self, capsys):
         code, out, err = run_cli(["hoeffding", "--coverage", "--n", "3", "--fidelity", "0.8",
                                   "--copies", ","], capsys)
@@ -691,6 +698,9 @@ BAD_INPUTS = [
     ("tenphoton-cost --rate8 inf --copies 110", {}, 3),
     ("simulate --n 2 --fidelity 0.9 --compare uniform:10 --trials 5 --seed 1 --histogram",
      {}, 2),
+    ("simulate --n 2 --fidelity 0.9 --compare a:10 --compare a:20 --trials 5 --seed 1", {}, 2),
+    ("simulate --n 2 --fidelity 0.9 --compare optimized:10 --trials 5 --seed 1", {}, 2),
+    ("simulate --n 2 --fidelity 0.9 --compare :10 --trials 5 --seed 1", {}, 2),
     ("tomography --n 2 --fidelity 0.8 --rank2 --state missing.json --settings 4 --counts 100 "
      "--repeats 1", {}, 2),
     ("tomography --n 2 --fidelity 0.8 --rank2 --corner-mass 0.9 --settings 4 --counts 100 "

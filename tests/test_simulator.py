@@ -140,6 +140,36 @@ class TestSampleCounts:
         assert counts.shape == (40, 3)
         assert np.array_equal(counts, expected)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), outcomes=st.integers(2, 8),
+           copies=st.integers(0, 10**4), size=st.integers(1, 500), data=st.data())
+    def test_sized_row_matches_its_broadcast_stack(self, seed, outcomes, copies, size, data):
+        # a row drawn `size` times gives the counts of the stack of `size`
+        # copies of it, and leaves the generator where the stack leaves it
+        row = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.0, 1e-3, 0.25, 1.0, 7.5]),
+            min_size=outcomes, max_size=outcomes).filter(any)))
+        sized, stacked = RngSeed(seed).generator(), RngSeed(seed).generator()
+        counts = sample_counts(row, copies, sized, size=size)
+        expected = sample_counts(np.broadcast_to(row, (size, outcomes)), copies, stacked)
+        assert counts.dtype == expected.dtype == np.int64
+        assert counts.shape == (size, outcomes)
+        assert counts.tobytes() == expected.tobytes()
+        assert sized.random() == stacked.random()
+
+    def test_sized_stack_puts_the_new_axis_first(self):
+        rows = np.array([[1.0, 3.0], [5.0, 5.0], [0.0, 2.0]])
+        counts = sample_counts(rows, 40, RngSeed(8).generator(), size=4)
+        expected = sample_counts(np.broadcast_to(rows, (4, 3, 2)), 40, RngSeed(8).generator())
+        assert counts.shape == (4, 3, 2)
+        assert np.array_equal(counts, expected)
+
+    @pytest.mark.parametrize("size", [0, -3, True, 2.0, np.array([2, 3]), np.array(4)],
+                             ids=["zero", "negative", "bool", "float", "array", "0-d array"])
+    def test_bad_size_rejected(self, size):
+        with pytest.raises(QcopiesError, match="size must be an integer >= 1"):
+            sample_counts([0.3, 0.7], 10, RngSeed(1).generator(), size=size)
+
     def test_each_row_normalized_on_its_own(self):
         rows = np.array([[1.0, 3.0], [5.0, 5.0], [0.0, 2.0]])
         counts = sample_counts(rows, 200, RngSeed(7).generator())
