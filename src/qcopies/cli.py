@@ -354,7 +354,8 @@ def _tomography_options(p):
     p.add_argument("--rank2", action="store_true",
                    help="use the rank-two noise model instead of white noise")
     p.add_argument("--repeats", type=int, default=2)
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=int, default=5000,
+                   help="Newton iterations per reconstruction solve")
 
 
 def _cost_options(p):

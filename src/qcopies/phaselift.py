@@ -11,28 +11,27 @@ rows vec(M_i^T), one per outcome, and that one linear model serves
 throughout: Born probabilities are rows @ vec(rho), the sampler draws from
 them, and the solver fits the rows to the data.
 
-The solver is Chambolle and Pock's primal-dual method (J. Math. Imaging
-Vis. 40, 120 (2011)) on the nonsmooth objective itself: a dual vector in
-[-1, 1] per operator row, a projected primal step along its adjoint, an
-extrapolated primal iterate, and best-iterate tracking, so the sequence of
-accepted objectives never increases.  A solve stops when a window of 100
-steps lowers the best objective by at most 1e-5 relative, or on its
-iteration budget.  `_solve` steps a batch of problems in lockstep over
-stacked arrays, each getting the bits it gets alone: `reconstruct` passes
-one problem, and `reconstruction_curve` every setting count and repeat of
-the curve at once.
+The solver is a primal-dual interior-point method on the problem as a
+small semidefinite program: slacks u, v >= 0 carry the misfit, the dual
+keeps |y| <= 1 with -sum_i y_i M_i - z I PSD, and each Newton step is one
+d^2 x d^2 system in the coordinates of rho over a Hermitian basis, however
+many rows the settings have.  A solve takes 10-20 steps; it stops when a
+dual bound certifies its best objective to within 1e-7 relative, or, with
+its best iterate and `converged` False, on its iteration budget, on a
+stalled gap or on a numerical breakdown.  `reconstruction_curve` solves
+every setting count and repeat of the curve on its own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import isqrt
 
 import numpy as np
 
 from .core import (DensityMatrix, XState, check_qubit_count, frobenius_distance,
-                   psd_project, psd_project_stack, sc_fidelity)
+                   psd_project, sc_fidelity)
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
 from .simulator import RngSeed, _check_seed, sample_counts
@@ -90,9 +89,8 @@ class ProductSetting:
         so that the outcome probabilities of a state are rows @ vec(rho).
 
         Plain products keep each entry's signed zeros (einsum adds into a
-        zeroed output and turns -0 into +0), and the rows are C-ordered so
-        that the solver's products run one BLAS kernel: both keep the
-        solver's iterates bit for bit."""
+        zeroed output and turns -0 into +0), so the C-ordered rows hold the
+        bytes of the outer products themselves."""
         k = self.kets.T.copy()
         rows = (k[:, None, :] * k[:, :, None].conj()).reshape(len(k), -1)
         rows.flags.writeable = False
@@ -106,7 +104,14 @@ class ProductSetting:
 
 def _family(letters: str, n: int) -> list[ProductSetting]:
     check_qubit_count(n)  # then the first setting checks the family's own cap
-    return [ProductSetting("".join(p)) for p in product(letters, repeat=n)]
+    return list(_built_family(letters, int(n)))
+
+
+@cache
+def _built_family(letters: str, n: int) -> tuple[ProductSetting, ...]:
+    """Each family is built once per process: its settings cache their kets
+    and rows, so later curves reuse those Kronecker products."""
+    return tuple(ProductSetting("".join(p)) for p in product(letters, repeat=n))
 
 
 def pauli_settings(n: int) -> list[ProductSetting]:
@@ -144,17 +149,17 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     return rows
 
 
-# Primal-dual steps tau = _RATIO / |A|, sigma = 1 / (_RATIO |A|).  Every
-# _WINDOW steps the solve stops once the best objective has gained at most
-# _TOL * (1 + best) since the last check.
-_RATIO = 0.03
-_WINDOW = 100
-_TOL = 1e-5
+# A solve stops once its best objective is within _TOL * (1 + objective) of
+# its best dual bound, or as stalled once _PATIENCE steps have not halved
+# that gap.  Each step goes _STEP of the way to the boundary of the cone.
+_TOL = 1e-7
+_PATIENCE = 5
+_STEP = 0.95
 
 
 @dataclass(frozen=True)
 class ReconstructOptions:
-    max_iter: int = 5000
+    max_iter: int = 5000  # Newton iterations per solve
 
     def __post_init__(self):
         _check_count(self.max_iter, "max_iter")
@@ -162,9 +167,10 @@ class ReconstructOptions:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """`converged` is True when the solve stopped on its stall rule (a window
-    of steps that barely lowered the best objective) rather than on its
-    iteration budget."""
+    """`converged` is True when the solve certified its objective: a dual
+    bound within _TOL * (1 + objective) of it.  A solve cut by its iteration
+    budget, a stalled gap or a numerical breakdown returns its best iterate
+    with `converged` False."""
 
     rho_hat: DensityMatrix
     objective: float
@@ -197,65 +203,165 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     return _solve([(A, freqs)], opts.max_iter)[0]
 
 
+class _HermitianBasis:
+    """An orthonormal basis E_k of the d x d Hermitian matrices: e_j e_j^T,
+    then (e_j e_k^T + e_k e_j^T) / sqrt2 and i (e_j e_k^T - e_k e_j^T) / sqrt2
+    for j < k.  Raveled, E_k = c1[k] u[P[k]] + c2[k] u[Q[k]] over the unit
+    vectors u, with Q[k] the transposed position of P[k]."""
+
+    def __init__(self, d: int):
+        j, k = np.triu_indices(d, 1)
+        half, diag = np.full(len(j), np.sqrt(0.5)), np.arange(d) * (d + 1)
+        self.d = d
+        self.P = np.concatenate([diag, j * d + k, j * d + k])
+        self.Q = np.concatenate([diag, k * d + j, k * d + j])
+        self.c1 = np.concatenate([np.ones(d), half, 1j * half])
+        self.c2 = np.concatenate([np.zeros(d), half, -1j * half])
+        self.B = self.pair(np.eye(d * d))  # column k: E_k raveled
+        self.identity = self.coords(np.eye(d))
+
+    def pair(self, m: np.ndarray) -> np.ndarray:
+        """sum_ab m[..., a*d+b] (E_k)_ab for every k: the coordinates
+        tr(M E_k) of M from the rows vec(M^T), or the expansion of a stack
+        of matrices indexed by matrix unit."""
+        return m[..., self.P] * self.c1 + m[..., self.Q] * self.c2
+
+    def coords(self, Y: np.ndarray) -> np.ndarray:
+        """Coordinates Re tr(E_k Y) of the Hermitian part of Y."""
+        return self.pair(Y.T.ravel()).real
+
+    def matrix(self, xi: np.ndarray) -> np.ndarray:
+        return (self.B @ xi).reshape(self.d, self.d)
+
+
+_hermitian_basis = cache(_HermitianBasis)
+
+
 def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Solve every (A, freqs) problem in lockstep and return their results.
+    """Solve each (A, freqs) problem on its own."""
+    return [_interior_point(A, freqs, max_iter)[0] for A, freqs in problems]
 
-    The live problems sit in stacked arrays (operators zero-padded to
-    (P, m_max, d*d), tau and sigma per problem), so a round makes the same
-    numpy calls whatever P is.  The dual steps along the misfit of the
-    extrapolated iterate 2 x - x_prev and is clipped to [-1, 1]; the primal
-    steps along its adjoint, Hermitian to the bit and so not symmetrized.
-    Padded rows add only zero terms, so each problem gets the bits it gets
-    alone.  A problem leaves the stack when the stall rule (checked every
-    _WINDOW steps; `converged`) or the budget stops it.
+
+def _interior_point(A, freqs, max_iter: int) -> tuple[ReconstructionResult, np.ndarray, float]:
+    """Minimize sum |A vec(rho) - freqs| over trace-one PSD rho by a
+    primal-dual interior-point method; return the result and the best dual
+    point (y, z).
+
+    Primal: A(X) - u + v = freqs, tr X = 1, X PSD, u, v >= 0, minimizing
+    sum(u + v).  Dual: maximize freqs.y + z with |y| <= 1 and
+    S = -sum_i y_i M_i - z I PSD.  S is rebuilt from (y, z) at every step,
+    so the dual iterates stay exactly feasible, and raising z to
+    z + lambda_min(S) makes each one a bound on the objective.  Each Newton
+    step solves for dX in real coordinates over a Hermitian basis, with the
+    dual-HKM linearization dS = sigma mu X^-1 - S - sym(S dX X^-1) (Helmberg
+    et al., SIAM J. Optim. 6, 342 (1996)) and Mehrotra's predictor and
+    corrector (SIAM J. Optim. 2, 575 (1992)).  The iterate X / tr X is a
+    state at every step, and the best one is kept, so a longer budget never
+    ends higher.  A gap that _PATIENCE steps have not halved, a failed
+    factorization, a non-finite value or an iterate that leaves the cone
+    ends the solve with its best iterate.
     """
-    ids, lens = np.arange(len(problems)), np.array([len(f) for _, f in problems])
-    d = isqrt(problems[0][0].shape[1])
-    A = np.zeros((len(ids), lens.max(), d * d), dtype=complex)
-    freqs = np.zeros(A.shape[:2])
-    for p in ids:
-        A[p, :lens[p]], freqs[p, :lens[p]] = problems[p]
-    norm = np.array([np.linalg.norm(A_p, 2) for A_p, _ in problems])
-    tau, sigma = (_RATIO / norm)[:, None, None], (1.0 / (_RATIO * norm))[:, None]
-    resid = np.zeros((len(ids), A.shape[1] + 2))  # each row: a zero, one problem's misfits, zeros
-    spans = np.column_stack([0 * lens, 1 + lens])  # the zero and the misfits of each row
-    bounds = (np.arange(len(spans))[:, None] * resid.shape[1] + spans).ravel()
+    basis = _hermitian_basis(isqrt(A.shape[1]))
+    t, mat = basis.identity, basis.matrix
+    Ar = basis.pair(A).real  # rows Tr(M_i E_k)
+    d, m = basis.d, len(freqs)
+    nu = d + 2 * m  # the barrier parameter's weight: X, then u and v
+    xi, u, v = t / d, np.ones(m), np.ones(m)  # X = I/d, with X S = I, u p = v q = 1
+    y, z = np.zeros(m), -float(d)
+    best_xi, best_obj, bound, dual, gaps = xi, np.inf, -np.inf, (y, 0.0), []
+    iterations, converged = 0, False
+    with np.errstate(all="ignore"):
+        while True:
+            s = -Ar.T @ y - z * t
+            X, S = mat(xi), mat(s)
+            try:
+                (lx, ls), (qx, qs) = np.linalg.eigh(np.stack([X, S]))
+            except np.linalg.LinAlgError:
+                break
+            if not (lx[0] > 0 and ls[0] > 0):  # also False on NaN
+                break
+            obj = float(np.abs(Ar @ xi / (t @ xi) - freqs).sum())
+            if obj < best_obj:
+                best_xi, best_obj = xi, obj
+            if freqs @ y + z + ls[0] > bound:
+                bound, dual = freqs @ y + z + ls[0], (y, z + ls[0])
+            gaps.append(best_obj - bound)
+            if gaps[-1] <= _TOL * (1.0 + best_obj):
+                converged = True
+                break
+            if iterations == max_iter or (iterations >= _PATIENCE
+                                          and gaps[-1] > 0.5 * gaps[-1 - _PATIENCE]):
+                break
+            try:
+                xi, u, v, y, z = _newton_step(basis, Ar, freqs, xi, u, v, y, z, X, S, s,
+                                              lx, qx, ls, qs, nu)
+            except np.linalg.LinAlgError:
+                break
+            iterations += 1
+    result = ReconstructionResult(rho_hat=psd_project(mat(best_xi) / (t @ best_xi)),
+                                  objective=best_obj, iterations=iterations, converged=converged)
+    return result, dual[0], float(dual[1])
 
-    # reduceat over each span gives 0 + the pairwise sum of the problem's own
-    # misfits, the bits of its own sum; a sum over the padded row would regroup
-    def objectives(fit):
-        np.abs(fit - freqs, out=resid[:, 1:-1])
-        return np.add.reduceat(resid.ravel(), bounds)[::2]
 
-    x = np.repeat(np.eye(d, dtype=complex)[None] / d, len(ids), axis=0)
-    best = x.copy()
-    fit = fit_prev = np.matmul(A, x.reshape(len(ids), -1, 1))[..., 0].real
-    best_obj = checked = objectives(fit)
-    dual = np.zeros_like(freqs)
-    results, iterations = [None] * len(problems), 0
-    while len(ids):
-        dual = np.clip(dual + sigma * (2.0 * fit - fit_prev - freqs), -1.0, 1.0)
-        adjoint = np.matmul(dual[:, None, :], A).reshape(-1, d, d).transpose(0, 2, 1)
-        x = psd_project_stack(x - tau * adjoint)
-        fit_prev, fit = fit, np.matmul(A, x.reshape(len(ids), -1, 1))[..., 0].real
-        iterations += 1
-        obj = objectives(fit)
-        better = obj < best_obj
-        np.copyto(best, x, where=better[:, None, None])
-        best_obj = np.where(better, obj, best_obj)
-        if iterations % _WINDOW and iterations < max_iter:
-            continue
-        converged = (iterations % _WINDOW == 0) & (checked - best_obj <= _TOL * (1.0 + best_obj))
-        checked, done = best_obj, converged | (iterations == max_iter)
-        for p in np.flatnonzero(done):
-            results[ids[p]] = ReconstructionResult(
-                rho_hat=psd_project(best[p]), objective=float(best_obj[p]),
-                iterations=iterations, converged=bool(converged[p]))
-        (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev, best_obj, checked, dual,
-         resid) = (a[~done] for a in (A, freqs, tau, sigma, spans, ids, x, best, fit, fit_prev,
-                                      best_obj, checked, dual, resid))
-        bounds = (np.arange(len(spans))[:, None] * resid.shape[1] + spans).ravel()
-    return results
+def _newton_step(basis, Ar, freqs, xi, u, v, y, z, X, S, s, lx, qx, ls, qs, nu):
+    """One predictor-corrector step from X and S positive definite (lx, qx
+    and ls, qs their eigensystems; s holds S's coordinates), |y| < 1 and
+    u, v > 0.  Returns the new (xi, u, v, y, z).
+
+    Eliminating du, dv, dy and dS leaves K dxi - dz t = rhs and t.dxi =
+    1 - tr X, with K = V + Ar^T D^-1 Ar and V_kl = Re tr(E_k S E_l X^-1):
+    d^2 x d^2 however many rows A has.  With S = R R^H and X^-1 = G G^H, V is
+    the Gram matrix of the R^H E_l G, so K = F^T F for one stacked real F.
+    K is scaled to a unit diagonal and solved by LU for the predictor and
+    again for the corrector: an explicit inverse, used for both, loses the
+    last digits of the gap as K grows ill-conditioned.
+    """
+    t, mat, coords, d = basis.identity, basis.matrix, basis.coords, basis.d
+    p, q = 1.0 + y, 1.0 - y  # the dual slacks of u and v
+    w = np.concatenate([u, v, p, q])
+    G, R, H = qx / np.sqrt(lx), qs * np.sqrt(ls), qs / np.sqrt(ls)  # S^-1 = H H^H
+    Gh, Hh = G.conj().T, H.conj().T
+    Xinv = G @ Gh
+    mu = (np.vdot(X, S).real + u @ p + v @ q) / nu
+    rp, rt = freqs - Ar @ xi + u - v, 1.0 - t @ xi
+    D = u / p + v / q
+    # column l of C is R^H E_l G raveled, from R^H e_j e_k^T G at [a*d+b, j*d+k]
+    C = basis.pair((R.conj().T[:, None, :, None] * G.T[None, :, None, :]).reshape(d * d, -1))
+    F = np.concatenate([C.real, C.imag, Ar / np.sqrt(D)[:, None]])
+    K = F.T @ F
+    scale = 1.0 / np.sqrt(np.diag(K))
+    K *= scale[:, None] * scale
+
+    def direction(r_s, r_u, r_v):
+        """The step that zeroes the residuals r_s of S (in coordinates) and
+        r_u, r_v of u p and v q, and the longest primal and dual steps along
+        it (1 / 0 reads inf)."""
+        g = rp + r_u / p - r_v / q
+        rhs = np.column_stack([t, r_s + Ar.T @ (g / D)])
+        Kt, a = (scale[:, None] * np.linalg.solve(K, scale[:, None] * rhs)).T
+        dz = (rt - t @ a) / (t @ Kt)
+        dxi = a + dz * Kt
+        dy = (g - Ar @ dxi) / D
+        du, dv = (r_u - u * dy) / p, (r_v + v * dy) / q
+        dX, dS = mat(dxi), mat(-Ar.T @ dy - dz * t)
+        e = np.linalg.eigvalsh(np.stack([Gh @ dX @ G, Hh @ dS @ H]))[:, 0]
+        cone = 1.0 / np.maximum(-e, 0.0)
+        ratio = w / np.maximum(-np.concatenate([du, dv, dy, -dy]), 0.0)
+        return ((dxi, du, dv, dy, dz, dX, dS),
+                min(cone[0], ratio[:2 * len(u)].min()), min(cone[1], ratio[2 * len(u):].min()))
+
+    # predictor: aim at mu = 0
+    (dxi, du, dv, dy, dz, dX, dS), a_p, a_d = direction(-s, -u * p, -v * q)
+    a_p, a_d = min(1.0, a_p), min(1.0, a_d)
+    mu_aff = (np.vdot(X + a_p * dX, S + a_d * dS).real + (u + a_p * du) @ (p + a_d * dy)
+              + (v + a_p * dv) @ (q - a_d * dy)) / nu
+    sigma_mu = (mu_aff / mu) ** 3 * mu
+    # corrector: aim at sigma mu, less the predictor's second-order terms
+    (dxi, du, dv, dy, dz, _, _), a_p, a_d = direction(
+        sigma_mu * coords(Xinv) - s - coords(Xinv @ dX @ dS),
+        sigma_mu - u * p - du * dy, sigma_mu - v * q + dv * dy)
+    a_p, a_d = min(1.0, _STEP * a_p), min(1.0, _STEP * a_d)
+    return xi + a_p * dxi, u + a_p * du, v + a_p * dv, y + a_d * dy, z + a_d * dz
 
 
 @dataclass(frozen=True)

@@ -307,13 +307,13 @@ def sorting_psd_project_stack(m):
 
 
 def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5):
-    """The documented reconstruction scheme for one problem, as one plain
-    loop: Chambolle-Pock steps tau = ratio / |A| and sigma = 1 / (ratio |A|),
-    the dual clipped to [-1, 1] after a step along the misfit of the
-    extrapolated iterate, the primal projected after a step along the
-    adjoint of the dual, best-iterate tracking, and a stop once a window of
-    steps gains at most tol * (1 + best).  Uses the same floating-point
-    operations as the library, so results agree bit for bit.
+    """The reconstruction scheme the library used before its interior-point
+    solver, kept as a quality floor for it, as one plain loop: Chambolle-Pock
+    steps tau = ratio / |A| and sigma = 1 / (ratio |A|), the dual clipped to
+    [-1, 1] after a step along the misfit of the extrapolated iterate, the
+    primal projected after a step along the adjoint of the dual,
+    best-iterate tracking, and a stop once a window of steps gains at most
+    tol * (1 + best).
 
     Returns (rho, objective, iterations, converged).
     """

@@ -588,7 +588,7 @@ def test_readme_stdout_is_pinned(command, digest, capsys):
 # deliberate sampler change may move them; the reconstruction solver must not.
 README_SAMPLED_STDOUT_DIGESTS = [
     ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
-     "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c"),
+     "e8b96b2718b63656a03261b5ec5e704284107d1c6c1cd8392e903b01b422b7e6"),
 ]
 
 
@@ -649,8 +649,8 @@ README_RUNS = [
      "4d6a5159a26800da43f390ee9c15380f0845f875213205f08ceaa356c41c5fc0",
      {"coverage.csv": "4ba0ae26553fba00eefd1ae3cb8163f07a2f05147f2ea958761a639afae1203f"}),
     ("tomography --n 3 --fidelity 0.7068 --rank2 --counts 20000 --seed 42",
-     "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c",
-     {"curve.csv": "a92a82e4e3d945bd38dd5d89de5b282ec9a5411953433182ca0b7be996e18c3c"}),
+     "e8b96b2718b63656a03261b5ec5e704284107d1c6c1cd8392e903b01b422b7e6",
+     {"curve.csv": "e8b96b2718b63656a03261b5ec5e704284107d1c6c1cd8392e903b01b422b7e6"}),
     ("tenphoton-cost --rate8 2.8e-5 --copies 110",
      "babdd1f9ac412fe999aba33d4ac73ebd33d4f60f8c3777737ed1ef7ebe2a4487",
      {"cost.json": "abef40dfb5b6dc1ff27f434a6d7a28d9238af037033aeca11af18d7b1773451a"}),
@@ -749,7 +749,7 @@ PARSER_OUTPUT_DIGESTS = [
     ("hoeffding --help", 0,
      "4ff0d332048cfbdbcb91f60482bcec582ebf158b7ae79b4e43c21df4c099f256", EMPTY),
     ("tomography --help", 0,
-     "7ce9ff8b6e2de6259aa4b6ac28925e0decf74d4263c6f8c98d310b691248aebf", EMPTY),
+     "99a2b1a5a16b7e2570750745524172644781590fe66698fbd225a466b88b31f3", EMPTY),
     ("tenphoton-cost --help", 0,
      "c1cd71ef02fa43e091c9170389871314a672347aae40c28202e74f912b655a1a", EMPTY),
     ("simulate --n 3 extra", 2,

@@ -1,6 +1,4 @@
 import tracemalloc
-from itertools import permutations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +21,7 @@ from qcopies import (
     sc_fidelity,
     tomography_projectors,
 )
-from qcopies.phaselift import _solve
+from qcopies.phaselift import _interior_point, _solve
 
 from _oracles import (ginibre_density, graduated_reconstruct, primal_dual_reconstruct,
                       product_setting_rows)
@@ -85,7 +83,7 @@ class TestTomographyProjectors:
 class TestProductSetting:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_match_outer_products(self, n):
-        # bytes, not values: the solver's eigendecompositions see every bit
+        # bytes, not values: the rows are the outer products' own bits
         for s in pauli_settings(n) + tomography_projectors(n):
             assert s.rows.flags.c_contiguous
             assert s.rows.tobytes() == product_setting_rows(s.bases).tobytes()
@@ -137,18 +135,19 @@ class TestReconstruct:
         assert np.all(np.diff(objectives) <= 0.0)
 
     def test_budget_cut_solve_not_converged(self):
-        # 50 iterations end the solve before the stall rule's first check at
-        # step 100
+        # 5 Newton iterations end the solve before it certifies its gap at
+        # iteration 14
         settings = pauli_settings(3)
         freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 2000,
                                     np.random.default_rng(0))
-        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=50))
-        assert result.iterations == 50
+        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=5))
+        assert result.iterations == 5
         assert not result.converged
+        assert reconstruct(settings, freqs).iterations == 14
 
     def test_budget_allocates_nothing_ahead(self):
         # anything sized by the budget would take gigabytes here; the solve
-        # stalls at step 200
+        # converges at iteration 6
         settings = pauli_settings(1)
         rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
         freqs = exact_frequencies(rho, settings)
@@ -158,7 +157,7 @@ class TestReconstruct:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (result.iterations, result.converged) == (200, True)
+        assert (result.iterations, result.converged) == (6, True)
         assert peak < 2**20
 
     def test_exact_mixed_data_converges(self):
@@ -191,72 +190,8 @@ class TestReconstruct:
                         [[0.5, 0.5], [0.25] * 4])
 
 
-def _same_result(a, b):
-    return (a.rho_hat.matrix.tobytes() == b.rho_hat.matrix.tobytes()
-            and a.objective == b.objective and a.iterations == b.iterations
-            and a.converged == b.converged)
-
-
 class TestLockstep:
-    """Solving problems together gives each the bits it gets alone."""
-
-    @staticmethod
-    def _problems(rng):
-        rank_two = rank_two_sc_state(3, 0.7068)
-        mixed = DensityMatrix(np.eye(8) / 8)
-        pauli, proj = pauli_settings(3), tomography_projectors(3)
-        cases = [
-            (pauli, exact_frequencies(mixed, pauli)),
-            (proj[:8], sampled_frequencies(rank_two, proj[:8], 2000, rng)),
-            (proj, sampled_frequencies(rank_two, proj, 20000, rng)),
-            (pauli[:5], sampled_frequencies(DensityMatrix(ginibre_density(8, rng)),
-                                            pauli[:5], 500, rng)),
-        ]
-        return [(settings, freqs, np.concatenate([s.rows for s in settings]),
-                 np.concatenate(freqs)) for settings, freqs in cases]
-
-    @pytest.mark.parametrize("max_iter", [5000, 400, 7, 1])
-    def test_matches_separate_solves(self, rng, max_iter):
-        problems = self._problems(rng)
-        opts = ReconstructOptions(max_iter=max_iter)
-        alone = [reconstruct(settings, freqs, opts) for settings, freqs, _, _ in problems]
-        together = _solve([(A, f) for _, _, A, f in problems], max_iter)
-        assert all(_same_result(a, b) for a, b in zip(alone, together))
-        for r, (_, _, A, f) in zip(alone, problems):
-            rho, obj, iterations, converged = primal_dual_reconstruct(A, f, max_iter)
-            assert r.rho_hat.matrix.tobytes() == rho.tobytes()
-            assert (r.objective, r.iterations, r.converged) == (obj, iterations, converged)
-        if max_iter < 100:  # every solve is cut before the first stall check
-            assert [(r.iterations, r.converged) for r in alone] == [(max_iter, False)] * 4
-        elif max_iter == 400:  # one is cut by the budget, the others stall by then
-            assert [(r.iterations, r.converged) for r in alone] == [
-                (100, True), (300, True), (400, False), (400, True)]
-        else:  # they all stall, far apart
-            assert [(r.iterations, r.converged) for r in alone] == [
-                (100, True), (300, True), (900, True), (400, True)]
-
-    @pytest.mark.parametrize("max_iter", [1, 400, 5000])
-    def test_padding_and_drop_out_keep_each_solve(self, rng, max_iter):
-        # 8-, 64- and 216-row problems share one zero-padded stack and leave
-        # it on different rounds, in whatever order they are given
-        cases = self._problems(rng)
-        problems = [cases[i][2:] for i in (1, 2, 0)]
-        assert [len(f) for _, f in problems] == [8, 64, 216]
-        alone = [_solve([p], max_iter)[0] for p in problems]
-        for perm in permutations(range(3)):
-            together = _solve([problems[i] for i in perm], max_iter)
-            assert all(_same_result(alone[i], r) for i, r in zip(perm, together))
-
-    def test_objectives_sum_each_problems_own_rows(self, rng):
-        # a sum over the zero-padded row regroups the pairwise sum's terms
-        # when the row count is not a multiple of 8
-        rho, proj = rank_two_sc_state(3, 0.7068), tomography_projectors(3)
-        problems = [(np.concatenate([s.rows for s in proj[:m]]),
-                     np.concatenate(sampled_frequencies(rho, proj[:m], 20000, rng)))
-                    for m in (30, 45, 64)]
-        alone = [_solve([p], 400)[0] for p in problems]
-        together = _solve(problems[::-1], 400)[::-1]
-        assert all(_same_result(a, b) for a, b in zip(alone, together))
+    """A curve solves each of its problems as `reconstruct` solves it alone."""
 
     def test_curve_keeps_each_solve(self):
         rho = rank_two_sc_state(2, 0.8)
@@ -284,10 +219,11 @@ class TestLockstep:
 @given(st.sampled_from([pauli_settings, tomography_projectors]), st.integers(1, 3),
        st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
 def test_dual_adjoint_is_hermitian_to_the_bit(family, n, seed, scale):
-    """The solver steps along (dual @ A).reshape(d, d).T unsymmetrized: for a
-    real dual in [-1, 1] it already equals its conjugate transpose, and
-    symmetrizing it, 0.5 * (g + g^H), gives back its bytes.  (g^H itself
-    differs in bytes only by the sign of the diagonal's zero imaginary parts.)"""
+    """For a real dual in [-1, 1], the adjoint over the rows,
+    (dual @ A).reshape(d, d).T = sum_i dual_i M_i, already equals its
+    conjugate transpose, and symmetrizing it, 0.5 * (g + g^H), gives back its
+    bytes.  (g^H itself differs in bytes only by the sign of the diagonal's
+    zero imaginary parts.)"""
     A = np.concatenate([s.rows for s in family(n)])
     dual = np.clip(scale * np.random.default_rng(seed).standard_normal(len(A)), -1.0, 1.0)
     g = (dual @ A).reshape(2**n, 2**n).T
@@ -326,6 +262,140 @@ class TestQualityAgainstGraduated:
         A = np.concatenate([settings[j].rows for j in order])  # one row per projector
         f = np.concatenate([table[j] for j in order])
         self._assert_no_worse([(A[:m], f[:m]) for m in (8, 16, 30, 45, 50, 56, 64)])
+
+
+def _rows_and_freqs(settings, table):
+    return np.concatenate([s.rows for s in settings]), np.concatenate(table)
+
+
+def _bench_curve_problems(seed):
+    """The problems of one benchmark curve: rank two, n = 3, 20000 copies per
+    setting, the settings in the seed's order, seven setting counts."""
+    settings = tomography_projectors(3)
+    rng = RngSeed(seed)
+    order = rng.generator(0).permutation(len(settings))
+    table = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 20000,
+                                rng.generator(1, 0))
+    A, f = _rows_and_freqs([settings[j] for j in order], [table[j] for j in order])
+    return [(A[:m], f[:m]) for m in (8, 16, 30, 45, 50, 56, 64)]  # one row per projector
+
+
+def _assert_state(result):
+    m = result.rho_hat.matrix
+    assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+    assert np.trace(m).real == pytest.approx(1.0, abs=1e-10)
+    assert np.linalg.eigvalsh(m).min() >= -1e-9
+    assert np.isfinite(result.objective) and result.objective >= 0
+
+
+class TestCertificate:
+    """The solver's dual point (y, z) proves its objective near the optimum:
+    |y| <= 1 and sum_i y_i M_i + z I <= 0 make freqs.y + z a lower bound on
+    every state's objective."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([pauli_settings, tomography_projectors]), st.integers(1, 3),
+           st.booleans(), st.sampled_from([100, 2000, 20000]), st.integers(0, 2**32 - 1),
+           st.data())
+    def test_dual_bounds_the_objective(self, family, n, rank_two, copies, seed, data):
+        rng = np.random.default_rng(seed)
+        rho = (rank_two_sc_state(n, rng.uniform(0.5, 1.0)) if rank_two and n > 1
+               else DensityMatrix(ginibre_density(2**n, rng)))
+        pool = family(n)
+        chosen = [pool[j] for j in rng.permutation(len(pool))]
+        chosen = chosen[:data.draw(st.integers(1, len(pool)), label="settings")]
+        A, f = _rows_and_freqs(chosen, sampled_frequencies(rho, chosen, copies, rng))
+        result, y, z = _interior_point(A, f, 5000)
+        assert result.converged
+        assert np.all(np.abs(y) <= 1.0)
+        # the operators from the settings' kets, not from the rows the solver read
+        kets = np.concatenate([s.kets for s in chosen], axis=1)
+        assert np.linalg.eigvalsh((kets * y) @ kets.conj().T)[-1] + z <= 1e-9
+        assert result.objective - (f @ y + z) <= 1e-6 * (1 + result.objective)
+        fit = (A @ result.rho_hat.matrix.ravel()).real
+        assert np.abs(fit - f).sum() == pytest.approx(result.objective, abs=1e-9)
+
+
+class TestQualityAgainstPrimalDual:
+    """Each solve ends no higher than the Chambolle-Pock scheme the library
+    used before, kept in the oracles: objective <= old + 1e-6 * (1 + old)."""
+
+    @staticmethod
+    def _assert_no_worse(problems):
+        for r, (A, f) in zip(_solve(problems, 5000), problems):
+            old = primal_dual_reconstruct(A, f, 5000)[1]
+            assert r.objective <= old + 1e-6 * (1 + old)
+
+    def test_mixed_problems(self, rng):
+        rank_two = rank_two_sc_state(3, 0.7068)
+        pauli, proj = pauli_settings(3), tomography_projectors(3)
+        ginibre = DensityMatrix(ginibre_density(8, rng))
+        self._assert_no_worse([
+            _rows_and_freqs(pauli, exact_frequencies(DensityMatrix(np.eye(8) / 8), pauli)),
+            _rows_and_freqs(proj[:8], sampled_frequencies(rank_two, proj[:8], 2000, rng)),
+            _rows_and_freqs(proj, sampled_frequencies(rank_two, proj, 20000, rng)),
+            _rows_and_freqs(pauli[:5], sampled_frequencies(ginibre, pauli[:5], 500, rng)),
+        ])
+
+    def test_three_qubit_curve(self):
+        self._assert_no_worse(_bench_curve_problems(1))
+
+
+class TestRobustness:
+    """No input raises, and every result is a state."""
+
+    def test_bench_shaped_curves_all_converge(self):
+        for seed in range(1, 41):
+            for r in _solve(_bench_curve_problems(seed), 5000):
+                assert r.converged
+                _assert_state(r)
+
+    @pytest.mark.parametrize("family", [pauli_settings, tomography_projectors])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_setting(self, family, n, rng):
+        setting = family(n)[-1]
+        rho = DensityMatrix(ginibre_density(2**n, rng))
+        for freqs in (exact_frequencies(rho, [setting]),
+                      sampled_frequencies(rho, [setting], 50, rng)):
+            r = reconstruct([setting], freqs)
+            assert r.converged
+            _assert_state(r)
+
+    @pytest.mark.parametrize("family", [pauli_settings, tomography_projectors])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_frequencies_of_zero_or_one(self, family, n):
+        settings = family(n)
+        rng = np.random.default_rng(n)
+        for table in ([np.zeros(len(s.rows)) for s in settings],
+                      [np.ones(len(s.rows)) for s in settings],
+                      [rng.integers(0, 2, len(s.rows)).astype(float) for s in settings]):
+            r = reconstruct(settings, table)
+            assert r.converged
+            _assert_state(r)
+
+    @pytest.mark.parametrize("family", [pauli_settings, tomography_projectors])
+    def test_one_qubit(self, family, rng):
+        settings = family(1)
+        for copies in (1, 10, 10**6):
+            rho = DensityMatrix(ginibre_density(2, rng))
+            r = reconstruct(settings, sampled_frequencies(rho, settings, copies, rng))
+            assert r.converged
+            _assert_state(r)
+
+    def test_four_qubit_pauli_full_set(self, rng):
+        settings = pauli_settings(4)
+        freqs = sampled_frequencies(rank_two_sc_state(4, 0.8), settings, 2000, rng)
+        r = reconstruct(settings, freqs)
+        assert r.converged
+        _assert_state(r)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_tiny_budgets_return_a_state(self, max_iter, rng):
+        settings = tomography_projectors(3)
+        freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 20000, rng)
+        r = reconstruct(settings, freqs, ReconstructOptions(max_iter=max_iter))
+        assert (r.iterations, r.converged) == (max_iter, False)
+        _assert_state(r)
 
 
 class TestReconstructionCurve:
