@@ -1,4 +1,5 @@
 import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -387,6 +388,20 @@ class TestRobustness:
         freqs = sampled_frequencies(rank_two_sc_state(4, 0.8), settings, 2000, rng)
         r = reconstruct(settings, freqs)
         assert r.converged
+        _assert_state(r)
+
+    def test_degenerate_counts_end_quickly(self):
+        # five copies of the maximally mixed state on five Pauli bases: zero
+        # frequencies force a rank-deficient optimum, and the Newton system
+        # reaches condition 1e16 (an earlier variant stalled at a gap of
+        # 1.1e-7 relative here)
+        settings = [ProductSetting(b) for b in ("YZZ", "YXY", "YYX", "XZZ", "XXX")]
+        hits = [[0, 2, 0, 0, 1, 2, 0, 0], [0, 1, 1, 0, 0, 0, 2, 1], [1, 0, 0, 1, 2, 0, 1, 0],
+                [1, 0, 1, 0, 1, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 1]]
+        A, f = _rows_and_freqs(settings, [np.array(h) / 5 for h in hits])
+        r, y, z = _interior_point(A, f, 5000)
+        assert r.iterations <= 30
+        assert r.objective - (f @ y + z) <= 1e-6 * (1 + r.objective)
         _assert_state(r)
 
     @pytest.mark.parametrize("max_iter", [1, 2])
