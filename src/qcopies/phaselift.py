@@ -18,15 +18,21 @@ d^2 x d^2 system in the coordinates of rho over a Hermitian basis, however
 many rows the settings have.  A solve takes 10-20 steps; it stops when a
 dual bound certifies its best objective to within 1e-7 relative, or, with
 its best iterate and `converged` False, on its iteration budget, on a
-stalled gap or on a numerical breakdown.  `reconstruction_curve` solves
-every setting count and repeat of the curve on its own.
+stalled gap or on a numerical breakdown.  The solves of one call run in
+lockstep: each round takes one Newton step for every solve still running,
+with the eigendecompositions, the LU solves and the small matrix products
+of all of them stacked into one call each, while each product or sum over
+a solve's data rows stays its own call.  So a solve ends with the bits it
+has alone, whatever else runs beside it, and `reconstruct` is the call
+with one solve.  `reconstruction_curve` solves every setting count and
+repeat of the curve in one such call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -97,9 +103,26 @@ class ProductSetting:
         return rows
 
     def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
+        _check_state(rho)
         if rho.n_qubits != self.n:
             raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
         return np.clip((self.rows @ rho.matrix.ravel()).real, 0.0, None)
+
+
+def _check_state(rho) -> None:
+    if not isinstance(rho, (DensityMatrix, XState)):
+        raise QcopiesError(f"expected DensityMatrix or XState, got {type(rho).__name__}")
+
+
+def _check_settings(settings) -> list[ProductSetting]:
+    try:
+        settings = list(settings)
+    except TypeError:
+        raise QcopiesError(f"expected ProductSettings, got {type(settings).__name__}") from None
+    for s in settings:
+        if not isinstance(s, ProductSetting):
+            raise QcopiesError(f"expected ProductSetting, got {type(s).__name__}")
+    return settings
 
 
 def _family(letters: str, n: int) -> list[ProductSetting]:
@@ -126,7 +149,7 @@ def tomography_projectors(n: int) -> list[ProductSetting]:
 
 def exact_frequencies(rho: DensityMatrix | XState, settings) -> list[np.ndarray]:
     """Noiseless frequency table: one row of Born probabilities per setting."""
-    return [s.born_probabilities(rho) for s in settings]
+    return [s.born_probabilities(rho) for s in _check_settings(settings)]
 
 
 def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_setting: int,
@@ -137,6 +160,9 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     setting draws the binomial hit count of its one operator.
     """
     _check_count(copies_per_setting, "copies per setting")
+    settings = _check_settings(settings)
+    if not isinstance(gen, np.random.Generator):
+        raise QcopiesError(f"expected numpy Generator, got {type(gen).__name__}")
     rows = []
     for s in settings:
         probs = s.born_probabilities(rho)
@@ -165,6 +191,14 @@ class ReconstructOptions:
         _check_count(self.max_iter, "max_iter")
 
 
+def _check_options(opts) -> ReconstructOptions:
+    if opts is None:
+        return ReconstructOptions()
+    if not isinstance(opts, ReconstructOptions):
+        raise QcopiesError(f"expected ReconstructOptions, got {type(opts).__name__}")
+    return opts
+
+
 @dataclass(frozen=True)
 class ReconstructionResult:
     """`converged` is True when the solve certified its objective: a dual
@@ -183,8 +217,12 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     frequencies per setting, one entry per operator row of the setting.
     The solver fits the settings' stacked rows: the same model their Born
     probabilities come from."""
-    opts = opts or ReconstructOptions()
-    rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
+    opts = _check_options(opts)
+    settings = _check_settings(settings)
+    try:
+        rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
+    except (TypeError, ValueError):
+        raise QcopiesError("frequencies must be rows of numbers") from None
     if len(settings) != len(rows):
         raise DimensionMismatchError(f"{len(settings)} settings but {len(rows)} frequency rows")
     if not rows:
@@ -195,19 +233,21 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
         outcomes = len(setting.rows)
         if row.shape != (outcomes,):
             raise DimensionMismatchError(
-                f"setting has {outcomes} outcomes but {row.size} frequencies")
+                f"setting {setting.bases} has {outcomes} outcomes but a frequency row "
+                f"of shape {row.shape}")
     freqs = np.concatenate(rows)
     if not np.all((freqs >= 0) & (freqs <= 1)):
         raise QcopiesError("frequencies must be finite and lie in [0, 1]")
     A = np.concatenate([s.rows for s in settings])
-    return _solve([(A, freqs)], opts.max_iter)[0]
+    return _interior_point(A, freqs, opts.max_iter)[0]
 
 
 class _HermitianBasis:
     """An orthonormal basis E_k of the d x d Hermitian matrices: e_j e_j^T,
     then (e_j e_k^T + e_k e_j^T) / sqrt2 and i (e_j e_k^T - e_k e_j^T) / sqrt2
     for j < k.  Raveled, E_k = c1[k] u[P[k]] + c2[k] u[Q[k]] over the unit
-    vectors u, with Q[k] the transposed position of P[k]."""
+    vectors u, with Q[k] the transposed position of P[k].  Coordinates and
+    matrices may come in stacks along leading axes."""
 
     def __init__(self, d: int):
         j, k = np.triu_indices(d, 1)
@@ -217,7 +257,12 @@ class _HermitianBasis:
         self.Q = np.concatenate([diag, k * d + j, k * d + j])
         self.c1 = np.concatenate([np.ones(d), half, 1j * half])
         self.c2 = np.concatenate([np.zeros(d), half, -1j * half])
-        self.B = self.pair(np.eye(d * d))  # column k: E_k raveled
+        # the real and the imaginary part of entry p of sum_k xi_k E_k raveled
+        # are xi[at[2p]] c[2p] and xi[at[2p+1]] c[2p+1]
+        B = self.pair(np.eye(d * d))  # column k: E_k raveled
+        B = np.stack([B.real, B.imag], axis=1).reshape(2 * d * d, -1)
+        self.at = np.abs(B).argmax(1)
+        self.c = B[np.arange(2 * d * d), self.at]
         self.identity = self.coords(np.eye(d))
 
     def pair(self, m: np.ndarray) -> np.ndarray:
@@ -228,24 +273,113 @@ class _HermitianBasis:
 
     def coords(self, Y: np.ndarray) -> np.ndarray:
         """Coordinates Re tr(E_k Y) of the Hermitian part of Y."""
-        return self.pair(Y.T.ravel()).real
+        return self.pair(Y.swapaxes(-1, -2).reshape(*Y.shape[:-2], -1)).real
 
     def matrix(self, xi: np.ndarray) -> np.ndarray:
-        return (self.B @ xi).reshape(self.d, self.d)
+        """sum_k xi_k E_k, entry by entry: the real and the imaginary part of
+        an entry are each one coordinate times one coefficient, every other
+        term of the sum being zero, so this has the bits of the sum formed as
+        a matrix product; adding 0.0 turns a -0 into the +0 that product
+        has."""
+        X = np.multiply(xi[..., self.at], self.c, order="C")
+        X += 0.0
+        return X.view(complex).reshape(*xi.shape[:-1], self.d, self.d)
 
 
 _hermitian_basis = cache(_HermitianBasis)
 
 
 def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Solve each (A, freqs) problem on its own."""
-    return [_interior_point(A, freqs, max_iter)[0] for A, freqs in problems]
+    """Solve the (A, freqs) problems together; each gets the result it gets
+    alone."""
+    return [result for result, _, _ in _lockstep(problems, max_iter)]
 
 
 def _interior_point(A, freqs, max_iter: int) -> tuple[ReconstructionResult, np.ndarray, float]:
-    """Minimize sum |A vec(rho) - freqs| over trace-one PSD rho by a
-    primal-dual interior-point method; return the result and the best dual
-    point (y, z).
+    """Solve one problem: its result and its best dual point (y, z)."""
+    return _lockstep([(A, freqs)], max_iter)[0]
+
+
+class _Rows:
+    """The data rows of a stack of problems: problem b's rows Tr(M_i E_k)
+    are blocks[b], and a vector over rows concatenates the problems' parts,
+    problem b's in spans[b].  Elementwise work runs on the concatenation;
+    each product and sum over rows runs on one problem's own part, as the
+    same call a problem solved alone makes, so its bits do not depend on the
+    other problems in the stack.  Each block is a strided real view, which
+    numpy multiplies in its own loop, and its -A^T a contiguous copy, which
+    BLAS multiplies: two summation orders, each kept where the pinned
+    outputs rest on it."""
+
+    def __init__(self, blocks: list[np.ndarray]):
+        self.blocks, self.negated = blocks, [-A.T for A in blocks]
+        self.counts = np.array([len(A) for A in blocks])
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.spans = [slice(a, a + m) for a, m in zip(self.starts, self.counts)]
+        self.size = int(self.counts.sum())
+
+    def take(self, keep: np.ndarray) -> tuple[_Rows, np.ndarray]:
+        """The rows of the problems that `keep` marks, and the row mask."""
+        return _Rows([A for A, k in zip(self.blocks, keep) if k]), keep.repeat(self.counts)
+
+    def fit(self, x: np.ndarray) -> np.ndarray:
+        """A_b x_b for every problem b, concatenated, from x stacked."""
+        out = np.empty(self.size)
+        for A, x_b, span in zip(self.blocks, x, self.spans):
+            np.matmul(A, x_b, out=out[span])
+        return out
+
+    def adjoint(self, w: np.ndarray, negated: bool = False) -> np.ndarray:
+        """A_b^T w_b, or (-A_b^T) w_b, for every problem b, stacked, from w
+        concatenated."""
+        out = np.empty((len(self.blocks), self.blocks[0].shape[1]))
+        for A, N, out_b, span in zip(self.blocks, self.negated, out, self.spans):
+            np.matmul(N if negated else A.T, w[span], out=out_b)
+        return out
+
+    def min(self, w: np.ndarray) -> np.ndarray:
+        """The minimum over each problem's part of each row of w."""
+        return np.minimum.reduceat(w, self.starts, axis=-1)
+
+    def gap_sum(self, XS, u, p, v, q) -> np.ndarray:
+        """tr(X S) + u.p + v.q for each problem, X and S stacked in XS."""
+        out = np.empty(len(self.blocks))
+        for b, span in enumerate(self.spans):
+            out[b] = np.vdot(XS[b, 0], XS[b, 1]).real + u[span] @ p[span] + v[span] @ q[span]
+        return out
+
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        """Each problem's entry of a on every row of that problem; for a of
+        shape (problems, k), one such vector per column."""
+        return a.T.repeat(self.counts, axis=-1)
+
+
+def _each(solver, a: np.ndarray, *rest: np.ndarray):
+    """solver(a, *rest) over stacks of per-problem arrays in one call, which
+    runs LAPACK on each matrix alone.  Returns the output and the set of
+    problems whose call failed: after a LinAlgError each problem is tried
+    alone, and a failed one's matrix is swapped for the identity and its
+    output for NaN."""
+    try:
+        return solver(a, *rest), set()
+    except np.linalg.LinAlgError:
+        pass
+    failed = np.zeros(len(a), dtype=bool)
+    for i in range(len(a)):
+        try:
+            solver(a[i:i + 1], *(r[i:i + 1] for r in rest))
+        except np.linalg.LinAlgError:
+            failed[i] = True
+    out = solver(np.where(failed.reshape(-1, *[1] * (a.ndim - 1)), np.eye(a.shape[-1]), a), *rest)
+    for o in out if isinstance(out, tuple) else (out,):
+        o[failed] = np.nan
+    return out, set(np.flatnonzero(failed).tolist())
+
+
+def _lockstep(problems, max_iter: int) -> list[tuple[ReconstructionResult, np.ndarray, float]]:
+    """Minimize sum |A vec(rho) - freqs| over trace-one PSD rho for every
+    (A, freqs) problem, all on d x d matrices, by a primal-dual interior-point
+    method; return each result with its best dual point (y, z).
 
     Primal: A(X) - u + v = freqs, tr X = 1, X PSD, u, v >= 0, minimizing
     sum(u + v).  Dual: maximize freqs.y + z with |y| <= 1 and
@@ -257,111 +391,158 @@ def _interior_point(A, freqs, max_iter: int) -> tuple[ReconstructionResult, np.n
     et al., SIAM J. Optim. 6, 342 (1996)) and Mehrotra's predictor and
     corrector (SIAM J. Optim. 2, 575 (1992)).  The iterate X / tr X is a
     state at every step, and the best one is kept, so a longer budget never
-    ends higher.  A gap that _PATIENCE steps have not halved, a failed
-    factorization, a non-finite value or an iterate that leaves the cone
-    ends the solve with its best iterate.
+    ends higher.
+
+    The problems run in lockstep: each round takes one stacked step for
+    every problem still running, and a problem leaves the stack when it
+    stops.  It stops converged, on its budget, when _PATIENCE steps have not
+    halved its gap, or on a breakdown: a failed factorization, a non-finite
+    value or an iterate that leaves the cone.
     """
-    basis = _hermitian_basis(isqrt(A.shape[1]))
-    t, mat = basis.identity, basis.matrix
-    Ar = basis.pair(A).real  # rows Tr(M_i E_k)
-    d, m = basis.d, len(freqs)
-    nu = d + 2 * m  # the barrier parameter's weight: X, then u and v
-    xi, u, v = t / d, np.ones(m), np.ones(m)  # X = I/d, with X S = I, u p = v q = 1
-    y, z = np.zeros(m), -float(d)
-    best_xi, best_obj, bound, dual, gaps = xi, np.inf, -np.inf, (y, 0.0), []
-    iterations, converged = 0, False
+    basis = _hermitian_basis(isqrt(problems[0][0].shape[1]))
+    t, mat, d = basis.identity, basis.matrix, basis.d
+    rows = _Rows([basis.pair(A).real for A, _ in problems])  # rows Tr(M_i E_k)
+    f = np.concatenate([np.asarray(f, dtype=float) for _, f in problems])
+    nu = d + 2.0 * rows.counts  # the barrier parameter's weight: X, then u and v
+    xi = np.tile(t / d, (len(problems), 1))  # X = I/d, with X S = I, u p = v q = 1
+    u, v, y, z = np.ones(len(f)), np.ones(len(f)), np.zeros(len(f)), np.full(len(xi), -float(d))
+    tracks = [_Track(i, xi[i], y[span]) for i, span in enumerate(rows.spans)]
+    results, iterations, broken = [None] * len(tracks), 0, set()
     with np.errstate(all="ignore"):
         while True:
-            s = -Ar.T @ y - z * t
-            X, S = mat(xi), mat(s)
-            try:
-                (lx, ls), (qx, qs) = np.linalg.eigh(np.stack([X, S]))
-            except np.linalg.LinAlgError:
-                break
-            if not (lx[0] > 0 and ls[0] > 0):  # also False on NaN
-                break
-            obj = float(np.abs(Ar @ xi / (t @ xi) - freqs).sum())
-            if obj < best_obj:
-                best_xi, best_obj = xi, obj
-            if freqs @ y + z + ls[0] > bound:
-                bound, dual = freqs @ y + z + ls[0], (y, z + ls[0])
-            gaps.append(best_obj - bound)
-            if gaps[-1] <= _TOL * (1.0 + best_obj):
-                converged = True
-                break
-            if iterations == max_iter or (iterations >= _PATIENCE
-                                          and gaps[-1] > 0.5 * gaps[-1 - _PATIENCE]):
-                break
-            try:
-                xi, u, v, y, z = _newton_step(basis, Ar, freqs, xi, u, v, y, z, X, S, s,
-                                              lx, qx, ls, qs, nu)
-            except np.linalg.LinAlgError:
-                break
+            s = rows.adjoint(y, negated=True) - z[:, None] * t
+            XS = mat(np.array([xi, s])).swapaxes(0, 1)
+            (lam, vec), failed = _each(np.linalg.eigh, XS)
+            fit, tr = rows.fit(xi), np.array([t @ x for x in xi])
+            stop = []
+            for i, (track, span, (lx, ls)) in enumerate(zip(tracks, rows.spans,
+                                                            lam[:, :, 0].tolist())):
+                obj = float(np.abs(fit[span] / tr[i] - f[span]).sum())
+                lower = f[span] @ y[span] + z[i] + ls
+                # a failed step or eigh, X or S off the cone, or a non-finite
+                # objective or bound ends the solve; each test is False on NaN
+                ok = (i not in broken and i not in failed and lx > 0 and ls > 0
+                      and isfinite(obj) and isfinite(lower))
+                converged = ok and track.update(xi[i], obj, y[span], z[i] + ls, lower)
+                gaps = track.gaps
+                stop.append(not ok or converged or iterations == max_iter
+                            or (len(gaps) > _PATIENCE and gaps[-1] > 0.5 * gaps[-1 - _PATIENCE]))
+                if stop[-1]:
+                    rho = psd_project(mat(track.xi) / (t @ track.xi))
+                    results[track.index] = (  # a failed step is not counted
+                        ReconstructionResult(rho_hat=rho, objective=float(track.obj),
+                                             iterations=iterations - (i in broken),
+                                             converged=bool(converged)),
+                        track.y, float(track.z))
+            if all(stop):
+                return results
+            if any(stop):
+                keep = ~np.array(stop)
+                rows, kept = rows.take(keep)
+                f, u, v, y, fit = (a[kept] for a in (f, u, v, y, fit))
+                nu, xi, z, s, tr, XS, lam, vec = (a[keep] for a in (nu, xi, z, s, tr, XS, lam, vec))
+                tracks = [track for track, k in zip(tracks, keep) if k]
+            xi, u, v, y, z, broken = _newton_step(basis, rows, f, xi, u, v, y, z, s, fit, tr,
+                                                  XS, lam, vec, nu)
             iterations += 1
-    result = ReconstructionResult(rho_hat=psd_project(mat(best_xi) / (t @ best_xi)),
-                                  objective=best_obj, iterations=iterations, converged=converged)
-    return result, dual[0], float(dual[1])
 
 
-def _newton_step(basis, Ar, freqs, xi, u, v, y, z, X, S, s, lx, qx, ls, qs, nu):
-    """One predictor-corrector step from X and S positive definite (lx, qx
-    and ls, qs their eigensystems; s holds S's coordinates), |y| < 1 and
-    u, v > 0.  Returns the new (xi, u, v, y, z).
+class _Track:
+    """One problem's best iterate and objective, its best dual bound with
+    the dual point (y, z) that gives it, and its gap at each update."""
+
+    def __init__(self, index: int, xi: np.ndarray, y: np.ndarray):
+        self.index, self.xi, self.obj = index, xi, np.inf
+        self.bound, self.y, self.z, self.gaps = -np.inf, y, 0.0, []
+
+    def update(self, xi, obj, y, z, bound) -> bool:
+        """Take a finite objective and bound; True when the gap is within
+        _TOL * (1 + objective)."""
+        if obj < self.obj:
+            self.xi, self.obj = xi, obj
+        if bound > self.bound:
+            self.bound, self.y, self.z = bound, y, z
+        self.gaps.append(self.obj - self.bound)
+        return self.gaps[-1] <= _TOL * (1.0 + self.obj)
+
+
+def _newton_step(basis, rows, f, xi, u, v, y, z, s, fit, tr, XS, lam, vec, nu):
+    """One predictor-corrector step for every problem of the stack, from X
+    and S positive definite (XS stacks them, lam and vec their eigensystems;
+    s holds S's coordinates, fit the rows' A vec(X) and tr the traces of X),
+    |y| < 1 and u, v > 0.  Returns the new (xi, u, v, y, z) and the problems
+    whose factorization failed.
 
     Eliminating du, dv, dy and dS leaves K dxi - dz t = rhs and t.dxi =
     1 - tr X, with K = V + Ar^T D^-1 Ar and V_kl = Re tr(E_k S E_l X^-1):
     d^2 x d^2 however many rows A has.  With S = R R^H and X^-1 = G G^H, V is
-    the Gram matrix of the R^H E_l G, so K = F^T F for one stacked real F.
-    K is scaled to a unit diagonal and solved by LU for the predictor and
-    again for the corrector: an explicit inverse, used for both, loses the
-    last digits of the gap as K grows ill-conditioned.
+    the Gram matrix of the R^H E_l G, so K = F^T F for one stacked real F,
+    formed for each problem from its own rows.  K is scaled to a unit
+    diagonal and solved by LU for the predictor and again for the corrector:
+    an explicit inverse, used for both, loses the last digits of the gap as
+    K grows ill-conditioned.
     """
     t, mat, coords, d = basis.identity, basis.matrix, basis.coords, basis.d
     p, q = 1.0 + y, 1.0 - y  # the dual slacks of u and v
-    w = np.concatenate([u, v, p, q])
-    G, R, H = qx / np.sqrt(lx), qs * np.sqrt(ls), qs / np.sqrt(ls)  # S^-1 = H H^H
-    Gh, Hh = G.conj().T, H.conj().T
-    Xinv = G @ Gh
-    mu = (np.vdot(X, S).real + u @ p + v @ q) / nu
-    rp, rt = freqs - Ar @ xi + u - v, 1.0 - t @ xi
+    GH = vec / np.sqrt(lam)[..., None, :]  # X^-1 = G G^H and S^-1 = H H^H
+    GHh, G, R = GH.conj().swapaxes(2, 3), GH[:, 0], vec[:, 1] * np.sqrt(lam[:, 1])[:, None]
+    Xinv = G @ GHh[:, 0]
+    mu = rows.gap_sum(XS, u, p, v, q) / nu
+    rp, rt = f - fit + u - v, 1.0 - tr
     D = u / p + v / q
-    # column l of C is R^H E_l G raveled, from R^H e_j e_k^T G at [a*d+b, j*d+k]
-    C = basis.pair((R.conj().T[:, None, :, None] * G.T[None, :, None, :]).reshape(d * d, -1))
-    F = np.concatenate([C.real, C.imag, Ar / np.sqrt(D)[:, None]])
-    K = F.T @ F
-    scale = 1.0 / np.sqrt(np.diag(K))
-    K *= scale[:, None] * scale
+    K, root_D = np.empty((len(xi), d * d, d * d)), np.sqrt(D)[:, None]
+    for K_b, Rh, Gt, A, span in zip(K, R.conj().swapaxes(1, 2), G.swapaxes(1, 2), rows.blocks,
+                                    rows.spans):
+        # column l of C is R^H E_l G raveled, from R^H e_j e_k^T G at [a*d+b, j*d+k]
+        C = basis.pair((Rh[:, None, :, None] * Gt[None, :, None, :]).reshape(d * d, -1))
+        F = np.concatenate([C.real, C.imag, A / root_D[span]])
+        np.matmul(F.T, F, out=K_b)
+    scale = 1.0 / np.sqrt(np.diagonal(K, axis1=1, axis2=2))
+    K *= scale[:, :, None] * scale[:, None, :]
+    srhs = np.empty((len(xi), d * d, 2))  # the scaled right-hand sides: t, then the residual
+    w = np.array([u, v, p, q])
+    srhs[:, :, 0] = scale * t
+    failed = set()
 
     def direction(r_s, r_u, r_v):
         """The step that zeroes the residuals r_s of S (in coordinates) and
         r_u, r_v of u p and v q, and the longest primal and dual steps along
-        it (1 / 0 reads inf)."""
+        it, one row per problem (1 / 0 reads inf)."""
         g = rp + r_u / p - r_v / q
-        rhs = np.column_stack([t, r_s + Ar.T @ (g / D)])
-        Kt, a = (scale[:, None] * np.linalg.solve(K, scale[:, None] * rhs)).T
-        dz = (rt - t @ a) / (t @ Kt)
-        dxi = a + dz * Kt
-        dy = (g - Ar @ dxi) / D
+        srhs[:, :, 1] = scale * (r_s + rows.adjoint(g / D))
+        sol, singular = _each(np.linalg.solve, K, srhs)
+        sol = scale[:, :, None] * sol
+        Kt, a = sol[..., 0], sol[..., 1]
+        dz = np.array([(r - t @ a_b) / (t @ k_b) for r, a_b, k_b in zip(rt, a, Kt)])
+        dxi = a + dz[:, None] * Kt
+        dy = (g - rows.fit(dxi)) / D
         du, dv = (r_u - u * dy) / p, (r_v + v * dy) / q
-        dX, dS = mat(dxi), mat(-Ar.T @ dy - dz * t)
-        e = np.linalg.eigvalsh(np.stack([Gh @ dX @ G, Hh @ dS @ H]))[:, 0]
-        cone = 1.0 / np.maximum(-e, 0.0)
-        ratio = w / np.maximum(-np.concatenate([du, dv, dy, -dy]), 0.0)
-        return ((dxi, du, dv, dy, dz, dX, dS),
-                min(cone[0], ratio[:2 * len(u)].min()), min(cone[1], ratio[2 * len(u):].min()))
+        ds = rows.adjoint(dy, negated=True) - dz[:, None] * t
+        dXS = mat(np.array([dxi, ds])).swapaxes(0, 1)
+        e, unsolved = _each(np.linalg.eigvalsh, GHh @ dXS @ GH)
+        failed.update(singular | unsolved)
+        ratio = rows.min(w / np.maximum(-np.array([du, dv, dy, -dy]), 0.0))  # u, v, p, q
+        return (dxi, du, dv, dy, dz, dXS), np.minimum(1.0 / np.maximum(-e[..., 0], 0.0),
+                                                     ratio.reshape(2, 2, -1).min(1).T)
 
     # predictor: aim at mu = 0
-    (dxi, du, dv, dy, dz, dX, dS), a_p, a_d = direction(-s, -u * p, -v * q)
-    a_p, a_d = min(1.0, a_p), min(1.0, a_d)
-    mu_aff = (np.vdot(X + a_p * dX, S + a_d * dS).real + (u + a_p * du) @ (p + a_d * dy)
-              + (v + a_p * dv) @ (q - a_d * dy)) / nu
-    sigma_mu = (mu_aff / mu) ** 3 * mu
+    (dxi, du, dv, dy, dz, dXS), alpha = direction(-s, -u * p, -v * q)
+    alpha = np.minimum(1.0, alpha)  # the primal and the dual step
+    ap, ad = rows.spread(alpha)
+    mu_aff = rows.gap_sum(XS + alpha[:, :, None, None] * dXS,
+                          u + ap * du, p + ad * dy, v + ap * dv, q - ad * dy) / nu
+    # libm's pow on each scalar: numpy's array power runs a SIMD kernel that
+    # rounds some cubes differently, and the pinned outputs rest on libm's
+    sigma_mu = np.array([r ** 3 for r in mu_aff / mu]) * mu
     # corrector: aim at sigma mu, less the predictor's second-order terms
-    (dxi, du, dv, dy, dz, _, _), a_p, a_d = direction(
-        sigma_mu * coords(Xinv) - s - coords(Xinv @ dX @ dS),
-        sigma_mu - u * p - du * dy, sigma_mu - v * q + dv * dy)
-    a_p, a_d = min(1.0, _STEP * a_p), min(1.0, _STEP * a_d)
-    return xi + a_p * dxi, u + a_p * du, v + a_p * dv, y + a_d * dy, z + a_d * dz
+    sm = rows.spread(sigma_mu)
+    c = coords(np.array([Xinv, Xinv @ dXS[:, 0] @ dXS[:, 1]]))
+    (dxi, du, dv, dy, dz, _), alpha = direction(sigma_mu[:, None] * c[0] - s - c[1],
+                                                sm - u * p - du * dy, sm - v * q + dv * dy)
+    alpha = np.minimum(1.0, _STEP * alpha)
+    ap, ad = rows.spread(alpha)
+    return (xi + alpha[:, :1] * dxi, u + ap * du, v + ap * dv, y + ad * dy, z + alpha[:, 1] * dz,
+            failed)
 
 
 @dataclass(frozen=True)
@@ -402,6 +583,8 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     """
     _check_seed(rng)
     _check_count(repeats, "repeats")
+    _check_state(rho_true)
+    opts = _check_options(opts)
     n = rho_true.n_qubits
     if family == "projectors":
         settings = tomography_projectors(n)
@@ -410,6 +593,10 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     else:
         raise QcopiesError(f"unknown measurement family {family!r}")
     total = len(settings)
+    try:
+        setting_counts = list(setting_counts)
+    except TypeError:
+        raise QcopiesError(f"setting counts must be a sequence, got {setting_counts!r}") from None
     if len(setting_counts) == 0:
         raise QcopiesError("need at least one setting count")
     for m in setting_counts:
@@ -419,7 +606,6 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     if len({int(m) for m in setting_counts}) != len(setting_counts):
         raise QcopiesError("each setting count may appear only once")
     order = rng.generator(0).permutation(total)
-    opts = opts or ReconstructOptions()
 
     # Every subset is a prefix of one setting order, so each problem's
     # operator and frequencies are leading rows of these.

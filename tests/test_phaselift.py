@@ -22,7 +22,7 @@ from qcopies import (
     sc_fidelity,
     tomography_projectors,
 )
-from qcopies.phaselift import _interior_point, _solve
+from qcopies.phaselift import _each, _interior_point, _lockstep, _solve
 
 from _oracles import (ginibre_density, graduated_reconstruct, primal_dual_reconstruct,
                       product_setting_rows)
@@ -185,6 +185,27 @@ class TestReconstruct:
         with pytest.raises(QcopiesError):
             reconstruct(settings, [np.array([0.5, 0.5])] * 2)
 
+    def test_shape_message_gives_the_row_shape(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2, 2\)"):
+            reconstruct(pauli_settings(2)[:1], [np.full((2, 2), 0.25)])
+
+    @pytest.mark.parametrize("call", [
+        lambda: reconstruct(["XZ"], [[0.25] * 4]),
+        lambda: reconstruct(None, [[0.5, 0.5]]),
+        lambda: reconstruct(pauli_settings(1), [["a", "b"]] * 3),
+        lambda: reconstruct(pauli_settings(1), None),
+        lambda: reconstruct(pauli_settings(1), [[0.5, 0.5]] * 3, opts=5),
+        lambda: reconstruction_curve(rank_two_sc_state(2, 0.8), 100, [4], 1, RngSeed(1), opts=5),
+        lambda: reconstruction_curve(rank_two_sc_state(2, 0.8), 100, 4, 1, RngSeed(1)),
+        lambda: reconstruction_curve(np.eye(4) / 4, 100, [4], 1, RngSeed(1)),
+        lambda: exact_frequencies(rank_two_sc_state(2, 0.8), ["XZ"]),
+        lambda: exact_frequencies(np.eye(4) / 4, pauli_settings(2)),
+        lambda: sampled_frequencies(rank_two_sc_state(2, 0.8), pauli_settings(2), 10, None),
+    ])
+    def test_bad_input_raises_a_library_error(self, call):
+        with pytest.raises(QcopiesError):
+            call()
+
     def test_rejects_mixed_qubit_counts(self):
         with pytest.raises(DimensionMismatchError):
             reconstruct([pauli_settings(1)[0], pauli_settings(2)[0]],
@@ -214,6 +235,70 @@ class TestLockstep:
             fid = [sc_fidelity(r.rho_hat) for r in alone]
             assert row.mean_fidelity == float(np.mean(fid))
             assert row.std_fidelity == float(np.std(fid, ddof=1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.one_of(st.just(5000), st.integers(1, 12)), st.data())
+    def test_stack_gives_each_problem_its_solve_alone(self, n, max_iter, data):
+        """Random stacks at one n: both families, random setting prefixes
+        (so row counts differ), 1 to 20000 copies, the degenerate five-copy
+        problem at n = 3, and budgets that cut some solves and not others.
+        Each problem gets the bits it gets alone, in any order."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        problems = []
+        for _ in range(data.draw(st.integers(1, 5), label="problems")):
+            pool = data.draw(st.sampled_from([pauli_settings, tomography_projectors]))(n)
+            chosen = [pool[j] for j in rng.permutation(len(pool))]
+            chosen = chosen[:data.draw(st.integers(1, len(pool)), label="settings")]
+            rho = (rank_two_sc_state(n, rng.uniform(0.5, 1.0)) if n > 1 and rng.random() < 0.5
+                   else DensityMatrix(ginibre_density(2**n, rng)))
+            copies = data.draw(st.integers(1, 20000), label="copies")
+            problems.append(_rows_and_freqs(chosen, sampled_frequencies(rho, chosen, copies, rng)))
+        if n == 3 and data.draw(st.booleans(), label="degenerate"):
+            problems.insert(data.draw(st.integers(0, len(problems))), _degenerate_problem())
+        alone = [_interior_point(A, f, max_iter) for A, f in problems]
+        order = data.draw(st.permutations(range(len(problems))), label="order")
+        for stack_order in (range(len(problems)), order):
+            stacked = _lockstep([problems[i] for i in stack_order], max_iter)
+            for i, (result, y, z) in zip(stack_order, stacked):
+                ref, ref_y, ref_z = alone[i]
+                assert result.rho_hat.matrix.tobytes() == ref.rho_hat.matrix.tobytes()
+                assert (result.objective, result.iterations, result.converged) == (
+                    ref.objective, ref.iterations, ref.converged)
+                assert (y.tobytes(), z) == (ref_y.tobytes(), ref_z)
+
+    def test_nan_frequencies_end_only_their_problem(self):
+        settings = tomography_projectors(2)
+        healthy = [_rows_and_freqs(settings, sampled_frequencies(rank_two_sc_state(2, 0.8),
+                                                                 settings, 1000, np.random.default_rng(k)))
+                   for k in (1, 2)]
+        A, f = healthy[0]
+        f = f.copy()
+        f[3] = np.nan
+        first, bad, last = _lockstep([healthy[0], (A, f), healthy[1]], 5000)
+        assert not bad[0].converged
+        for (result, _, _), (A_k, f_k) in zip((first, last), healthy):
+            ref = _interior_point(A_k, f_k, 5000)[0]
+            assert result.converged
+            assert result.rho_hat.matrix.tobytes() == ref.rho_hat.matrix.tobytes()
+            assert (result.objective, result.iterations) == (ref.objective, ref.iterations)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frequency_does_not_converge(self, bad):
+        A, f = _rows_and_freqs(pauli_settings(1), [np.array([0.5, 0.5])] * 3)
+        f[2] = bad
+        result, _, _ = _interior_point(A, f, 5000)
+        assert not result.converged
+
+    def test_failed_factorization_ends_only_its_problem(self):
+        rng = np.random.default_rng(0)
+        K = np.array([np.eye(4) + 0.1 * rng.standard_normal((4, 4)) for _ in range(3)])
+        K[1] = 0.0
+        b = rng.standard_normal((3, 4, 2))
+        out, failed = _each(np.linalg.solve, K, b)
+        assert failed == {1}
+        assert np.isnan(out[1]).all()
+        for i in (0, 2):
+            assert out[i].tobytes() == np.linalg.solve(K[i], b[i]).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,6 +364,15 @@ def _bench_curve_problems(seed):
                                 rng.generator(1, 0))
     A, f = _rows_and_freqs([settings[j] for j in order], [table[j] for j in order])
     return [(A[:m], f[:m]) for m in (8, 16, 30, 45, 50, 56, 64)]  # one row per projector
+
+
+def _degenerate_problem():
+    """Five copies of the maximally mixed state on five Pauli bases (see
+    TestRobustness.test_degenerate_counts_end_quickly)."""
+    settings = [ProductSetting(b) for b in ("YZZ", "YXY", "YYX", "XZZ", "XXX")]
+    hits = [[0, 2, 0, 0, 1, 2, 0, 0], [0, 1, 1, 0, 0, 0, 2, 1], [1, 0, 0, 1, 2, 0, 1, 0],
+            [1, 0, 1, 0, 1, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 1]]
+    return _rows_and_freqs(settings, [np.array(h) / 5 for h in hits])
 
 
 def _assert_state(result):
