@@ -267,9 +267,9 @@ class TestLockstep:
                 assert (y.tobytes(), z) == (ref_y.tobytes(), ref_z)
 
     def test_nan_frequencies_end_only_their_problem(self):
-        settings = tomography_projectors(2)
-        healthy = [_rows_and_freqs(settings, sampled_frequencies(rank_two_sc_state(2, 0.8),
-                                                                 settings, 1000, np.random.default_rng(k)))
+        settings, rho = tomography_projectors(2), rank_two_sc_state(2, 0.8)
+        healthy = [_rows_and_freqs(settings, sampled_frequencies(rho, settings, 1000,
+                                                                 np.random.default_rng(k)))
                    for k in (1, 2)]
         A, f = healthy[0]
         f = f.copy()
