@@ -252,10 +252,10 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
     and pooled, since the estimates read nothing else.  This is the
     lockstep core of `sweep_epsilon_ratio` run with a single row.
     """
+    P_true = setting_probabilities(rho, wd).P
     n = wd.n
     m = n + 1
     gen = _as_generator(rng)
-    P_true = setting_probabilities(rho, wd).P
     t_init = np.asarray(cfg.t_initial, dtype=np.int64)
     if t_init.ndim == 0:
         t_init = np.full(m, int(t_init), dtype=np.int64)
@@ -321,8 +321,8 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
     _check_count(repeats, "repeats")
     if len(ratios) == 0:
         raise QcopiesError("need at least one ratio")
-    m = wd.n + 1
     P_true = setting_probabilities(rho, wd).P
+    m = wd.n + 1
     rows = []
     for i, ratio in enumerate(ratios):
         schedule = geometric_schedule(0.01, float(ratio), 0.0003)

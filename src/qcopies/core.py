@@ -13,9 +13,10 @@ spikes from its mixture weights.  A dense 2**n x 2**n matrix,
 `DensityMatrix` or an X-state's `matrix` view, exists only up to
 MAX_DENSE_QUBITS = 12 qubits.  The library builds no dense state of its
 own: a `DensityMatrix` comes from a state file (`density_from_json`) or
-from reconstruction (`psd_project`).  The fidelity with the cat state reads
-only the two corners and one anti-diagonal entry, so `sc_fidelity` needs no
-dense view at any n.
+from reconstruction (`psd_project`, which projects one matrix).  Functions
+that take a state raise `QcopiesError` on anything else (`_check_state`).
+The fidelity with the cat state reads only the two corners and one
+anti-diagonal entry, so `sc_fidelity` needs no dense view at any n.
 """
 from __future__ import annotations
 
@@ -167,17 +168,26 @@ class XState:
         return f"XState(dim={self.dim})"
 
 
+def _check_state(rho) -> None:
+    """Raise `QcopiesError` unless rho is a `DensityMatrix` or an `XState`."""
+    if not isinstance(rho, (DensityMatrix, XState)):
+        raise QcopiesError(f"expected DensityMatrix or XState, got {type(rho).__name__}")
+
+
 def sc_fidelity(rho: DensityMatrix | XState) -> float:
     """<SC| rho |SC> for the n-qubit cat state (|H...H> + |V...V>) / sqrt(2),
     clamped to [0, 1]: half the two corners plus Re rho[0, d-1], read
     without a dense view."""
+    _check_state(rho)
     diag, anti = rho.diagonal(), rho.anti_diagonal()
     val = 0.5 * (diag[0] + diag[-1]) + anti[0].real
     return float(min(1.0, max(0.0, val)))
 
 
-def frobenius_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+def frobenius_distance(a: DensityMatrix | XState, b: DensityMatrix | XState) -> float:
     """sqrt(Tr[(a-b)(a-b)^dag])."""
+    _check_state(a)
+    _check_state(b)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dim mismatch: {a.dim} vs {b.dim}")
     return float(np.linalg.norm(a.matrix - b.matrix, "fro"))
@@ -267,45 +277,27 @@ def rank_two_sc_state(n: int, fidelity: float) -> XState:
 
 
 def _project_to_simplex(values: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of a real array onto {x >= 0, sum(x) = 1}.
-    Each row must ascend, as `eigh`'s eigenvalues do."""
-    rows = values.reshape(-1, values.shape[-1])
-    u = rows[:, ::-1]
-    css = u.cumsum(axis=-1) - 1.0
-    k = np.arange(1, u.shape[1] + 1)
+    """Euclidean projection of a real vector onto {x >= 0, sum(x) = 1}.  The
+    vector must ascend, as `eigh`'s eigenvalues do."""
+    u = values[::-1]
+    css = u.cumsum() - 1.0
     # rho = the largest k with u_k > css_k / k
-    rho = u.shape[1] - (u - css / k > 0)[:, ::-1].argmax(axis=-1)
-    tau = css[np.arange(len(rows)), rho - 1] / rho
-    return np.maximum(values - tau.reshape(values.shape[:-1] + (1,)), 0.0)
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
-def psd_project_stack(m: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) trace-one PSD matrix to each Hermitian matrix of a
-    (..., d, d) stack.
-
-    Eigendecomposes, projects each eigenvalue vector onto the probability
-    simplex and reconstructs in the same eigenbasis.  Each matrix of the
-    stack comes out bit for bit as it would on its own.
-    """
-    m = np.asarray(m, dtype=complex)
-    h = 0.5 * (m + _dagger(m))
-    vals, vecs = np.linalg.eigh(h)
-    out = (vecs * _project_to_simplex(vals)[..., None, :]) @ _dagger(vecs)
-    return 0.5 * (out + _dagger(out))
+    rho = u.size - (u - css / np.arange(1, u.size + 1) > 0)[::-1].argmax()
+    return np.maximum(values - css[rho - 1] / rho, 0.0)
 
 
 def psd_project(m: np.ndarray) -> DensityMatrix:
     """Nearest (Frobenius) trace-one PSD matrix to a Hermitian input of size
-    2**n, n >= 1, with finite entries."""
+    2**n, n >= 1, with finite entries: eigendecompose, project the
+    eigenvalues onto the probability simplex and rebuild in the same
+    eigenbasis."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
     _check_size_and_entries(m)
-    return DensityMatrix(psd_project_stack(m), validate=False)
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    out = (vecs * _project_to_simplex(vals)) @ vecs.conj().T
+    return DensityMatrix(0.5 * (out + out.conj().T), validate=False)
 
 
 def density_from_json(text: str) -> DensityMatrix:

@@ -23,9 +23,9 @@ lockstep: each round takes one Newton step for every solve still running,
 with the eigendecompositions, the LU solves and the small matrix products
 of all of them stacked into one call each, while each product or sum over
 a solve's data rows stays its own call.  So a solve ends with the bits it
-has alone, whatever else runs beside it, and `reconstruct` is the call
-with one solve.  `reconstruction_curve` solves every setting count and
-repeat of the curve in one such call.
+has alone, whatever else runs beside it.  `_lockstep` is the one solver
+entry: `reconstruct` calls it with one solve, and `reconstruction_curve`
+with every setting count and repeat of the curve.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from math import isfinite, isqrt
 
 import numpy as np
 
-from .core import (DensityMatrix, XState, check_qubit_count, frobenius_distance,
+from .core import (DensityMatrix, XState, _check_state, check_qubit_count, frobenius_distance,
                    psd_project, sc_fidelity)
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 from .reports import csv_text
@@ -107,11 +107,6 @@ class ProductSetting:
         if rho.n_qubits != self.n:
             raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
         return np.clip((self.rows @ rho.matrix.ravel()).real, 0.0, None)
-
-
-def _check_state(rho) -> None:
-    if not isinstance(rho, (DensityMatrix, XState)):
-        raise QcopiesError(f"expected DensityMatrix or XState, got {type(rho).__name__}")
 
 
 def _check_settings(settings) -> list[ProductSetting]:
@@ -239,7 +234,7 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     if not np.all((freqs >= 0) & (freqs <= 1)):
         raise QcopiesError("frequencies must be finite and lie in [0, 1]")
     A = np.concatenate([s.rows for s in settings])
-    return _interior_point(A, freqs, opts.max_iter)[0]
+    return _lockstep([(A, freqs)], opts.max_iter)[0][0]
 
 
 class _HermitianBasis:
@@ -287,17 +282,6 @@ class _HermitianBasis:
 
 
 _hermitian_basis = cache(_HermitianBasis)
-
-
-def _solve(problems, max_iter: int) -> list[ReconstructionResult]:
-    """Solve the (A, freqs) problems together; each gets the result it gets
-    alone."""
-    return [result for result, _, _ in _lockstep(problems, max_iter)]
-
-
-def _interior_point(A, freqs, max_iter: int) -> tuple[ReconstructionResult, np.ndarray, float]:
-    """Solve one problem: its result and its best dual point (y, z)."""
-    return _lockstep([(A, freqs)], max_iter)[0]
 
 
 class _Rows:
@@ -618,7 +602,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
                                         rng.generator(1, rep))
         freqs = np.concatenate([freq_rows[j] for j in order])
         problems += [(A[:ends[int(m) - 1]], freqs[:ends[int(m) - 1]]) for m in setting_counts]
-    results = _solve(problems, opts.max_iter)
+    results = [result for result, _, _ in _lockstep(problems, opts.max_iter)]
     # results[rep * len(setting_counts) + i] solves setting count i of repeat rep
     by_count = [results[i::len(setting_counts)] for i in range(len(setting_counts))]
 

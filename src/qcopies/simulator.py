@@ -135,9 +135,10 @@ class HistogramResult:
         })
 
 
-def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, base_path):
-    """One estimated fidelity per trial, all drawn from the stream at
-    `base_path`.
+def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
+                base_path) -> HistogramResult:
+    """The trials of one experiment, drawn from the stream at `base_path`,
+    with their mean, spread and predicted spread.
 
     The estimator reads one aggregate per setting, so each setting draws
     only its hit counts: t_j copies split between P_j and 1 - P_j, one row
@@ -150,14 +151,7 @@ def _simulate_fidelities(p_true: SettingProbabilities, allocation, trials, rng, 
     gen = rng.generator(*base_path)
     hits = np.column_stack([sample_counts([p, 1.0 - p], int(t_j), gen, size=trials)[:, 0]
                             for p, t_j in zip(p_true.P, t)])
-    return _fidelities(p_true.n, hits / t)
-
-
-def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
-                base_path) -> HistogramResult:
-    """The trials of one experiment, drawn from the stream at `base_path`,
-    with their mean, spread and predicted spread."""
-    fids = _simulate_fidelities(p_true, allocation, trials, rng, base_path)
+    fids = _fidelities(p_true.n, hits / t)
     return HistogramResult(
         fidelities=fids,
         mean=float(fids.mean()),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityMatrix, XState, check_qubit_count
+from .core import DensityMatrix, XState, _check_state, check_qubit_count
 from .errors import DimensionMismatchError, QcopiesError, _check_count
 
 COMPUTATIONAL = "computational"
@@ -113,6 +113,9 @@ def setting_probabilities(rho: DensityMatrix | XState,
     through the popcount |a|, so each entry takes its row of phases from
     the n+1 distinct ones.
     """
+    _check_state(rho)
+    if not isinstance(wd, WitnessDecomposition):
+        raise QcopiesError(f"expected WitnessDecomposition, got {type(wd).__name__}")
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
     corners = wd.settings[0].born_probabilities(rho)
@@ -152,8 +155,8 @@ def delta_f(p: SettingProbabilities, t) -> float:
     counts = np.asarray(getattr(t, "t", t), dtype=float)
     if counts.shape != p.P.shape:
         raise DimensionMismatchError(f"need {p.P.size} copy counts, got {counts.shape}")
-    if np.any(counts <= 0):
-        raise QcopiesError("all copy counts must be positive")
+    if not np.all(np.isfinite(counts) & (counts > 0)):
+        raise QcopiesError("all copy counts must be finite and positive")
     return float(_spreads(p.n, p.P, counts))
 
 

@@ -279,8 +279,9 @@ def minimize_budget_numeric(k, eps, iters=200000, tol=1e-12):
     return k / (eps * y)
 
 
-def _project_density(m):
-    """Nearest trace-one PSD matrix, one matrix at a time."""
+def sorting_psd_project(m):
+    """Nearest trace-one PSD matrix to m, its simplex step sorting the
+    eigenvalues rather than reversing eigh's ascending order."""
     h = 0.5 * (m + m.conj().T)
     vals, vecs = np.linalg.eigh(h)
     u = np.sort(vals)[::-1]
@@ -288,22 +289,6 @@ def _project_density(m):
     r = int(np.max(np.nonzero(u - css / np.arange(1, u.size + 1) > 0)[0])) + 1
     out = (vecs * np.maximum(vals - css[r - 1] / r, 0.0)) @ vecs.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def sorting_psd_project_stack(m):
-    """The library's stacked projection with its simplex step sorting each
-    eigenvalue row, rather than reversing eigh's ascending order."""
-    def dagger(a):
-        return a.conj().swapaxes(-1, -2)
-    vals, vecs = np.linalg.eigh(0.5 * (m + dagger(m)))
-    rows = vals.reshape(-1, vals.shape[-1])
-    u = np.sort(rows, axis=-1)[:, ::-1]
-    css = np.cumsum(u, axis=-1) - 1.0
-    r = u.shape[1] - np.argmax((u - css / np.arange(1, u.shape[1] + 1) > 0)[:, ::-1], axis=-1)
-    tau = css[np.arange(len(rows)), r - 1] / r
-    weights = np.maximum(vals - tau.reshape(vals.shape[:-1] + (1,)), 0.0)
-    out = (vecs * weights[..., None, :]) @ dagger(vecs)
-    return 0.5 * (out + dagger(out))
 
 
 def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5):
@@ -330,7 +315,7 @@ def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5
         # A (2 x - x_prev), from the two fits by linearity
         dual = np.clip(dual + sigma * ((2.0 * fit - fit_prev) - freqs), -1.0, 1.0)
         grad = (dual @ A).reshape(d, d).T
-        x = _project_density(x - tau * (0.5 * (grad + grad.conj().T)))
+        x = sorting_psd_project(x - tau * (0.5 * (grad + grad.conj().T)))
         fit_prev, fit = fit, (A @ x.ravel()).real
         iterations += 1
         obj = float(np.abs(fit - freqs).sum())
@@ -339,7 +324,7 @@ def primal_dual_reconstruct(A, freqs, max_iter, ratio=0.03, window=100, tol=1e-5
         if iterations % window == 0:
             converged = checked - best_obj <= tol * (1.0 + best_obj)
             checked = best_obj
-    return _project_density(best), best_obj, iterations, converged
+    return sorting_psd_project(best), best_obj, iterations, converged
 
 
 def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
@@ -374,7 +359,7 @@ def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e
             residual = (A @ y.ravel()).real - freqs
             wts = residual / np.maximum(np.abs(residual), width)
             grad = (wts @ A).reshape(d, d).T
-            cur = _project_density(y - (width / lipschitz) * (0.5 * (grad + grad.conj().T)))
+            cur = sorting_psd_project(y - (width / lipschitz) * (0.5 * (grad + grad.conj().T)))
             m_next = (1.0 + np.sqrt(1.0 + 4.0 * momentum**2)) / 2.0
             y = cur + ((momentum - 1.0) / m_next) * (cur - prev)
             prev, momentum = cur, m_next
@@ -385,7 +370,7 @@ def graduated_reconstruct(A, freqs, max_iter, widths=(1e-1, 1e-2, 1e-3, 1e-4, 1e
             if stall > stall_limit:
                 break
             history.append(best_obj)
-    return _project_density(best), best_obj, iterations, stall > stall_limit, np.array(history)
+    return sorting_psd_project(best), best_obj, iterations, stall > stall_limit, np.array(history)
 
 
 def round_up_one(k, eps, t_min):

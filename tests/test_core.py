@@ -5,29 +5,37 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcopies import (
+    AdaptiveConfig,
     ConfigError,
     DensityMatrix,
     DimensionMismatchError,
     QcopiesError,
+    RngSeed,
     XState,
     build_settings,
+    compare_distributions,
+    coverage_experiment,
     density_from_json,
     depolarized_sc,
     frobenius_distance,
     noisy_sc_state,
     psd_project,
     rank_two_sc_state,
+    run_adaptive,
+    run_histogram_experiment,
     sc_fidelity,
     setting_probabilities,
+    sweep_epsilon_ratio,
+    uniform_allocation,
     white_noise_weight_for_fidelity,
 )
-from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS, psd_project_stack
+from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS
 from qcopies.witness import ROTATED, MeasurementSetting
 
 from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
                       dense_rank_two_sc_state, density_json, fidelity_direct,
                       ginibre_density, phase_table_probabilities, pure_density,
-                      sc_projector, sorting_psd_project_stack, white_noise_mix,
+                      sc_projector, sorting_psd_project, white_noise_mix,
                       x_noise_model)
 
 
@@ -165,6 +173,33 @@ class TestFrobenius:
                 frobenius_distance(a, b) + frobenius_distance(b, c) + 1e-12)
 
 
+_RHO, _WD, _ALLOC = depolarized_sc(2, 0.8), build_settings(2), uniform_allocation(3, 10)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sc_fidelity(None),
+    lambda: sc_fidelity(np.eye(4) / 4),
+    lambda: frobenius_distance(None, _RHO),
+    lambda: frobenius_distance(_RHO, np.eye(4) / 4),
+    lambda: setting_probabilities(None, _WD),
+    lambda: setting_probabilities(_RHO, None),
+    lambda: setting_probabilities(_RHO, _WD.settings),
+    lambda: run_histogram_experiment(None, _WD, _ALLOC, 5, RngSeed(1)),
+    lambda: compare_distributions(None, _WD, {"a": _ALLOC, "b": _ALLOC}, 5, RngSeed(1)),
+    lambda: coverage_experiment(None, _WD, [10], 0.05, 5, RngSeed(1)),
+    lambda: run_adaptive(None, _WD, AdaptiveConfig.geometric(), RngSeed(1)),
+    lambda: run_adaptive(_RHO, None, AdaptiveConfig.geometric(), RngSeed(1)),
+    lambda: sweep_epsilon_ratio(None, _WD, [0.1], 1, RngSeed(1)),
+    lambda: sweep_epsilon_ratio(_RHO, None, [0.1], 1, RngSeed(1)),
+], ids=["sc_fidelity-None", "sc_fidelity-array", "frobenius-None", "frobenius-array",
+        "setting_probabilities-None", "setting_probabilities-wd-None",
+        "setting_probabilities-wd-tuple", "histogram", "compare", "coverage", "adaptive",
+        "adaptive-wd-None", "sweep", "sweep-wd-None"])
+def test_non_state_raises_a_library_error(call):
+    with pytest.raises(QcopiesError):
+        call()
+
+
 class TestPsdProject:
     def test_fixed_point(self, rng):
         rho = DensityMatrix(ginibre_density(8, rng))
@@ -176,42 +211,27 @@ class TestPsdProject:
 
     def test_invariants_on_random_hermitian(self, rng):
         for _ in range(100):
-            d = int(rng.integers(2, 9))
+            d = 2 ** int(rng.integers(1, 4))
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             h = (g + g.conj().T) / 2
-            out = psd_project_stack(h)  # any size; psd_project takes only 2**n
+            out = psd_project(h).matrix
             assert np.max(np.abs(out - out.conj().T)) <= 1e-10
             assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(out).min() >= -1e-9
 
-
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_stack_matches_matrix_by_matrix(self, rng, d):
-        g = rng.standard_normal((2, 12, d, d)) + 1j * rng.standard_normal((2, 12, d, d))
-        stack = 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
-        out = psd_project_stack(stack)
-        assert out.shape == stack.shape
-        for h, o in zip(stack.reshape(-1, d, d), out.reshape(-1, d, d)):
-            # psd_project takes only sizes 2**n
-            alone = psd_project_stack(h) if d & (d - 1) else psd_project(h).matrix
-            assert np.array_equal(o, alone)
-
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 5), st.integers(0, 2**32 - 1),
-           st.floats(1e-3, 1e3), st.booleans())
-    def test_stack_matches_sorting_projection(self, d, count, seed, scale, ties):
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1), st.floats(1e-3, 1e3), st.booleans())
+    def test_matches_sorting_projection(self, n, seed, scale, ties):
         """Reversing eigh's ascending eigenvalues gives the bytes of sorting
-        them, on random Hermitian stacks and on diagonal ones with ties and
+        them, on random Hermitian matrices and on diagonal ones with ties and
         signed zeros."""
-        gen = np.random.default_rng(seed)
+        gen, d = np.random.default_rng(seed), 2**n
         if ties:
-            stack = np.zeros((count, d, d), dtype=complex)
-            diag = gen.choice([-1.0, -0.0, 0.0, 0.5, 1.0], (count, d))
-            stack[:, np.arange(d), np.arange(d)] = scale * diag
+            m = np.diag(scale * gen.choice([-1.0, -0.0, 0.0, 0.5, 1.0], d)).astype(complex)
         else:
-            g = gen.standard_normal((count, d, d)) + 1j * gen.standard_normal((count, d, d))
-            stack = scale * (g + np.swapaxes(g.conj(), -1, -2))
-        assert psd_project_stack(stack).tobytes() == sorting_psd_project_stack(stack).tobytes()
+            g = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+            m = scale * (g + g.conj().T)
+        assert psd_project(m).matrix.tobytes() == sorting_psd_project(m).tobytes()
 
     @pytest.mark.parametrize("m, error", [
         (np.eye(3) / 3, DimensionMismatchError),

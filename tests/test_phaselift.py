@@ -22,7 +22,7 @@ from qcopies import (
     sc_fidelity,
     tomography_projectors,
 )
-from qcopies.phaselift import _each, _interior_point, _lockstep, _solve
+from qcopies.phaselift import _each, _lockstep
 
 from _oracles import (ginibre_density, graduated_reconstruct, primal_dual_reconstruct,
                       product_setting_rows)
@@ -255,7 +255,7 @@ class TestLockstep:
             problems.append(_rows_and_freqs(chosen, sampled_frequencies(rho, chosen, copies, rng)))
         if n == 3 and data.draw(st.booleans(), label="degenerate"):
             problems.insert(data.draw(st.integers(0, len(problems))), _degenerate_problem())
-        alone = [_interior_point(A, f, max_iter) for A, f in problems]
+        alone = [_lockstep([problem], max_iter)[0] for problem in problems]
         order = data.draw(st.permutations(range(len(problems))), label="order")
         for stack_order in (range(len(problems)), order):
             stacked = _lockstep([problems[i] for i in stack_order], max_iter)
@@ -277,7 +277,7 @@ class TestLockstep:
         first, bad, last = _lockstep([healthy[0], (A, f), healthy[1]], 5000)
         assert not bad[0].converged
         for (result, _, _), (A_k, f_k) in zip((first, last), healthy):
-            ref = _interior_point(A_k, f_k, 5000)[0]
+            ref = _lockstep([(A_k, f_k)], 5000)[0][0]
             assert result.converged
             assert result.rho_hat.matrix.tobytes() == ref.rho_hat.matrix.tobytes()
             assert (result.objective, result.iterations) == (ref.objective, ref.iterations)
@@ -286,7 +286,7 @@ class TestLockstep:
     def test_non_finite_frequency_does_not_converge(self, bad):
         A, f = _rows_and_freqs(pauli_settings(1), [np.array([0.5, 0.5])] * 3)
         f[2] = bad
-        result, _, _ = _interior_point(A, f, 5000)
+        [(result, _, _)] = _lockstep([(A, f)], 5000)
         assert not result.converged
 
     def test_failed_factorization_ends_only_its_problem(self):
@@ -323,7 +323,7 @@ class TestQualityAgainstGraduated:
 
     @staticmethod
     def _assert_no_worse(problems):
-        for r, (A, f) in zip(_solve(problems, 5000), problems):
+        for (r, _, _), (A, f) in zip(_lockstep(problems, 5000), problems):
             old = graduated_reconstruct(A, f, 5000)[1]
             assert r.objective <= old + 1e-3 * (1 + old)
 
@@ -400,7 +400,7 @@ class TestCertificate:
         chosen = [pool[j] for j in rng.permutation(len(pool))]
         chosen = chosen[:data.draw(st.integers(1, len(pool)), label="settings")]
         A, f = _rows_and_freqs(chosen, sampled_frequencies(rho, chosen, copies, rng))
-        result, y, z = _interior_point(A, f, 5000)
+        [(result, y, z)] = _lockstep([(A, f)], 5000)
         assert np.all(np.abs(y) <= 1.0)
         # the operators from the settings' kets, not from the rows the solver read
         kets = np.concatenate([s.kets for s in chosen], axis=1)
@@ -416,7 +416,7 @@ class TestQualityAgainstPrimalDual:
 
     @staticmethod
     def _assert_no_worse(problems):
-        for r, (A, f) in zip(_solve(problems, 5000), problems):
+        for (r, _, _), (A, f) in zip(_lockstep(problems, 5000), problems):
             old = primal_dual_reconstruct(A, f, 5000)[1]
             assert r.objective <= old + 1e-6 * (1 + old)
 
@@ -440,7 +440,7 @@ class TestRobustness:
 
     def test_bench_shaped_curves_all_converge(self):
         for seed in range(1, 41):
-            for r in _solve(_bench_curve_problems(seed), 5000):
+            for r, _, _ in _lockstep(_bench_curve_problems(seed), 5000):
                 assert r.converged
                 _assert_state(r)
 
@@ -492,7 +492,7 @@ class TestRobustness:
         hits = [[0, 2, 0, 0, 1, 2, 0, 0], [0, 1, 1, 0, 0, 0, 2, 1], [1, 0, 0, 1, 2, 0, 1, 0],
                 [1, 0, 1, 0, 1, 0, 1, 1], [1, 0, 1, 1, 1, 0, 0, 1]]
         A, f = _rows_and_freqs(settings, [np.array(h) / 5 for h in hits])
-        r, y, z = _interior_point(A, f, 5000)
+        [(r, y, z)] = _lockstep([(A, f)], 5000)
         assert r.iterations <= 30
         assert r.objective - (f @ y + z) <= 1e-6 * (1 + r.objective)
         _assert_state(r)

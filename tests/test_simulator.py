@@ -21,7 +21,7 @@ from qcopies import (
     setting_probabilities,
     uniform_allocation,
 )
-from qcopies.simulator import _multinomial, _simulate_fidelities
+from qcopies.simulator import _experiment, _multinomial
 from qcopies.witness import _fidelities
 
 from _oracles import born_probabilities, popcounts, pure_density
@@ -272,7 +272,7 @@ class TestSimulateFidelities:
         alloc = uniform_allocation(n + 1, 60)
 
         def run(path):
-            return _simulate_fidelities(p, alloc, 40, RngSeed(5, stream=2), path)
+            return _experiment(p, alloc, 40, RngSeed(5, stream=2), path).fidelities
 
         assert np.array_equal(run((0,)), run((0,)))
         assert not np.array_equal(run((0,)), run((1,)))
@@ -452,7 +452,7 @@ class TestCompareDistributions:
         report = compare_distributions(rho, wd, allocations, trials=25, rng=RngSeed(6))
         assert len(report.results) == len(report.rows) == 2
         for i, (row, res) in enumerate(zip(report.rows, report.results)):
-            fids = _simulate_fidelities(p, allocations[row.name], 25, RngSeed(6), (i,))
+            fids = _experiment(p, allocations[row.name], 25, RngSeed(6), (i,)).fidelities
             assert np.array_equal(res.fidelities, fids)
             assert (row.mean_fidelity, row.std_fidelity, row.predicted_delta_f) == (
                 res.mean, res.std, res.predicted_delta_f)

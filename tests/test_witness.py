@@ -208,8 +208,9 @@ class TestDeltaF:
 
     def test_nonpositive_counts_rejected(self):
         p = SettingProbabilities(n=2, P=np.array([0.5, 0.5, 0.5]))
-        with pytest.raises(QcopiesError):
-            delta_f(p, [10, 0, 10])
+        for t in ([10, 0, 10], [np.nan, 1, 1], [np.inf, 1, 1]):
+            with pytest.raises(QcopiesError):
+                delta_f(p, t)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 16, 20])
     def test_stacked_rows_match_one_row_at_a_time(self, n, rng):
