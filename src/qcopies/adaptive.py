@@ -13,6 +13,8 @@ alone.  `run_adaptive` is the core with one run; `sweep_epsilon_ratio`
 passes all the repeats of a ratio at once.  Allocation, the spread check and
 the draws use the allocator's closed form, `delta_f`'s formula and the
 sampler behind `sample_counts` row-wise, one draw per run and pass.
+`run_adaptive` draws from the numpy Generator it is given and returns one
+frozen `AdaptiveState`, built once from the finished run.
 
 Copies also become laboratory hours here: `protocol_timeline` for a feedback
 run and `ten_photon_cost` for the ten-photon coincidence rate.
@@ -20,16 +22,16 @@ run and `ten_photon_cost` for the ten-photon coincidence rate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
 from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
-from .errors import ConfigError, QcopiesError, _check_count
+from .errors import ConfigError, QcopiesError, _check_count, _check_type
 from .reports import csv_text
-from .simulator import RngSeed, _as_generator, _check_seed, _multinomial
+from .simulator import RngSeed, _multinomial
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -42,8 +44,7 @@ from .witness import (
 MAX_SCHEDULE_LENGTH = 10_000
 
 
-def geometric_schedule(start: float = 0.01, ratio: float = 0.1,
-                       final: float = 0.0003) -> tuple[float, ...]:
+def geometric_schedule(start: float, ratio: float, final: float) -> tuple[float, ...]:
     """Budgets start, start*ratio, ... down past `final` (last entry <= final),
     at most MAX_SCHEDULE_LENGTH of them."""
     if not 0 < ratio < 1:
@@ -96,9 +97,8 @@ class AdaptiveConfig:
         object.__setattr__(self, "epsilon_schedule", sched)
 
     @classmethod
-    def geometric(cls, start: float = 0.01, ratio: float = 0.1, final: float = 0.0003,
-                  **kwargs) -> "AdaptiveConfig":
-        return cls(epsilon_schedule=geometric_schedule(start, ratio, final), **kwargs)
+    def geometric(cls, start: float, ratio: float, final: float) -> "AdaptiveConfig":
+        return cls(epsilon_schedule=geometric_schedule(start, ratio, final))
 
 
 @dataclass(frozen=True)
@@ -119,16 +119,17 @@ class RoundRecord:
     budget_met: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveState:
-    """Trajectory of the feedback protocol."""
+    """Trajectory of the feedback protocol: its rounds, the final cumulative
+    copies and estimates, and the fidelity with its spread at them."""
 
     n: int
-    rounds: list[RoundRecord] = field(default_factory=list)
-    cumulative_t: np.ndarray | None = None
-    current_P: np.ndarray | None = None
-    fidelity: float = float("nan")
-    fidelity_std: float = float("nan")
+    rounds: tuple[RoundRecord, ...]
+    cumulative_t: np.ndarray
+    current_P: np.ndarray
+    fidelity: float
+    fidelity_std: float
 
     @property
     def round(self) -> int:
@@ -242,8 +243,9 @@ def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
 
 
 def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: AdaptiveConfig,
-                 rng) -> AdaptiveState:
-    """Run the feedback protocol against a simulated state.
+                 gen: np.random.Generator) -> AdaptiveState:
+    """Run the feedback protocol against a simulated state, drawing from
+    `gen`.
 
     Each round allocates with the current estimates and the round's budget,
     measures only the missing copies (settings whose targets are already
@@ -253,9 +255,10 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
     lockstep core of `sweep_epsilon_ratio` run with a single row.
     """
     P_true = setting_probabilities(rho, wd).P
+    _check_type(cfg, AdaptiveConfig)
+    _check_type(gen, np.random.Generator)
     n = wd.n
     m = n + 1
-    gen = _as_generator(rng)
     t_init = np.asarray(cfg.t_initial, dtype=np.int64)
     if t_init.ndim == 0:
         t_init = np.full(m, int(t_init), dtype=np.int64)
@@ -269,19 +272,19 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
             raise ConfigError(f"initial_P must have length {m}")
     cumulative, P, rounds = _run_lockstep(P_true, n, cfg.epsilon_schedule, P0[None],
                                           t_init[None], cfg.t_min, [gen])
-    state = AdaptiveState(n=n)
-    for idx, (eps, rnd) in enumerate(zip(cfg.epsilon_schedule, rounds), start=1):
-        state.rounds.append(RoundRecord(
+    p_final = SettingProbabilities(n=n, P=P[0])
+    return AdaptiveState(
+        n=n,
+        rounds=tuple(RoundRecord(
             index=idx, epsilon=float(eps), P_used=rnd.entry_P[0], target_t=rnd.target_t[0],
             increments=rnd.increments[0], cumulative_t=rnd.cumulative_t[0],
             P_hat=rnd.P_hat[0], budget_met=bool(rnd.budget_met[0]),
-        ))
-    state.cumulative_t = cumulative[0]
-    state.current_P = P[0]
-    p_final = SettingProbabilities(n=n, P=P[0])
-    state.fidelity = fidelity_from_probabilities(p_final)
-    state.fidelity_std = delta_f(p_final, cumulative[0].astype(float))
-    return state
+        ) for idx, (eps, rnd) in enumerate(zip(cfg.epsilon_schedule, rounds), start=1)),
+        cumulative_t=cumulative[0],
+        current_P=P[0],
+        fidelity=fidelity_from_probabilities(p_final),
+        fidelity_std=delta_f(p_final, cumulative[0].astype(float)),
+    )
 
 
 @dataclass(frozen=True)
@@ -317,7 +320,7 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
     and its measurements from `rng.generator(i, rep, 1)`.  A ratio's
     repeats advance together in one lockstep core.
     """
-    _check_seed(rng)
+    _check_type(rng, RngSeed)
     _check_count(repeats, "repeats")
     if len(ratios) == 0:
         raise QcopiesError("need at least one ratio")
@@ -362,22 +365,17 @@ class TimelineReport:
     adaptive_switch_hours: float
     single_pass_switches: int
     single_pass_switch_hours: float
-    baseline_total: int | None = None
-    baseline_prep_hours: float | None = None
-    prep_hours_saved: float | None = None
 
 
 def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
-                      copy_rate_per_hour: float,
-                      baseline_total: int | None = None) -> TimelineReport:
+                      copy_rate_per_hour: float) -> TimelineReport:
     """Estimate measurement wall-clock time for an adaptive trajectory.
 
-    Preparation time is copies/rate; each setting visited in a round costs
-    one switch.  The single-pass reference measures the same cumulative
-    distribution with one visit per setting.  With a baseline copy total
-    (e.g. what a non-optimized experiment spent) the report also gives the
-    preparation hours saved.
+    Preparation time is copies/rate; each setting visited in the pilot or in
+    a round costs one switch.  The single-pass reference measures the
+    same cumulative distribution with one visit per setting.
     """
+    _check_type(state, AdaptiveState)
     for value, name in ((copy_rate_per_hour, "copy rate"), (switch_cost_hours, "switch cost")):
         if isinstance(value, bool) or not isinstance(value, Real):
             raise QcopiesError(f"{name} must be a real number, got {value!r}")
@@ -385,8 +383,6 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
         raise QcopiesError(f"copy rate must be positive and finite, got {copy_rate_per_hour}")
     if not 0 <= switch_cost_hours < np.inf:
         raise QcopiesError(f"switch cost must be finite and >= 0, got {switch_cost_hours}")
-    if baseline_total is not None:
-        _check_count(baseline_total, "baseline total", least=0)
     m = state.n + 1
     rows = []
     pilot = state.cumulative_t - sum(rec.increments for rec in state.rounds)
@@ -399,23 +395,14 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
         rows.append(TimelineRow(f"round {rec.index}", int(rec.increments.sum()),
                                 float(rec.increments.sum() / copy_rate_per_hour), visited))
     switches = sum(r.switches for r in rows)
-    prep = float(state.total_copies / copy_rate_per_hour)
-    report = dict(
+    return TimelineReport(
         rows=tuple(rows),
-        adaptive_prep_hours=prep,
+        adaptive_prep_hours=float(state.total_copies / copy_rate_per_hour),
         adaptive_switches=switches,
         adaptive_switch_hours=switches * switch_cost_hours,
         single_pass_switches=m,
         single_pass_switch_hours=m * switch_cost_hours,
     )
-    if baseline_total is not None:
-        baseline_prep = float(baseline_total / copy_rate_per_hour)
-        report.update(
-            baseline_total=int(baseline_total),
-            baseline_prep_hours=baseline_prep,
-            prep_hours_saved=baseline_prep - prep,
-        )
-    return TimelineReport(**report)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     QcopiesError,
     _check_count,
+    _check_type,
 )
 from .witness import SettingProbabilities
 
@@ -82,12 +83,13 @@ class CopyAllocation:
         return int(self.t.sum())
 
 
-def explicit_allocation(t, epsilon0: float = float("nan")) -> CopyAllocation:
-    """Wrap a hand-chosen copy distribution (uniform, experimental, ...)."""
+def explicit_allocation(t) -> CopyAllocation:
+    """Wrap a hand-chosen copy distribution (uniform, experimental, ...);
+    it targets no budget, so its epsilon0 is NaN."""
     for count in np.asarray(t, dtype=object).ravel():
         _check_count(count, "copies")
     t = np.asarray(t, dtype=np.int64)
-    return CopyAllocation(t=t, epsilon0=epsilon0, real_t=t.astype(float))
+    return CopyAllocation(t=t, epsilon0=float("nan"), real_t=t.astype(float))
 
 
 def uniform_allocation(n_settings: int, per_setting: int) -> CopyAllocation:
@@ -147,6 +149,7 @@ def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
     Zero-weight settings get t_min copies so every setting is still
     observed.  Raises DegenerateProblemError if every weight is zero.
     """
+    _check_type(problem, BudgetProblem)
     _check_count(t_min, "t_min")
     k, eps = problem.k, problem.epsilon
     if not (k > 0).any():
@@ -157,6 +160,7 @@ def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
 
 def sc_variance_weights(p: SettingProbabilities) -> np.ndarray:
     """k_1 = P1(1-P1)/4 and k_j = Pj(1-Pj)/n^2 for the rotated settings."""
+    _check_type(p, SettingProbabilities)
     return _sc_weights(p.n, p.P)
 
 

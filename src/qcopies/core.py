@@ -26,7 +26,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
+from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count, _check_type
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -170,8 +170,7 @@ class XState:
 
 def _check_state(rho) -> None:
     """Raise `QcopiesError` unless rho is a `DensityMatrix` or an `XState`."""
-    if not isinstance(rho, (DensityMatrix, XState)):
-        raise QcopiesError(f"expected DensityMatrix or XState, got {type(rho).__name__}")
+    _check_type(rho, (DensityMatrix, XState))
 
 
 def sc_fidelity(rho: DensityMatrix | XState) -> float:

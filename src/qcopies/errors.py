@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check of a count."""
+"""Exception types shared across the package, the one check of a count and
+the one check of an argument's type."""
 from numbers import Integral
 
 
@@ -27,3 +28,11 @@ def _check_count(value, name: str, error: type[QcopiesError] = QcopiesError,
     if not integer or value < least:
         shown = int(value) if integer else repr(value)
         raise error(f"{name} must be an integer >= {least}, got {shown}")
+
+
+def _check_type(value, kinds) -> None:
+    """Raise `QcopiesError` unless value is an instance of `kinds`, a class
+    or a tuple of classes: "expected X or Y, got Z"."""
+    if not isinstance(value, kinds):
+        names = " or ".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
+        raise QcopiesError(f"expected {names}, got {type(value).__name__}")

@@ -12,9 +12,9 @@ import numpy as np
 
 from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
-from .errors import DimensionMismatchError, QcopiesError, _check_count
+from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
 from .reports import csv_text
-from .simulator import RngSeed, _check_seed, sample_counts
+from .simulator import RngSeed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
 
 
@@ -82,6 +82,7 @@ def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> Allo
     grows with every weight, so the allocation of any state in the range lies
     between t_minus and t_plus; t_point is the allocation of p_hat itself.
     """
+    _check_type(p_hat, SettingProbabilities)
     eps = _squared_budget(epsilon0)
     try:
         hh = np.asarray(h, dtype=float)
@@ -146,7 +147,7 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
 
     Copy count i reads the stream `rng.generator(i)` and draws all its
     repeats in one call."""
-    _check_seed(rng)
+    _check_type(rng, RngSeed)
     _check_count(repeats, "repeats")
     if len(copy_counts) == 0:
         raise QcopiesError("need at least one copy count")

@@ -38,9 +38,9 @@ import numpy as np
 
 from .core import (DensityMatrix, XState, _check_state, check_qubit_count, frobenius_distance,
                    psd_project, sc_fidelity)
-from .errors import DimensionMismatchError, QcopiesError, _check_count
+from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
 from .reports import csv_text
-from .simulator import RngSeed, _check_seed, sample_counts
+from .simulator import RngSeed, sample_counts
 
 # Rows are the measurement bras of the +1 / -1 eigenvectors.
 _PAULI_BRAS = {
@@ -115,8 +115,7 @@ def _check_settings(settings) -> list[ProductSetting]:
     except TypeError:
         raise QcopiesError(f"expected ProductSettings, got {type(settings).__name__}") from None
     for s in settings:
-        if not isinstance(s, ProductSetting):
-            raise QcopiesError(f"expected ProductSetting, got {type(s).__name__}")
+        _check_type(s, ProductSetting)
     return settings
 
 
@@ -156,8 +155,7 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     """
     _check_count(copies_per_setting, "copies per setting")
     settings = _check_settings(settings)
-    if not isinstance(gen, np.random.Generator):
-        raise QcopiesError(f"expected numpy Generator, got {type(gen).__name__}")
+    _check_type(gen, np.random.Generator)
     rows = []
     for s in settings:
         probs = s.born_probabilities(rho)
@@ -186,14 +184,6 @@ class ReconstructOptions:
         _check_count(self.max_iter, "max_iter")
 
 
-def _check_options(opts) -> ReconstructOptions:
-    if opts is None:
-        return ReconstructOptions()
-    if not isinstance(opts, ReconstructOptions):
-        raise QcopiesError(f"expected ReconstructOptions, got {type(opts).__name__}")
-    return opts
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """`converged` is True when the solve certified its objective: a dual
@@ -207,12 +197,12 @@ class ReconstructionResult:
     converged: bool
 
 
-def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> ReconstructionResult:
+def reconstruct(settings, freqs) -> ReconstructionResult:
     """Recover a density matrix from measurement settings and one row of
     frequencies per setting, one entry per operator row of the setting.
-    The solver fits the settings' stacked rows: the same model their Born
-    probabilities come from."""
-    opts = _check_options(opts)
+    The solver fits the settings' stacked rows, the same model their Born
+    probabilities come from, within `ReconstructOptions().max_iter` Newton
+    iterations."""
     settings = _check_settings(settings)
     try:
         rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
@@ -234,7 +224,7 @@ def reconstruct(settings, freqs, opts: ReconstructOptions | None = None) -> Reco
     if not np.all((freqs >= 0) & (freqs <= 1)):
         raise QcopiesError("frequencies must be finite and lie in [0, 1]")
     A = np.concatenate([s.rows for s in settings])
-    return _lockstep([(A, freqs)], opts.max_iter)[0][0]
+    return _lockstep([(A, freqs)], ReconstructOptions().max_iter)[0][0]
 
 
 class _HermitianBasis:
@@ -565,10 +555,11 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     is the single-projector one; family="pauli" subsamples whole X/Y/Z
     bases instead.
     """
-    _check_seed(rng)
+    _check_type(rng, RngSeed)
     _check_count(repeats, "repeats")
     _check_state(rho_true)
-    opts = _check_options(opts)
+    opts = ReconstructOptions() if opts is None else opts
+    _check_type(opts, ReconstructOptions)
     n = rho_true.n_qubits
     if family == "projectors":
         settings = tomography_projectors(n)

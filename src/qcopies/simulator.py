@@ -14,7 +14,8 @@ rows.  It validates its input and hands the normalized rows to
 whose rows are valid by construction, calls `_multinomial` directly with
 one copy count per setting and draws all of a run's settings per pass in
 one call.  `run_histogram_experiment` and `compare_distributions` take an
-`RngSeed` and reject anything else with a `QcopiesError`.
+`RngSeed` and `CopyAllocation`s, and reject anything else with a
+`QcopiesError`.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count
+from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count, _check_type
 from .reports import csv_text
 from .witness import (
     SettingProbabilities,
@@ -53,20 +54,6 @@ class RngSeed:
         """Generator for this stream, optionally forked by an index path."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *path))
         return np.random.default_rng(ss)
-
-
-def _check_seed(rng) -> None:
-    """Raise `QcopiesError` unless `rng` is an `RngSeed`."""
-    if not isinstance(rng, RngSeed):
-        raise QcopiesError(f"expected RngSeed, got {type(rng).__name__}")
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngSeed):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise QcopiesError(f"expected RngSeed or numpy Generator, got {type(rng).__name__}")
 
 
 def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndarray:
@@ -145,6 +132,7 @@ def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
     per trial, in one call.
     """
     _check_count(trials, "trials")
+    _check_type(allocation, CopyAllocation)
     t = allocation.t
     if t.shape != p_true.P.shape:
         raise DimensionMismatchError(f"allocation has {t.size} settings, expected {p_true.P.size}")
@@ -170,7 +158,7 @@ def run_histogram_experiment(rho: DensityMatrix | XState, wd: WitnessDecompositi
     prediction evaluated at the true probabilities, so the two can be
     compared.
     """
-    _check_seed(rng)
+    _check_type(rng, RngSeed)
     return _experiment(setting_probabilities(rho, wd), allocation, trials, rng, ())
 
 
@@ -224,15 +212,16 @@ def compare_distributions(rho: DensityMatrix | XState, wd: WitnessDecomposition,
     baseline.  Allocation i draws its trials from the stream
     `rng.generator(i)`; its row summarizes `results[i]`.
     """
-    _check_seed(rng)
+    _check_type(rng, RngSeed)
+    _check_type(allocations, dict)
     if len(allocations) < 2:
         raise QcopiesError("need at least two allocations to compare")
     names = list(allocations)
     baseline = names[0]
     p_true = setting_probabilities(rho, wd)
-    base_total = allocations[baseline].total
     results = tuple(_experiment(p_true, allocations[name], trials, rng, (i,))
                     for i, name in enumerate(names))
+    base_total = allocations[baseline].total
     rows = tuple(ComparisonRow(
         name=name,
         total=allocations[name].total,

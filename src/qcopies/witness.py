@@ -11,15 +11,19 @@ probability enters the fidelity: the mass on the two computational corners
 (rotated settings), so that <M_theta^(x)n> = 2*P_j - 1.  Only those n+1
 aggregates are computed: two diagonal entries and the non-zero entries of
 the anti-diagonal, never a rotated setting's 2**n outcome probabilities.
+
+The settings are fixed by n, so `WitnessDecomposition(n)` builds them
+itself and takes nothing else.  An argument of the wrong type raises
+`QcopiesError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import DensityMatrix, XState, _check_state, check_qubit_count
-from .errors import DimensionMismatchError, QcopiesError, _check_count
+from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
@@ -62,10 +66,19 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class WitnessDecomposition:
-    """The n+1 settings certifying an n-qubit SC state, computational first."""
+    """The n+1 settings certifying an n-qubit SC state, built from n alone:
+    the computational setting, then the rotated ones at theta = k*pi/n,
+    k = 1..n."""
 
     n: int
-    settings: tuple[MeasurementSetting, ...]
+    settings: tuple[MeasurementSetting, ...] = field(init=False)
+
+    def __post_init__(self):
+        check_qubit_count(self.n)
+        settings = [MeasurementSetting(self.n, COMPUTATIONAL)]
+        settings += [MeasurementSetting(self.n, ROTATED, k * np.pi / self.n)
+                     for k in range(1, self.n + 1)]
+        object.__setattr__(self, "settings", tuple(settings))
 
     @property
     def thetas(self) -> list[float]:
@@ -94,10 +107,7 @@ class SettingProbabilities:
 
 def build_settings(n: int) -> WitnessDecomposition:
     """Computational setting plus rotated settings at theta = k*pi/n, k = 1..n."""
-    check_qubit_count(n)
-    settings = [MeasurementSetting(n, COMPUTATIONAL)]
-    settings += [MeasurementSetting(n, ROTATED, k * np.pi / n) for k in range(1, n + 1)]
-    return WitnessDecomposition(n=n, settings=tuple(settings))
+    return WitnessDecomposition(n)
 
 
 def setting_probabilities(rho: DensityMatrix | XState,
@@ -114,8 +124,7 @@ def setting_probabilities(rho: DensityMatrix | XState,
     the n+1 distinct ones.
     """
     _check_state(rho)
-    if not isinstance(wd, WitnessDecomposition):
-        raise QcopiesError(f"expected WitnessDecomposition, got {type(wd).__name__}")
+    _check_type(wd, WitnessDecomposition)
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
     corners = wd.settings[0].born_probabilities(rho)
@@ -144,6 +153,7 @@ def fidelity_from_probabilities(p: SettingProbabilities) -> float:
 
     F = P_1/2 + sum_{j=2}^{n+1} (-1)^{j-1} (P_j - 1/2) / n.
     """
+    _check_type(p, SettingProbabilities)
     return float(_fidelities(p.n, p.P))
 
 
@@ -152,6 +162,7 @@ def delta_f(p: SettingProbabilities, t) -> float:
 
     sqrt( P1(1-P1)/(4 t1) + (1/n^2) sum_{j>=2} Pj(1-Pj)/tj ).
     """
+    _check_type(p, SettingProbabilities)
     counts = np.asarray(getattr(t, "t", t), dtype=float)
     if counts.shape != p.P.shape:
         raise DimensionMismatchError(f"need {p.P.size} copy counts, got {counts.shape}")

@@ -422,7 +422,7 @@ def run_adaptive_one(rho, wd, cfg, gen, passes=64):
     hits = measure(t_init)
     cumulative = t_init.copy()
     P_used = np.full(m, 0.5) if cfg.initial_P is None else np.asarray(cfg.initial_P, float)
-    state = AdaptiveState(n=n)
+    rounds = []
     for idx, eps in enumerate(cfg.epsilon_schedule, start=1):
         eps0 = float(np.sqrt(eps))
         entry_P = P_used.copy()
@@ -443,15 +443,14 @@ def run_adaptive_one(rho, wd, cfg, gen, passes=64):
             if spread_one(n, _clamped_one(P_used, cumulative), cumulative) <= eps0 * (1 + 1e-9):
                 met = True
                 break
-        state.rounds.append(RoundRecord(
+        rounds.append(RoundRecord(
             index=idx, epsilon=float(eps), P_used=entry_P, target_t=t,
             increments=round_increments, cumulative_t=cumulative.copy(), P_hat=P_used,
             budget_met=met))
-    state.cumulative_t = cumulative
-    state.current_P = P_used
-    state.fidelity = fidelity_from_probabilities(SettingProbabilities(n=n, P=P_used))
-    state.fidelity_std = spread_one(n, P_used, cumulative.astype(float))
-    return state
+    return AdaptiveState(
+        n=n, rounds=tuple(rounds), cumulative_t=cumulative, current_P=P_used,
+        fidelity=fidelity_from_probabilities(SettingProbabilities(n=n, P=P_used)),
+        fidelity_std=spread_one(n, P_used, cumulative.astype(float)))
 
 
 def sweep_epsilon_ratio_one(rho, wd, ratios, repeats, rng):

@@ -12,6 +12,7 @@ from qcopies import (
     build_settings,
     delta_f,
     depolarized_sc,
+    fidelity_from_probabilities,
     geometric_schedule,
     protocol_timeline,
     run_adaptive,
@@ -230,8 +231,8 @@ class TestLockstepMatchesOneRun:
                      "edges": gen.choice([0.0, 0.3, 1.0], size=n + 1)}[prior]
         if t_initial == "varied":
             t_initial = gen.integers(0, 4, size=n + 1)
-        cfg = AdaptiveConfig.geometric(start, ratio, start * ratio**3, initial_P=initial_P,
-                                       t_initial=t_initial, t_min=t_min)
+        cfg = AdaptiveConfig(geometric_schedule(start, ratio, start * ratio**3),
+                             initial_P=initial_P, t_initial=t_initial, t_min=t_min)
         assert_same_state(run_adaptive(rho, wd, cfg, RngSeed(seed).generator()),
                           run_adaptive_one(rho, wd, cfg, RngSeed(seed).generator()))
 
@@ -294,11 +295,13 @@ class TestSweep:
 class TestTimeline:
     def _one_round_state(self, t):
         t = np.asarray(t, dtype=np.int64)
-        rec = RoundRecord(index=1, epsilon=2.56e-4, P_used=np.full(t.size, 0.5),
-                          target_t=t, increments=t, cumulative_t=t,
-                          P_hat=np.full(t.size, 0.5))
-        return AdaptiveState(n=t.size - 1, rounds=[rec], cumulative_t=t,
-                             current_P=np.full(t.size, 0.5))
+        P = np.full(t.size, 0.5)
+        rec = RoundRecord(index=1, epsilon=2.56e-4, P_used=P, target_t=t, increments=t,
+                          cumulative_t=t, P_hat=P)
+        p = SettingProbabilities(n=t.size - 1, P=P)
+        return AdaptiveState(n=t.size - 1, rounds=(rec,), cumulative_t=t, current_P=P,
+                             fidelity=fidelity_from_probabilities(p),
+                             fidelity_std=delta_f(p, t.astype(float)))
 
     def test_zero_switch_cost_time_tracks_copies(self):
         state = self._one_round_state([100, 50, 50, 50, 50, 50, 50, 50, 50])
@@ -309,10 +312,10 @@ class TestTimeline:
     def test_hours_saved_against_reference_experiment(self):
         # 1253 optimized vs 1305 at 8.88 copies/hour recovers ~5.9 hours
         state = self._one_round_state([415, 106, 103, 106, 103, 108, 101, 108, 103])
-        rep = protocol_timeline(state, switch_cost_hours=2 / 60, copy_rate_per_hour=8.88,
-                                baseline_total=1305)
-        assert rep.prep_hours_saved == pytest.approx(52 / 8.88, abs=1e-9)
-        assert rep.prep_hours_saved == pytest.approx(5.9, abs=0.1)
+        rep = protocol_timeline(state, switch_cost_hours=2 / 60, copy_rate_per_hour=8.88)
+        saved = 1305 / 8.88 - rep.adaptive_prep_hours
+        assert saved == pytest.approx(52 / 8.88, abs=1e-9)
+        assert saved == pytest.approx(5.9, abs=0.1)
 
     def test_switch_count_multiplies_with_rounds(self):
         n = 4
@@ -356,17 +359,3 @@ class TestTimeline:
         rep = protocol_timeline(state, switch_cost_hours=np.float32(0.5),
                                 copy_rate_per_hour=np.int64(10))
         assert rep.adaptive_prep_hours == 3.0
-
-    @pytest.mark.parametrize("total", [1305.7, 1305.0, -1, True])
-    def test_baseline_total_must_be_a_count(self, total):
-        state = self._one_round_state([10, 10, 10])
-        with pytest.raises(QcopiesError, match="baseline total must be an integer >= 0"):
-            protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=8.88,
-                              baseline_total=total)
-
-    def test_baseline_total_zero_and_numpy_integers_accepted(self):
-        state = self._one_round_state([10, 10, 10])
-        for total in (0, np.int64(1305)):
-            rep = protocol_timeline(state, switch_cost_hours=0.1, copy_rate_per_hour=8.88,
-                                    baseline_total=total)
-            assert rep.baseline_total == total and type(rep.baseline_total) is int

@@ -12,19 +12,26 @@ from qcopies import (
     QcopiesError,
     RngSeed,
     XState,
+    allocate_sc,
+    allocation_interval,
     build_settings,
     compare_distributions,
     coverage_experiment,
+    delta_f,
     density_from_json,
     depolarized_sc,
+    fidelity_from_probabilities,
     frobenius_distance,
     noisy_sc_state,
+    protocol_timeline,
     psd_project,
     rank_two_sc_state,
     run_adaptive,
     run_histogram_experiment,
     sc_fidelity,
+    sc_variance_weights,
     setting_probabilities,
+    solve_budget,
     sweep_epsilon_ratio,
     uniform_allocation,
     white_noise_weight_for_fidelity,
@@ -174,6 +181,7 @@ class TestFrobenius:
 
 
 _RHO, _WD, _ALLOC = depolarized_sc(2, 0.8), build_settings(2), uniform_allocation(3, 10)
+_CFG = AdaptiveConfig.geometric(0.01, 0.1, 0.0003)
 
 
 @pytest.mark.parametrize("call", [
@@ -187,14 +195,31 @@ _RHO, _WD, _ALLOC = depolarized_sc(2, 0.8), build_settings(2), uniform_allocatio
     lambda: run_histogram_experiment(None, _WD, _ALLOC, 5, RngSeed(1)),
     lambda: compare_distributions(None, _WD, {"a": _ALLOC, "b": _ALLOC}, 5, RngSeed(1)),
     lambda: coverage_experiment(None, _WD, [10], 0.05, 5, RngSeed(1)),
-    lambda: run_adaptive(None, _WD, AdaptiveConfig.geometric(), RngSeed(1)),
-    lambda: run_adaptive(_RHO, None, AdaptiveConfig.geometric(), RngSeed(1)),
+    lambda: run_adaptive(None, _WD, _CFG, RngSeed(1).generator()),
+    lambda: run_adaptive(_RHO, None, _CFG, RngSeed(1).generator()),
     lambda: sweep_epsilon_ratio(None, _WD, [0.1], 1, RngSeed(1)),
     lambda: sweep_epsilon_ratio(_RHO, None, [0.1], 1, RngSeed(1)),
+    lambda: run_histogram_experiment(_RHO, _WD, None, 5, RngSeed(1)),
+    lambda: compare_distributions(_RHO, _WD, None, 5, RngSeed(1)),
+    lambda: compare_distributions(_RHO, _WD, {"a": _ALLOC, "b": None}, 5, RngSeed(1)),
+    lambda: compare_distributions(_RHO, _WD, {"a": None, "b": _ALLOC}, 5, RngSeed(1)),
+    lambda: delta_f(None, _ALLOC),
+    lambda: fidelity_from_probabilities(None),
+    lambda: allocate_sc(None, 0.1),
+    lambda: sc_variance_weights(None),
+    lambda: solve_budget(None),
+    lambda: allocation_interval(None, 0.01, 0.1),
+    lambda: protocol_timeline(None, 0.1, 8.88),
+    lambda: run_adaptive(_RHO, _WD, None, RngSeed(1).generator()),
+    lambda: run_adaptive(_RHO, _WD, _CFG, RngSeed(1)),
 ], ids=["sc_fidelity-None", "sc_fidelity-array", "frobenius-None", "frobenius-array",
         "setting_probabilities-None", "setting_probabilities-wd-None",
         "setting_probabilities-wd-tuple", "histogram", "compare", "coverage", "adaptive",
-        "adaptive-wd-None", "sweep", "sweep-wd-None"])
+        "adaptive-wd-None", "sweep", "sweep-wd-None", "histogram-allocation-None",
+        "compare-None", "compare-last-None", "compare-baseline-None", "delta_f-None",
+        "fidelity-None", "allocate_sc-None", "weights-None", "solve_budget-None",
+        "allocation_interval-None", "timeline-None", "adaptive-cfg-None",
+        "adaptive-RngSeed"])
 def test_non_state_raises_a_library_error(call):
     with pytest.raises(QcopiesError):
         call()

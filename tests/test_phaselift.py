@@ -131,7 +131,8 @@ class TestReconstruct:
         settings = pauli_settings(3)
         rho = DensityMatrix(ginibre_density(8, rng))
         freqs = sampled_frequencies(rho, settings, 2000, rng)
-        objectives = [reconstruct(settings, freqs, ReconstructOptions(max_iter=k)).objective
+        problem = _rows_and_freqs(settings, freqs)
+        objectives = [_lockstep([problem], k)[0][0].objective
                       for k in (1, 10, 100, 1000, 5000)]
         assert np.all(np.diff(objectives) <= 0.0)
 
@@ -141,7 +142,7 @@ class TestReconstruct:
         settings = pauli_settings(3)
         freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 2000,
                                     np.random.default_rng(0))
-        result = reconstruct(settings, freqs, ReconstructOptions(max_iter=5))
+        [(result, _, _)] = _lockstep([_rows_and_freqs(settings, freqs)], 5)
         assert result.iterations == 5
         assert not result.converged
         assert reconstruct(settings, freqs).iterations == 14
@@ -151,10 +152,10 @@ class TestReconstruct:
         # converges at iteration 6
         settings = pauli_settings(1)
         rho = DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]))
-        freqs = exact_frequencies(rho, settings)
+        problem = _rows_and_freqs(settings, exact_frequencies(rho, settings))
         tracemalloc.start()
         try:
-            result = reconstruct(settings, freqs, ReconstructOptions(max_iter=10**9))
+            [(result, _, _)] = _lockstep([problem], 10**9)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -194,7 +195,6 @@ class TestReconstruct:
         lambda: reconstruct(None, [[0.5, 0.5]]),
         lambda: reconstruct(pauli_settings(1), [["a", "b"]] * 3),
         lambda: reconstruct(pauli_settings(1), None),
-        lambda: reconstruct(pauli_settings(1), [[0.5, 0.5]] * 3, opts=5),
         lambda: reconstruction_curve(rank_two_sc_state(2, 0.8), 100, [4], 1, RngSeed(1), opts=5),
         lambda: reconstruction_curve(rank_two_sc_state(2, 0.8), 100, 4, 1, RngSeed(1)),
         lambda: reconstruction_curve(np.eye(4) / 4, 100, [4], 1, RngSeed(1)),
@@ -501,7 +501,7 @@ class TestRobustness:
     def test_tiny_budgets_return_a_state(self, max_iter, rng):
         settings = tomography_projectors(3)
         freqs = sampled_frequencies(rank_two_sc_state(3, 0.7068), settings, 20000, rng)
-        r = reconstruct(settings, freqs, ReconstructOptions(max_iter=max_iter))
+        [(r, _, _)] = _lockstep([_rows_and_freqs(settings, freqs)], max_iter)
         assert (r.iterations, r.converged) == (max_iter, False)
         _assert_state(r)
 

@@ -7,6 +7,7 @@ from qcopies import (
     QcopiesError,
     RngSeed,
     SettingProbabilities,
+    WitnessDecomposition,
     XState,
     allocate_sc,
     build_settings,
@@ -42,6 +43,18 @@ class TestBuildSettings:
     def test_range(self, n):
         with pytest.raises(QcopiesError):
             build_settings(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, MAX_QUBITS])
+    def test_decomposition_is_built_from_n(self, n):
+        # the settings are fixed by n, so a decomposition takes nothing else
+        assert WitnessDecomposition(n) == build_settings(n)
+        with pytest.raises(TypeError):
+            WitnessDecomposition(n, build_settings(n).settings)
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 2.0])
+    def test_decomposition_rejects_a_bad_qubit_count(self, n):
+        with pytest.raises(QcopiesError):
+            WitnessDecomposition(n)
 
     def test_rotated_angle_validated(self):
         with pytest.raises(QcopiesError):
