@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
-from .errors import ConfigError, QcopiesError, _check_count, _check_type
+from .errors import (ConfigError, QcopiesError, _as_array, _as_list, _check_count, _check_real,
+                     _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, _multinomial
 from .witness import (
@@ -47,9 +47,10 @@ MAX_SCHEDULE_LENGTH = 10_000
 def geometric_schedule(start: float, ratio: float, final: float) -> tuple[float, ...]:
     """Budgets start, start*ratio, ... down past `final` (last entry <= final),
     at most MAX_SCHEDULE_LENGTH of them."""
-    if not 0 < ratio < 1:
+    if not 0 < _check_real(ratio, "ratio", ConfigError) < 1:
         raise ConfigError(f"ratio must be in (0, 1), got {ratio}")
-    if not 0 < final < start < np.inf:
+    low = _check_real(final, "final", ConfigError)
+    if not 0 < low < _check_real(start, "start", ConfigError) < np.inf:
         raise ConfigError(f"need 0 < final < start < inf, got start={start}, final={final}")
     values = [start]
     while values[-1] > final:
@@ -66,32 +67,27 @@ class AdaptiveConfig:
 
     initial_P seeds the first allocation (values in [0, 1]; defaults to 1/2
     everywhere, or the target's own probabilities if you know the state is
-    close to pure); t_initial copies per setting (>= 0) are measured up
-    front so the pooled estimates never start from nothing; every
-    allocation gives each setting at least t_min >= 1 copies.
+    close to pure); t_initial, one count >= 0, is the copies of every
+    setting measured up front so the pooled estimates never start from
+    nothing; every allocation gives each setting at least t_min >= 1 copies.
     """
 
     epsilon_schedule: tuple[float, ...]
     initial_P: np.ndarray | None = None
-    t_initial: int | np.ndarray = 5
+    t_initial: int = 5
     t_min: int = 1
 
     def __post_init__(self):
-        sched = tuple(float(e) for e in self.epsilon_schedule)
-        if not sched:
-            raise ConfigError("schedule must not be empty")
+        sched = tuple(_check_real(e, "budget", ConfigError)
+                      for e in _as_list(self.epsilon_schedule, "schedule", ConfigError))
         if not all(0 < e < np.inf for e in sched):
             raise ConfigError("budgets must be positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly decreasing")
-        t0 = np.asarray(self.t_initial)
-        if t0.dtype.kind not in "iuf" or not np.all(np.isfinite(t0) & (t0 == np.floor(t0))):
-            raise ConfigError(f"t_initial must be whole copy counts, got {self.t_initial!r}")
-        if np.any(t0 < 0):
-            raise ConfigError("t_initial must be >= 0")
+        _check_count(self.t_initial, "t_initial", ConfigError, least=0)
         _check_count(self.t_min, "t_min", ConfigError)
         if self.initial_P is not None:
-            P = np.asarray(self.initial_P, dtype=float)
+            P = _as_array(self.initial_P, "initial_P", error=ConfigError)
             if not np.all((P >= 0) & (P <= 1)):
                 raise ConfigError("initial_P must be finite and lie in [0, 1]")
         object.__setattr__(self, "epsilon_schedule", sched)
@@ -257,13 +253,7 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
     P_true = setting_probabilities(rho, wd).P
     _check_type(cfg, AdaptiveConfig)
     _check_type(gen, np.random.Generator)
-    n = wd.n
-    m = n + 1
-    t_init = np.asarray(cfg.t_initial, dtype=np.int64)
-    if t_init.ndim == 0:
-        t_init = np.full(m, int(t_init), dtype=np.int64)
-    if t_init.shape != (m,):
-        raise ConfigError(f"t_initial must be scalar or length {m}")
+    n, m = wd.n, wd.n + 1
     if cfg.initial_P is None:
         P0 = np.full(m, 0.5)
     else:
@@ -271,7 +261,8 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
         if P0.shape != (m,):
             raise ConfigError(f"initial_P must have length {m}")
     cumulative, P, rounds = _run_lockstep(P_true, n, cfg.epsilon_schedule, P0[None],
-                                          t_init[None], cfg.t_min, [gen])
+                                          np.full((1, m), cfg.t_initial, dtype=np.int64),
+                                          cfg.t_min, [gen])
     p_final = SettingProbabilities(n=n, P=P[0])
     return AdaptiveState(
         n=n,
@@ -322,13 +313,12 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
     """
     _check_type(rng, RngSeed)
     _check_count(repeats, "repeats")
-    if len(ratios) == 0:
-        raise QcopiesError("need at least one ratio")
+    ratios = [_check_real(ratio, "ratio") for ratio in _as_list(ratios, "ratios")]
     P_true = setting_probabilities(rho, wd).P
     m = wd.n + 1
     rows = []
     for i, ratio in enumerate(ratios):
-        schedule = geometric_schedule(0.01, float(ratio), 0.0003)
+        schedule = geometric_schedule(0.01, ratio, 0.0003)
         priors, pilots = [], []
         for rep in range(repeats):
             setup = rng.generator(i, rep, 0)
@@ -339,7 +329,7 @@ def sweep_epsilon_ratio(rho: DensityMatrix | XState, wd: WitnessDecomposition, r
                                          [rng.generator(i, rep, 1) for rep in range(repeats)])
         totals = cumulative.sum(axis=1).astype(float)
         rows.append(SweepRow(
-            ratio=float(ratio),
+            ratio=ratio,
             mean_total=float(totals.mean()),
             std_total=float(totals.std(ddof=1)) if repeats > 1 else 0.0,
             mean_rounds=float(len(schedule)),
@@ -376,12 +366,9 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
     same cumulative distribution with one visit per setting.
     """
     _check_type(state, AdaptiveState)
-    for value, name in ((copy_rate_per_hour, "copy rate"), (switch_cost_hours, "switch cost")):
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise QcopiesError(f"{name} must be a real number, got {value!r}")
-    if not 0 < copy_rate_per_hour < np.inf:
+    if not 0 < _check_real(copy_rate_per_hour, "copy rate") < np.inf:
         raise QcopiesError(f"copy rate must be positive and finite, got {copy_rate_per_hour}")
-    if not 0 <= switch_cost_hours < np.inf:
+    if not 0 <= _check_real(switch_cost_hours, "switch cost") < np.inf:
         raise QcopiesError(f"switch cost must be finite and >= 0, got {switch_cost_hours}")
     m = state.n + 1
     rows = []
@@ -428,7 +415,7 @@ def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
     the fourth root of the hourly eight-photon rate; ten-photon events need
     five simultaneous pairs, hence the fifth power.
     """
-    if not 0 < rate8_hz < np.inf:
+    if not 0 < _check_real(rate8_hz, "rate") < np.inf:
         raise QcopiesError(f"rate must be positive and finite, got {rate8_hz}")
     _check_count(copies, "copies", least=0)
     per_hour8 = rate8_hz * 3600.0

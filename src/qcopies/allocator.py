@@ -21,7 +21,9 @@ from .errors import (
     DegenerateProblemError,
     DimensionMismatchError,
     QcopiesError,
+    _as_array,
     _check_count,
+    _check_real,
     _check_type,
 )
 from .witness import SettingProbabilities
@@ -45,12 +47,12 @@ class BudgetProblem:
     epsilon: float
 
     def __post_init__(self):
-        arr = np.array(self.k, dtype=float)
+        arr = _as_array(self.k, "variance weights", copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatchError("k must be a nonempty vector")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
             raise QcopiesError("variance weights must be finite and nonnegative")
-        if not 0 < self.epsilon < np.inf:
+        if not 0 < _check_real(self.epsilon, "error budget") < np.inf:
             raise QcopiesError(f"error budget must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "k", arr)
         self.k.flags.writeable = False
@@ -65,8 +67,9 @@ class CopyAllocation:
     real_t: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=np.int64)
-        r = np.array(self.real_t, dtype=float)
+        t = _as_array(self.t, "copies", np.int64, copy=True)
+        r = _as_array(self.real_t, "real copies", copy=True)
+        _check_real(self.epsilon0, "epsilon0")  # NaN passes: an explicit allocation has no budget
         if t.ndim != 1 or t.size == 0:
             raise DimensionMismatchError("t must be a nonempty vector")
         if t.shape != r.shape:
@@ -133,11 +136,12 @@ def _round_up(k: np.ndarray, eps: float, t_min: int) -> tuple[np.ndarray, np.nda
 def _squared_budget(epsilon0: float) -> float:
     """eps = epsilon0**2, checked once: epsilon0 and its square must be
     positive and finite."""
+    positive = _check_real(epsilon0, "epsilon0") > 0
     try:
-        eps = epsilon0**2
+        eps = float(epsilon0**2)  # an int's square may exceed float range
     except OverflowError:
         eps = np.inf
-    if not (epsilon0 > 0 and 0 < eps < np.inf):
+    if not (positive and 0 < eps < np.inf):
         raise QcopiesError(f"epsilon0 must be positive with a positive, finite square, "
                            f"got {epsilon0}")
     return eps

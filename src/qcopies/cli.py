@@ -61,7 +61,7 @@ def _rng(args) -> RngSeed:
         try:
             seed = int(env) if env else 0
         except ValueError as exc:
-            raise ConfigError(f"QCOPIES_SEED must be an integer, got {env!r}") from exc
+            raise ConfigError(f"QCOPIES_SEED is not an integer: {env!r}") from exc
     return RngSeed(seed)
 
 

@@ -26,7 +26,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count, _check_type
+from .errors import (ConfigError, DimensionMismatchError, QcopiesError, _as_array, _check_count,
+                     _check_real, _check_type)
 
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -49,13 +50,11 @@ def _check_dense(n: int) -> None:
                            f"dense matrices go up to {MAX_DENSE_QUBITS} qubits")
 
 
-def _check_size_and_entries(m: np.ndarray) -> None:
-    """Raise unless the square matrix m has size 2**n, n >= 1, and finite
-    entries."""
-    d = m.shape[0]
+def _check_size_and_entries(d: int, *arrays: np.ndarray) -> None:
+    """Raise unless the matrix size d is 2**n, n >= 1, and the arrays are finite."""
     if d < 2 or d & (d - 1):
         raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
-    if not np.isfinite(m).all():
+    if not all(np.isfinite(a).all() for a in arrays):
         raise QcopiesError("matrix entries must be finite")
 
 
@@ -63,11 +62,11 @@ class DensityMatrix:
     """Hermitian, trace-one, positive-semidefinite matrix of size 2**n."""
 
     def __init__(self, matrix: np.ndarray, validate: bool = True):
-        m = np.array(matrix, dtype=complex)
+        m = _as_array(matrix, "matrix", complex, copy=True)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         if validate:
-            _check_size_and_entries(m)
+            _check_size_and_entries(m.shape[0], m)
             herm_dev = float(np.max(np.abs(m - m.conj().T)))
             if herm_dev > HERMITIAN_TOL:
                 raise QcopiesError(f"matrix is not Hermitian: max|rho - rho^dag| = {herm_dev:.3e}")
@@ -110,18 +109,13 @@ class XState:
     """
 
     def __init__(self, diag: np.ndarray, anti: np.ndarray, validate: bool = True):
-        as_array = np.array if validate else np.asarray
-        diag = np.asarray(diag).ravel()
-        anti = as_array(anti, dtype=complex).ravel()
+        diag = (_as_array(diag, "diagonal", complex) if validate else np.asarray(diag)).ravel()
+        anti = _as_array(anti, "anti-diagonal", complex, copy=validate).ravel()
         if diag.shape != anti.shape:
             raise DimensionMismatchError(
                 f"diagonal has {diag.size} entries, anti-diagonal {anti.size}")
         if validate:
-            d = diag.size
-            if d < 2 or d & (d - 1):
-                raise DimensionMismatchError(f"matrix size must be 2**n with n >= 1, got {d}")
-            if not (np.isfinite(diag).all() and np.isfinite(anti).all()):
-                raise QcopiesError("X-state entries must be finite")
+            _check_size_and_entries(diag.size, diag, anti)
             if np.abs(diag.imag).max() > HERMITIAN_TOL:
                 raise QcopiesError("diagonal is not real")
             herm_dev = float(np.abs(anti - anti[::-1].conj()).max())
@@ -134,7 +128,7 @@ class XState:
             lo = float((0.5 * (x + y - np.hypot(x - y, 2.0 * np.abs(anti)))).min())
             if lo < EIGENVALUE_FLOOR:
                 raise QcopiesError(f"matrix is not PSD: min eigenvalue = {lo:.3e}")
-        self._diag = as_array(diag.real, dtype=float)
+        self._diag = (np.array if validate else np.asarray)(diag.real, dtype=float)
         self._anti = anti
         self._diag.flags.writeable = False
         self._anti.flags.writeable = False
@@ -196,7 +190,7 @@ def white_noise_weight_for_fidelity(n: int, fidelity: float) -> float:
     """Invert fidelity = p + (1-p)/d for the white-noise mixture weight p."""
     check_qubit_count(n)
     d = 2**n
-    if not 1.0 / d <= fidelity <= 1.0:
+    if not 1.0 / d <= _check_real(fidelity, "fidelity") <= 1.0:
         raise QcopiesError(f"fidelity {fidelity} outside [{1.0 / d}, 1] for n={n}")
     return (fidelity - 1.0 / d) / (1.0 - 1.0 / d)
 
@@ -248,7 +242,7 @@ def noisy_sc_state(n: int, fidelity: float, corner_mass: float | None = None) ->
     if n < 2:
         raise QcopiesError("the corner-mass model needs at least 2 qubits")
     d = 2**n
-    a = 2.0 * fidelity - corner_mass
+    a = 2.0 * _check_real(fidelity, "fidelity") - _check_real(corner_mass, "corner mass")
     c = (1.0 - corner_mass) / (1.0 - 2.0 / d)
     b = 1.0 - a - c
     if not min(a, b, c) >= -1e-12:  # also catches NaN weights
@@ -270,7 +264,7 @@ def rank_two_sc_state(n: int, fidelity: float) -> XState:
     check_qubit_count(n)
     if n < 2:
         raise QcopiesError("rank-two model needs at least 2 qubits")
-    if not 0.0 <= fidelity <= 1.0:
+    if not 0.0 <= _check_real(fidelity, "fidelity") <= 1.0:
         raise QcopiesError(f"fidelity must be in [0, 1], got {fidelity}")
     return _x_state(n, cat=fidelity, flipped=1.0 - fidelity)
 
@@ -290,10 +284,10 @@ def psd_project(m: np.ndarray) -> DensityMatrix:
     2**n, n >= 1, with finite entries: eigendecompose, project the
     eigenvalues onto the probability simplex and rebuild in the same
     eigenbasis."""
-    m = np.asarray(m, dtype=complex)
+    m = _as_array(m, "matrix", complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    _check_size_and_entries(m)
+    _check_size_and_entries(m.shape[0], m)
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     out = (vecs * _project_to_simplex(vals)) @ vecs.conj().T
     return DensityMatrix(0.5 * (out + out.conj().T), validate=False)
@@ -302,9 +296,9 @@ def psd_project(m: np.ndarray) -> DensityMatrix:
 def density_from_json(text: str) -> DensityMatrix:
     """Read {"n": qubits, "re": [[...]], "im": [[...]]}, revalidating all
     invariants; text that is not such a JSON object raises ConfigError."""
-    try:
+    try:  # a QcopiesError is a ValueError
         obj = json.loads(text)
-        re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))
+        re, im = (_as_array(obj[key], key) for key in ("re", "im"))
         n = obj["n"]
         if re.shape != im.shape or type(n) is not int:
             raise ValueError("re and im need one shape and n an integer")

@@ -12,7 +12,8 @@ import numpy as np
 
 from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
-from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
+from .errors import (DimensionMismatchError, QcopiesError, _as_array, _as_list, _check_count,
+                     _check_real, _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
@@ -21,30 +22,28 @@ from .witness import SettingProbabilities, WitnessDecomposition, setting_probabi
 def failure_probability(t: int, h: float) -> float:
     """Two-sided bound 2*exp(-2 t h^2) on |frequency - probability| >= h."""
     _check_count(t, "copies")
-    if not 0 < h < 1:
+    if not 0 < _check_real(h, "deviation") < 1:
         raise QcopiesError(f"deviation must be in (0, 1), got {h}")
     return float(min(1.0, 2.0 * np.exp(-2.0 * t * h * h)))
 
 
 def joint_success(t, h) -> float:
     """Probability that every setting's frequency stays within its band."""
-    tt = np.atleast_1d(np.asarray(t))
-    hh = np.atleast_1d(np.asarray(h, dtype=float))
+    tt = np.atleast_1d(_as_array(t, "copies", dtype=None))
+    hh = np.atleast_1d(_as_array(h, "deviations"))
     if tt.shape != hh.shape:
         raise DimensionMismatchError(f"shape mismatch: {tt.shape} vs {hh.shape}")
-    if tt.size == 0:
-        raise QcopiesError("joint success needs at least one setting")
     prod = 1.0
-    for ti, hi in zip(tt, hh):
+    for ti, hi in zip(_as_list(tt.ravel(), "settings"), hh.ravel()):
         prod *= max(0.0, 1.0 - failure_probability(ti, float(hi)))
     return float(prod)
 
 
 def required_copies(h: float, delta: float) -> int:
     """Smallest t with 2*exp(-2 t h^2) <= delta."""
-    if not 0 < h < 1:
+    if not 0 < _check_real(h, "deviation") < 1:
         raise QcopiesError(f"deviation must be in (0, 1), got {h}")
-    if not 0 < delta < 1:
+    if not 0 < _check_real(delta, "failure probability") < 1:
         raise QcopiesError(f"failure probability must be in (0, 1), got {delta}")
     if delta >= 2.0 * np.exp(-2.0 * h * h):
         return 1
@@ -54,7 +53,7 @@ def required_copies(h: float, delta: float) -> int:
 def hoeffding_radius(t: int, delta: float) -> float:
     """Half-width h with 2*exp(-2 t h^2) = delta."""
     _check_count(t, "copies")
-    if not 0 < delta < 1:
+    if not 0 < _check_real(delta, "failure probability") < 1:
         raise QcopiesError(f"failure probability must be in (0, 1), got {delta}")
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * t)))
 
@@ -84,10 +83,7 @@ def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> Allo
     """
     _check_type(p_hat, SettingProbabilities)
     eps = _squared_budget(epsilon0)
-    try:
-        hh = np.asarray(h, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise QcopiesError(f"h must be numeric, got {h!r}") from exc
+    hh = _as_array(h, "h")
     if hh.ndim > 1 or hh.size not in (1, p_hat.P.size) or not np.all((hh >= 0) & (hh < 1)):
         raise QcopiesError(f"h must be a scalar or {p_hat.P.size} bounds in [0, 1), got {h!r}")
     lo = np.clip(p_hat.P - hh, 0.0, 1.0)
@@ -149,14 +145,12 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
     repeats in one call."""
     _check_type(rng, RngSeed)
     _check_count(repeats, "repeats")
-    if len(copy_counts) == 0:
-        raise QcopiesError("need at least one copy count")
+    copy_counts = _as_list(copy_counts, "copy counts")
     true_value = float(setting_probabilities(rho, wd).P[0])
     rows = []
     for i, copies in enumerate(copy_counts):
-        _check_count(copies, "copies")
+        radius = hoeffding_radius(copies, delta)  # checks the count
         copies = int(copies)
-        radius = hoeffding_radius(copies, delta)
         hits = sample_counts([true_value, 1.0 - true_value], copies, rng.generator(i),
                              size=repeats)[:, 0]
         rows.append(CoverageRow(

@@ -38,7 +38,8 @@ import numpy as np
 
 from .core import (DensityMatrix, XState, _check_state, check_qubit_count, frobenius_distance,
                    psd_project, sc_fidelity)
-from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
+from .errors import (DimensionMismatchError, QcopiesError, _as_array, _as_list, _check_count,
+                     _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 
@@ -110,10 +111,7 @@ class ProductSetting:
 
 
 def _check_settings(settings) -> list[ProductSetting]:
-    try:
-        settings = list(settings)
-    except TypeError:
-        raise QcopiesError(f"expected ProductSettings, got {type(settings).__name__}") from None
+    settings = _as_list(settings, "measurement settings", empty=True)
     for s in settings:
         _check_type(s, ProductSetting)
     return settings
@@ -204,14 +202,10 @@ def reconstruct(settings, freqs) -> ReconstructionResult:
     probabilities come from, within `ReconstructOptions().max_iter` Newton
     iterations."""
     settings = _check_settings(settings)
-    try:
-        rows = [np.atleast_1d(np.asarray(row, dtype=float)) for row in freqs]
-    except (TypeError, ValueError):
-        raise QcopiesError("frequencies must be rows of numbers") from None
+    rows = [np.atleast_1d(_as_array(row, "frequencies"))
+            for row in _as_list(freqs, "frequency rows")]
     if len(settings) != len(rows):
         raise DimensionMismatchError(f"{len(settings)} settings but {len(rows)} frequency rows")
-    if not rows:
-        raise QcopiesError("need at least one measurement setting")
     if len({s.n for s in settings}) != 1:
         raise DimensionMismatchError("settings act on different numbers of qubits")
     for setting, row in zip(settings, rows):
@@ -568,12 +562,7 @@ def reconstruction_curve(rho_true: DensityMatrix | XState, counts_per_setting: i
     else:
         raise QcopiesError(f"unknown measurement family {family!r}")
     total = len(settings)
-    try:
-        setting_counts = list(setting_counts)
-    except TypeError:
-        raise QcopiesError(f"setting counts must be a sequence, got {setting_counts!r}") from None
-    if len(setting_counts) == 0:
-        raise QcopiesError("need at least one setting count")
+    setting_counts = _as_list(setting_counts, "setting counts")
     for m in setting_counts:
         _check_count(m, "a setting count")
         if m > total:

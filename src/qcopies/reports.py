@@ -5,16 +5,15 @@ precision through the standard library encoder.
 """
 from __future__ import annotations
 
-import numbers
 from pathlib import Path
+
+import numpy as np
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):  # bool too: True prints 1
         return str(int(value))
-    if isinstance(value, numbers.Integral):
-        return str(int(value))
-    if isinstance(value, numbers.Real):
+    if isinstance(value, (float, np.floating)):
         return f"{float(value):.6g}"
     return str(value)
 

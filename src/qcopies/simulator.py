@@ -26,7 +26,8 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import ConfigError, DimensionMismatchError, QcopiesError, _check_count, _check_type
+from .errors import (ConfigError, DimensionMismatchError, QcopiesError, _as_array, _check_count,
+                     _check_type)
 from .reports import csv_text
 from .witness import (
     SettingProbabilities,
@@ -45,10 +46,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 0):
-                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+        _check_count(self.seed, "seed", ConfigError, least=0)
+        _check_count(self.stream, "stream", ConfigError, least=0)
 
     def generator(self, *path: int) -> np.random.Generator:
         """Generator for this stream, optionally forked by an index path."""
@@ -69,10 +68,11 @@ def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndar
     new leading axis: the counts and the generator's next state are those
     of the stack `np.broadcast_to(probs, (size, *probs.shape))`.
     """
-    p = np.asarray(probs, dtype=float)
+    p = _as_array(probs, "probabilities")
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
     _check_count(copies, "copies", least=0)
+    _check_type(gen, np.random.Generator)
     if size is not None:
         _check_count(size, "size")
         size = (size, *p.shape[:-1])

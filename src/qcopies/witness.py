@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DensityMatrix, XState, _check_state, check_qubit_count
-from .errors import DimensionMismatchError, QcopiesError, _check_count, _check_type
+from .errors import (DimensionMismatchError, QcopiesError, _as_array, _check_count, _check_real,
+                     _check_type)
 
 COMPUTATIONAL = "computational"
 ROTATED = "rotated"
@@ -38,16 +39,14 @@ class MeasurementSetting:
     theta: float | None = None
 
     def __post_init__(self):
+        check_qubit_count(self.n)
         if self.kind not in (COMPUTATIONAL, ROTATED):
             raise QcopiesError(f"unknown setting kind {self.kind!r}")
         if self.kind == ROTATED:
-            if self.theta is None:
-                raise QcopiesError("rotated setting needs an angle")
-            k = self.theta * self.n / np.pi
+            k = _check_real(self.theta, "rotated angle") * self.n / np.pi
             if not (abs(k - round(k)) < 1e-9 and 1 <= round(k) <= self.n):
-                raise QcopiesError(
-                    f"rotated angle must be k*pi/n with k in 1..{self.n}, got {self.theta}"
-                )
+                raise QcopiesError(f"rotated angle must be k*pi/n with k in 1..{self.n}, "
+                                   f"got {self.theta}")
         elif self.theta is not None:
             raise QcopiesError("computational setting takes no angle")
 
@@ -74,7 +73,6 @@ class WitnessDecomposition:
     settings: tuple[MeasurementSetting, ...] = field(init=False)
 
     def __post_init__(self):
-        check_qubit_count(self.n)
         settings = [MeasurementSetting(self.n, COMPUTATIONAL)]
         settings += [MeasurementSetting(self.n, ROTATED, k * np.pi / self.n)
                      for k in range(1, self.n + 1)]
@@ -94,7 +92,7 @@ class SettingProbabilities:
 
     def __post_init__(self):
         _check_count(self.n, "qubit count")
-        arr = np.asarray(self.P, dtype=float)
+        arr = _as_array(self.P, "setting probabilities")
         if arr.shape != (self.n + 1,):
             raise DimensionMismatchError(f"expected {self.n + 1} probabilities, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -163,7 +161,7 @@ def delta_f(p: SettingProbabilities, t) -> float:
     sqrt( P1(1-P1)/(4 t1) + (1/n^2) sum_{j>=2} Pj(1-Pj)/tj ).
     """
     _check_type(p, SettingProbabilities)
-    counts = np.asarray(getattr(t, "t", t), dtype=float)
+    counts = _as_array(getattr(t, "t", t), "copy counts")
     if counts.shape != p.P.shape:
         raise DimensionMismatchError(f"need {p.P.size} copy counts, got {counts.shape}")
     if not np.all(np.isfinite(counts) & (counts > 0)):

@@ -407,8 +407,10 @@ def _clamped_one(P, t):
     return out
 
 
-def run_adaptive_one(rho, wd, cfg, gen, passes=64):
-    """The feedback protocol for one run, each setting drawn on its own."""
+def run_adaptive_one(rho, wd, cfg, gen, pilot=None, passes=64):
+    """The feedback protocol for one run, each setting drawn on its own,
+    with `pilot` copies of each setting up front (`cfg.t_initial` of every
+    setting when None)."""
     n, m = wd.n, wd.n + 1
     P_true = setting_probabilities(rho, wd).P
 
@@ -416,9 +418,7 @@ def run_adaptive_one(rho, wd, cfg, gen, passes=64):
         return np.array([sample_counts([p, 1.0 - p], int(c), gen)[0] if c > 0 else 0
                          for p, c in zip(P_true, copies)], dtype=np.int64)
 
-    t_init = np.asarray(cfg.t_initial, dtype=np.int64)
-    if t_init.ndim == 0:
-        t_init = np.full(m, int(t_init), dtype=np.int64)
+    t_init = np.full(m, cfg.t_initial, dtype=np.int64) if pilot is None else pilot
     hits = measure(t_init)
     cumulative = t_init.copy()
     P_used = np.full(m, 0.5) if cfg.initial_P is None else np.asarray(cfg.initial_P, float)
@@ -465,9 +465,9 @@ def sweep_epsilon_ratio_one(rho, wd, ratios, repeats, rng):
             cfg = AdaptiveConfig(
                 epsilon_schedule=geometric_schedule(0.01, float(ratio), 0.0003),
                 initial_P=setup.uniform(0.25, 0.75, size=m),
-                t_initial=setup.integers(4, 8, size=m),
             )
-            state = run_adaptive_one(rho, wd, cfg, rng.generator(i, rep, 1))
+            pilot = setup.integers(4, 8, size=m)
+            state = run_adaptive_one(rho, wd, cfg, rng.generator(i, rep, 1), pilot)
             totals[rep] = state.total_copies
             rounds[rep] = state.round
         rows.append(SweepRow(

@@ -218,7 +218,7 @@ class TestLockstepMatchesOneRun:
     @given(n=st.integers(2, 5), fidelity=fidelities, seed=st.integers(0, 2**32 - 1),
            start=st.floats(1e-3, 0.05), ratio=st.floats(0.05, 0.5),
            prior=st.sampled_from(["half", "target", "edges"]),
-           t_initial=st.sampled_from([0, 1, 5, "varied"]), t_min=st.integers(1, 4))
+           t_initial=st.sampled_from([0, 1, 5]), t_min=st.integers(1, 4))
     # no pilot at the pure state's own P: every variance weight is zero
     @example(n=3, fidelity=1.0, seed=1, start=0.01, ratio=0.1, prior="target", t_initial=0,
              t_min=2)
@@ -229,8 +229,6 @@ class TestLockstepMatchesOneRun:
         initial_P = {"half": None,
                      "target": setting_probabilities(rho, wd).P,
                      "edges": gen.choice([0.0, 0.3, 1.0], size=n + 1)}[prior]
-        if t_initial == "varied":
-            t_initial = gen.integers(0, 4, size=n + 1)
         cfg = AdaptiveConfig(geometric_schedule(start, ratio, start * ratio**3),
                              initial_P=initial_P, t_initial=t_initial, t_min=t_min)
         assert_same_state(run_adaptive(rho, wd, cfg, RngSeed(seed).generator()),

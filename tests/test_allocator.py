@@ -219,7 +219,10 @@ class TestAllocateSc:
 
 
 class TestInputsCheckedOnce:
-    @pytest.mark.parametrize("epsilon0", [1e200, 1e-200, -0.1, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("epsilon0", [
+        1e200, 1e-200, -0.1, 0.0, np.nan, np.inf,
+        pytest.param(10**200, id="int-square-past-float-range"),
+        pytest.param(10**400, id="int-past-float-range")])
     def test_epsilon0_needs_a_positive_finite_square(self, epsilon0):
         p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
         for allocate in (lambda: allocate_sc(p, epsilon0),

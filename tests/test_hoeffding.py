@@ -68,6 +68,9 @@ class TestJointSuccess:
         with pytest.raises(QcopiesError):
             joint_success([10, 10], [0.1])
 
+    def test_a_table_of_settings_is_one_product(self):
+        assert joint_success([[110, 50]], [[0.2, 0.1]]) == joint_success([110, 50], [0.2, 0.1])
+
     def test_rejects_no_settings(self):
         # an empty product would read 1.0, success over nothing
         with pytest.raises(QcopiesError):

@@ -203,3 +203,112 @@ def test_readme_code_keeps_only_python():
     code = _readme_code()
     assert "RngSeed(seed, stream)" in code
     assert not any(span.lstrip().startswith("qcopies allocate") for span in code)
+
+
+# Result types that only the library builds; their constructors take no
+# value a user types in.
+_LIBRARY_BUILT = {"AdaptiveState", "AllocationInterval", "ComparisonReport", "CoverageTable",
+                  "ReconstructionResult", "TenPhotonCost"}
+
+
+def _valid_calls() -> dict:
+    """One valid call of each exported function, of each constructor of an
+    exported class a user builds, and of `AdaptiveConfig.geometric`:
+    label -> (callable, positional arguments)."""
+    import numpy as np
+
+    q = qcopies
+    wd, rho = q.build_settings(2), q.depolarized_sc(2, 0.9)
+    p = q.setting_probabilities(rho, wd)
+    plan = q.allocate_sc(p, 0.05)
+    cfg = q.AdaptiveConfig.geometric(0.01, 0.1, 1e-3)
+    state = q.run_adaptive(rho, wd, cfg, np.random.default_rng(0))
+    half = np.eye(2) / 2
+    one_qubit, settings = q.DensityMatrix(half), q.pauli_settings(1)
+    json_text = '{"n": 1, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
+    return {
+        "AdaptiveConfig": (q.AdaptiveConfig, ((0.01, 0.001), [0.5, 0.5, 0.5], 5, 1)),
+        "AdaptiveConfig.geometric": (q.AdaptiveConfig.geometric, (0.01, 0.1, 1e-3)),
+        "BudgetProblem": (q.BudgetProblem, ([0.1, 0.2], 1e-3)),
+        "CopyAllocation": (q.CopyAllocation, ([10, 20], 0.1, [9.5, 19.5])),
+        "DensityMatrix": (q.DensityMatrix, (half,)),
+        "MeasurementSetting": (q.MeasurementSetting, (2, "rotated", np.pi / 2)),
+        "ProductSetting": (q.ProductSetting, ("XZ",)),
+        "ReconstructOptions": (q.ReconstructOptions, (100,)),
+        "RngSeed": (q.RngSeed, (1, 0)),
+        "SettingProbabilities": (q.SettingProbabilities, (2, [0.9, 0.5, 0.5])),
+        "WitnessDecomposition": (q.WitnessDecomposition, (2,)),
+        "XState": (q.XState, ([0.5, 0, 0, 0.5], [0.5, 0, 0, 0.5])),
+        "allocate_sc": (q.allocate_sc, (p, 0.05, 1)),
+        "allocation_interval": (q.allocation_interval, (p, 0.01, 0.05)),
+        "build_settings": (q.build_settings, (2,)),
+        "compare_distributions": (q.compare_distributions,
+                                  (rho, wd, {"a": plan, "b": plan}, 5, q.RngSeed(1))),
+        "coverage_experiment": (q.coverage_experiment,
+                                (rho, wd, [50], 1e-3, 2, q.RngSeed(1))),
+        "delta_f": (q.delta_f, (p, plan)),
+        "density_from_json": (q.density_from_json, (json_text,)),
+        "depolarized_sc": (q.depolarized_sc, (2, 0.9)),
+        "exact_frequencies": (q.exact_frequencies, (one_qubit, settings)),
+        "explicit_allocation": (q.explicit_allocation, ([10, 20, 30],)),
+        "failure_probability": (q.failure_probability, (100, 0.1)),
+        "fidelity_from_probabilities": (q.fidelity_from_probabilities, (p,)),
+        "frobenius_distance": (q.frobenius_distance, (rho, rho)),
+        "geometric_schedule": (q.geometric_schedule, (0.01, 0.1, 1e-3)),
+        "hoeffding_radius": (q.hoeffding_radius, (100, 1e-3)),
+        "joint_success": (q.joint_success, ([100, 100], [0.1, 0.1])),
+        "noisy_sc_state": (q.noisy_sc_state, (3, 0.8, 0.9)),
+        "pauli_settings": (q.pauli_settings, (1,)),
+        "protocol_timeline": (q.protocol_timeline, (state, 0.1, 8.88)),
+        "psd_project": (q.psd_project, (half,)),
+        "rank_two_sc_state": (q.rank_two_sc_state, (2, 0.8)),
+        "reconstruct": (q.reconstruct, (settings, [[0.5, 0.5]] * 3)),
+        "reconstruction_curve": (q.reconstruction_curve,
+                                 (q.depolarized_sc(1, 0.9), 50, [2], 1, q.RngSeed(1))),
+        "required_copies": (q.required_copies, (0.1, 1e-3)),
+        "run_adaptive": (q.run_adaptive, (rho, wd, cfg, np.random.default_rng(1))),
+        "run_histogram_experiment": (q.run_histogram_experiment,
+                                     (rho, wd, plan, 5, q.RngSeed(1))),
+        "sample_counts": (q.sample_counts, ([0.5, 0.5], 10, np.random.default_rng(2), 3)),
+        "sampled_frequencies": (q.sampled_frequencies,
+                                (one_qubit, settings, 10, np.random.default_rng(3))),
+        "sc_fidelity": (q.sc_fidelity, (rho,)),
+        "sc_variance_weights": (q.sc_variance_weights, (p,)),
+        "setting_probabilities": (q.setting_probabilities, (rho, wd)),
+        "solve_budget": (q.solve_budget, (q.BudgetProblem([0.1, 0.2], 1e-3), 1)),
+        "sweep_epsilon_ratio": (q.sweep_epsilon_ratio, (rho, wd, [0.3], 1, q.RngSeed(1))),
+        "ten_photon_cost": (q.ten_photon_cost, (2.8e-5, 110)),
+        "tomography_projectors": (q.tomography_projectors, (1,)),
+        "uniform_allocation": (q.uniform_allocation, (3, 10)),
+        "white_noise_weight_for_fidelity": (q.white_noise_weight_for_fidelity, (2, 0.9)),
+    }
+
+
+def test_bad_arguments_raise_a_library_error():
+    """Each positional argument of each valid call, replaced in turn by None
+    and by "x", raises `QcopiesError`, never a bare TypeError, ValueError or
+    AttributeError, and is never accepted.  A parameter whose default is
+    None takes only "x".  The table covers every exported callable but the
+    exception classes and the result types only the library builds."""
+    calls = _valid_calls()
+    exported = {name for name, obj in vars(qcopies).items()
+                if callable(obj) and not name.startswith("_")
+                and not (inspect.isclass(obj) and issubclass(obj, Exception))}
+    assert set(calls) == exported - _LIBRARY_BUILT | {"AdaptiveConfig.geometric"}
+    faults = []
+    for label, (func, args) in calls.items():
+        func(*args)
+        params = list(inspect.signature(func).parameters.values())
+        for i, param in enumerate(params[:len(args)]):
+            for bad in (None, "x"):
+                if bad is None and param.default is None:
+                    continue
+                try:
+                    func(*args[:i], bad, *args[i + 1:])
+                except qcopies.QcopiesError:
+                    continue
+                except Exception as exc:
+                    faults.append(f"{label}({param.name}={bad!r}): {type(exc).__name__}")
+                else:
+                    faults.append(f"{label}({param.name}={bad!r}): accepted")
+    assert faults == []

@@ -21,7 +21,7 @@ from qcopies import (
     setting_probabilities,
 )
 from qcopies.core import MAX_QUBITS
-from qcopies.witness import MeasurementSetting, ROTATED, _spreads
+from qcopies.witness import COMPUTATIONAL, MeasurementSetting, ROTATED, _spreads
 
 from _oracles import (born_probabilities, fidelity_direct, ginibre_density, m_tensor_expectation,
                       popcounts, rotated_projovers, sc_projector, spread_one)
@@ -55,6 +55,11 @@ class TestBuildSettings:
     def test_decomposition_rejects_a_bad_qubit_count(self, n):
         with pytest.raises(QcopiesError):
             WitnessDecomposition(n)
+
+    @pytest.mark.parametrize("n", [None, "x", 0, MAX_QUBITS + 1, 2.0])
+    def test_setting_rejects_a_bad_qubit_count(self, n):
+        with pytest.raises(QcopiesError):
+            MeasurementSetting(n, COMPUTATIONAL)
 
     def test_rotated_angle_validated(self):
         with pytest.raises(QcopiesError):
