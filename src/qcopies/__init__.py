@@ -72,7 +72,6 @@ from .simulator import (
     sample_counts,
 )
 from .witness import (
-    MeasurementSetting,
     SettingProbabilities,
     WitnessDecomposition,
     build_settings,

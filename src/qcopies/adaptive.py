@@ -28,8 +28,8 @@ import numpy as np
 
 from .allocator import _round_up, _sc_weights
 from .core import DensityMatrix, XState
-from .errors import (ConfigError, QcopiesError, _as_array, _as_list, _check_count, _check_real,
-                     _check_type)
+from .errors import (MAX_COPIES, ConfigError, QcopiesError, _as_array, _as_list, _check_count,
+                     _check_real, _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, _multinomial
 from .witness import (
@@ -415,12 +415,17 @@ def ten_photon_cost(rate8_hz: float, copies: int) -> TenPhotonCost:
     the fourth root of the hourly eight-photon rate; ten-photon events need
     five simultaneous pairs, hence the fifth power.
     """
-    if not 0 < _check_real(rate8_hz, "rate") < np.inf:
+    rate = _check_real(rate8_hz, "rate")
+    if not 0 < rate < np.inf:
         raise QcopiesError(f"rate must be positive and finite, got {rate8_hz}")
-    _check_count(copies, "copies", least=0)
-    per_hour8 = rate8_hz * 3600.0
-    two = per_hour8 ** 0.25
-    ten = two ** 5
+    _check_count(copies, "copies", least=0, most=MAX_COPIES)
+    two = (rate * 3600.0) ** 0.25
+    try:
+        ten = two ** 5
+    except OverflowError:
+        ten = np.inf
+    if not 0 < ten < np.inf:
+        raise QcopiesError(f"rate {rate8_hz} puts the ten-photon rate outside float range")
     hours = 0.0 if copies == 0 else copies / ten
     return TenPhotonCost(
         rate8_hz=rate8_hz,

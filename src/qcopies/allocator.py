@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    MAX_COPIES,
     DegenerateProblemError,
     DimensionMismatchError,
     QcopiesError,
@@ -60,23 +61,24 @@ class BudgetProblem:
 
 @dataclass(frozen=True)
 class CopyAllocation:
-    """Integer copies per setting plus the pre-rounding real solution."""
+    """Integer copies per setting, each in [1, MAX_COPIES], plus the
+    pre-rounding real solution."""
 
     t: np.ndarray
     epsilon0: float
     real_t: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = _as_array(self.t, "copies", np.int64, copy=True)
+        counts = _as_array(self.t, "copies", object)
+        if counts.ndim != 1 or counts.size == 0:
+            raise DimensionMismatchError("t must be a nonempty vector")
+        for count in counts:
+            _check_count(count, "copies", most=MAX_COPIES)
         r = _as_array(self.real_t, "real copies", copy=True)
         _check_real(self.epsilon0, "epsilon0")  # NaN passes: an explicit allocation has no budget
-        if t.ndim != 1 or t.size == 0:
-            raise DimensionMismatchError("t must be a nonempty vector")
-        if t.shape != r.shape:
+        if counts.shape != r.shape:
             raise DimensionMismatchError("t and real_t must have the same shape")
-        if np.any(t < 1):
-            raise QcopiesError("every setting needs at least one copy")
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", counts.astype(np.int64))
         object.__setattr__(self, "real_t", r)
         self.t.flags.writeable = False
         self.real_t.flags.writeable = False
@@ -89,10 +91,7 @@ class CopyAllocation:
 def explicit_allocation(t) -> CopyAllocation:
     """Wrap a hand-chosen copy distribution (uniform, experimental, ...);
     it targets no budget, so its epsilon0 is NaN."""
-    for count in np.asarray(t, dtype=object).ravel():
-        _check_count(count, "copies")
-    t = np.asarray(t, dtype=np.int64)
-    return CopyAllocation(t=t, epsilon0=float("nan"), real_t=t.astype(float))
+    return CopyAllocation(t=t, epsilon0=float("nan"), real_t=t)
 
 
 def uniform_allocation(n_settings: int, per_setting: int) -> CopyAllocation:

@@ -23,14 +23,22 @@ class ConfigError(QcopiesError):
     """Invalid experiment configuration."""
 
 
-def _check_count(value, name: str, error=QcopiesError, least: int = 1) -> None:
-    """Raise `error` unless value is an integer >= least: a Python or numpy
-    integer, not a bool or a float.  An integer is shown as a plain int,
-    anything else by its repr, so that 2.5 and '2' stay distinct."""
+# the largest copy count: copies are held and drawn as 64-bit integers
+MAX_COPIES = 2**63 - 1
+
+
+def _check_count(value, name: str, error=QcopiesError, least: int = 1,
+                 most: int | None = None) -> None:
+    """Raise `error` unless value is an integer >= least, and <= most if
+    given: a Python or numpy integer, not a bool or a float.  An integer is
+    shown as a plain int, anything else by its repr, so that 2.5 and '2'
+    stay distinct."""
     integer = isinstance(value, Integral) and not isinstance(value, bool)
     if not integer or value < least:
         shown = int(value) if integer else repr(value)
         raise error(f"{name} must be an integer >= {least}, got {shown}")
+    if most is not None and value > most:
+        raise error(f"{name} must be at most {most}")
 
 
 def _check_real(value, name: str, error=QcopiesError) -> float:
@@ -62,6 +70,8 @@ def _as_array(values, name: str, dtype=float, copy: bool = False, error=QcopiesE
         return (np.array if copy else np.asarray)(values, dtype=dtype)
     except (TypeError, ValueError):
         raise error(f"{name} must be numeric, got {values!r}") from None
+    except OverflowError:
+        raise error(f"{name} must fit {np.dtype(dtype)}") from None
 
 
 def _check_type(value, kinds) -> None:

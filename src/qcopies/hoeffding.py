@@ -12,8 +12,8 @@ import numpy as np
 
 from .allocator import _squared_budget, real_optimum, sc_variance_weights
 from .core import DensityMatrix, XState
-from .errors import (DimensionMismatchError, QcopiesError, _as_array, _as_list, _check_count,
-                     _check_real, _check_type)
+from .errors import (MAX_COPIES, DimensionMismatchError, QcopiesError, _as_array, _as_list,
+                     _check_count, _check_real, _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
@@ -21,7 +21,7 @@ from .witness import SettingProbabilities, WitnessDecomposition, setting_probabi
 
 def failure_probability(t: int, h: float) -> float:
     """Two-sided bound 2*exp(-2 t h^2) on |frequency - probability| >= h."""
-    _check_count(t, "copies")
+    _check_count(t, "copies", most=MAX_COPIES)
     if not 0 < _check_real(h, "deviation") < 1:
         raise QcopiesError(f"deviation must be in (0, 1), got {h}")
     return float(min(1.0, 2.0 * np.exp(-2.0 * t * h * h)))
@@ -47,12 +47,16 @@ def required_copies(h: float, delta: float) -> int:
         raise QcopiesError(f"failure probability must be in (0, 1), got {delta}")
     if delta >= 2.0 * np.exp(-2.0 * h * h):
         return 1
-    return int(np.ceil(np.log(2.0 / delta) / (2.0 * h * h)))
+    with np.errstate(divide="ignore", over="ignore"):
+        copies = np.ceil(np.log(2.0 / delta) / (2.0 * h * h))
+    if copies == np.inf:
+        raise QcopiesError(f"deviation {h} needs more copies than a float can hold")
+    return int(copies)
 
 
 def hoeffding_radius(t: int, delta: float) -> float:
     """Half-width h with 2*exp(-2 t h^2) = delta."""
-    _check_count(t, "copies")
+    _check_count(t, "copies", most=MAX_COPIES)
     if not 0 < _check_real(delta, "failure probability") < 1:
         raise QcopiesError(f"failure probability must be in (0, 1), got {delta}")
     return float(np.sqrt(np.log(2.0 / delta) / (2.0 * t)))

@@ -38,8 +38,8 @@ import numpy as np
 
 from .core import (DensityMatrix, XState, _check_state, check_qubit_count, frobenius_distance,
                    psd_project, sc_fidelity)
-from .errors import (DimensionMismatchError, QcopiesError, _as_array, _as_list, _check_count,
-                     _check_type)
+from .errors import (MAX_COPIES, DimensionMismatchError, QcopiesError, _as_array, _as_list,
+                     _check_count, _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 
@@ -151,7 +151,7 @@ def sampled_frequencies(rho: DensityMatrix | XState, settings, copies_per_settin
     A full basis draws a multinomial over its outcomes; a single-projector
     setting draws the binomial hit count of its one operator.
     """
-    _check_count(copies_per_setting, "copies per setting")
+    _check_count(copies_per_setting, "copies per setting", most=MAX_COPIES)
     settings = _check_settings(settings)
     _check_type(gen, np.random.Generator)
     rows = []

@@ -26,8 +26,8 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import (ConfigError, DimensionMismatchError, QcopiesError, _as_array, _check_count,
-                     _check_type)
+from .errors import (MAX_COPIES, ConfigError, DimensionMismatchError, QcopiesError, _as_array,
+                     _check_count, _check_type)
 from .reports import csv_text
 from .witness import (
     SettingProbabilities,
@@ -71,7 +71,7 @@ def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndar
     p = _as_array(probs, "probabilities")
     if p.ndim == 0:
         raise QcopiesError("probabilities need an outcome axis")
-    _check_count(copies, "copies", least=0)
+    _check_count(copies, "copies", least=0, most=MAX_COPIES)
     _check_type(gen, np.random.Generator)
     if size is not None:
         _check_count(size, "size")

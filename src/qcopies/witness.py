@@ -1,4 +1,4 @@
-"""Measurement settings for certifying an n-qubit SC state, the fidelity
+"""The witness settings for certifying an n-qubit SC state, the fidelity
 decomposition over those settings, and the standard deviation of the
 resulting fidelity estimate.
 
@@ -12,52 +12,36 @@ probability enters the fidelity: the mass on the two computational corners
 aggregates are computed: two diagonal entries and the non-zero entries of
 the anti-diagonal, never a rotated setting's 2**n outcome probabilities.
 
-The settings are fixed by n, so `WitnessDecomposition(n)` builds them
-itself and takes nothing else.  An argument of the wrong type raises
-`QcopiesError`.
+The settings are fixed by n, so `WitnessDecomposition(n)` holds n alone
+and derives the angles from it; the computational basis is the one setting
+with an object, `MeasurementSetting(n)`.  An argument of the wrong type
+raises `QcopiesError`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .core import DensityMatrix, XState, _check_state, check_qubit_count
-from .errors import (DimensionMismatchError, QcopiesError, _as_array, _check_count, _check_real,
-                     _check_type)
-
-COMPUTATIONAL = "computational"
-ROTATED = "rotated"
+from .errors import DimensionMismatchError, QcopiesError, _as_array, _check_count, _check_type
 
 
 @dataclass(frozen=True)
 class MeasurementSetting:
-    """One complete projective product basis: computational, or rotated by theta."""
+    """The computational (H/V) basis of n qubits."""
 
+    # bench/spans.py wraps born_probabilities and reads n and kind, so the
+    # computational setting keeps its object
     n: int
-    kind: str
-    theta: float | None = None
+    kind: ClassVar[str] = "computational"
 
     def __post_init__(self):
         check_qubit_count(self.n)
-        if self.kind not in (COMPUTATIONAL, ROTATED):
-            raise QcopiesError(f"unknown setting kind {self.kind!r}")
-        if self.kind == ROTATED:
-            k = _check_real(self.theta, "rotated angle") * self.n / np.pi
-            if not (abs(k - round(k)) < 1e-9 and 1 <= round(k) <= self.n):
-                raise QcopiesError(f"rotated angle must be k*pi/n with k in 1..{self.n}, "
-                                   f"got {self.theta}")
-        elif self.theta is not None:
-            raise QcopiesError("computational setting takes no angle")
 
     def born_probabilities(self, rho: DensityMatrix | XState) -> np.ndarray:
-        """Probabilities of the 2**n computational outcomes.  A rotated
-        setting has only its aggregate, from `setting_probabilities`."""
-        if rho.n_qubits != self.n:
-            raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, setting {self.n}")
-        if self.kind != COMPUTATIONAL:
-            raise QcopiesError("rotated outcome probabilities are not computed; "
-                               "use setting_probabilities for the parity mass")
+        """Probabilities of the 2**n computational outcomes."""
         probs = rho.diagonal().copy()
         np.clip(probs, 0.0, None, out=probs)
         return probs
@@ -65,22 +49,18 @@ class MeasurementSetting:
 
 @dataclass(frozen=True)
 class WitnessDecomposition:
-    """The n+1 settings certifying an n-qubit SC state, built from n alone:
+    """The n+1 settings certifying an n-qubit SC state, fixed by n alone:
     the computational setting, then the rotated ones at theta = k*pi/n,
     k = 1..n."""
 
     n: int
-    settings: tuple[MeasurementSetting, ...] = field(init=False)
 
     def __post_init__(self):
-        settings = [MeasurementSetting(self.n, COMPUTATIONAL)]
-        settings += [MeasurementSetting(self.n, ROTATED, k * np.pi / self.n)
-                     for k in range(1, self.n + 1)]
-        object.__setattr__(self, "settings", tuple(settings))
+        check_qubit_count(self.n)
 
     @property
     def thetas(self) -> list[float]:
-        return [s.theta for s in self.settings[1:]]
+        return [k * np.pi / self.n for k in range(1, self.n + 1)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +105,7 @@ def setting_probabilities(rho: DensityMatrix | XState,
     _check_type(wd, WitnessDecomposition)
     if rho.n_qubits != wd.n:
         raise DimensionMismatchError(f"state has {rho.n_qubits} qubits, witness {wd.n}")
-    corners = wd.settings[0].born_probabilities(rho)
+    corners = MeasurementSetting(wd.n).born_probabilities(rho)
     anti = rho.anti_diagonal()
     nz = np.flatnonzero(anti)
     pops = ((nz[:, None] >> np.arange(wd.n)) & 1).sum(axis=1)

@@ -24,7 +24,7 @@ from qcopies import (AdaptiveConfig, AdaptiveState, DensityMatrix, QcopiesError,
                      sample_counts, setting_probabilities)
 from qcopies.adaptive import RoundRecord, SweepResult, SweepRow
 from qcopies.core import _check_dense
-from qcopies.witness import COMPUTATIONAL
+from qcopies.witness import MeasurementSetting
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -146,16 +146,17 @@ def rotated_bras(theta):
     return np.array([[1.0, e], [1.0, -e]], dtype=complex) / np.sqrt(2.0)
 
 
-def born_probabilities(setting, rho):
-    """Probabilities of all 2**n outcomes of a witness setting; a rotated
-    setting contracts the dense state with the Kronecker product of its
-    kets, one column per outcome."""
-    if setting.kind == COMPUTATIONAL:
-        return setting.born_probabilities(rho)
+def born_probabilities(rho, n, theta=None):
+    """Probabilities of all 2**n outcomes of a witness setting: the
+    computational one without theta, else the rotated one at theta, which
+    contracts the dense state with the Kronecker product of its kets, one
+    column per outcome."""
+    if theta is None:
+        return MeasurementSetting(n).born_probabilities(rho)
     m = rho.matrix  # past the dense cap this raises before the kets are built
     kets = np.ones((1, 1), dtype=complex)
-    for _ in range(setting.n):
-        kets = np.kron(kets, rotated_bras(setting.theta).conj().T)
+    for _ in range(n):
+        kets = np.kron(kets, rotated_bras(theta).conj().T)
     return np.clip(((kets.conj().T @ m) * kets.T).sum(axis=1).real, 0.0, None)
 
 

@@ -19,16 +19,20 @@ from qcopies import (
     build_settings,
     compare_distributions,
     coverage_experiment,
+    delta_f,
     depolarized_sc,
     explicit_allocation,
     failure_probability,
+    hoeffding_radius,
     joint_success,
     noisy_sc_state,
     pauli_settings,
     rank_two_sc_state,
     reconstruction_curve,
+    required_copies,
     run_histogram_experiment,
     sample_counts,
+    sampled_frequencies,
     sc_variance_weights,
     solve_budget,
     sweep_epsilon_ratio,
@@ -287,6 +291,39 @@ def test_counts_are_integers_at_least_one(entry, count):
     with pytest.raises(QcopiesError, match="must be an integer >= 1"):
         call(count)
     call(np.int64(3))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: required_copies(1e-200, 0.5), id="required-h-squared-underflows"),
+    pytest.param(lambda: required_copies(1e-160, 0.5), id="required-count-past-float"),
+    pytest.param(lambda: ten_photon_cost(1e300, 5), id="ten-photon-rate-overflows"),
+    pytest.param(lambda: ten_photon_cost(1e-300, 5), id="ten-photon-rate-underflows"),
+    pytest.param(lambda: ten_photon_cost(1.0, 10**400), id="ten-photon-copies-past-int64"),
+    pytest.param(lambda: hoeffding_radius(10**400, 0.5), id="radius-copies-past-int64"),
+    pytest.param(lambda: failure_probability(10**400, 0.1), id="failure-copies-past-int64"),
+    pytest.param(lambda: joint_success([10**400], [0.1]), id="joint-copies-past-int64"),
+    pytest.param(lambda: CopyAllocation(t=[1.5, 2.7, 3.9], epsilon0=float("nan"),
+                                        real_t=[1.5, 2.7, 3.9]), id="allocation-fractional"),
+    pytest.param(lambda: CopyAllocation(t=[2**63, 2, 3], epsilon0=float("nan"),
+                                        real_t=[1.0, 2.0, 3.0]), id="allocation-past-int64"),
+    pytest.param(lambda: explicit_allocation([10**30, 1]), id="explicit-past-int64"),
+    pytest.param(lambda: explicit_allocation([10**400, 1]), id="explicit-past-float"),
+    pytest.param(lambda: uniform_allocation(3, 10**30), id="uniform-past-int64"),
+    pytest.param(lambda: sample_counts([0.5, 0.5], 2**63, np.random.default_rng(1)),
+                 id="sample-copies-past-int64"),
+    pytest.param(lambda: sampled_frequencies(rank_two_sc_state(2, 0.8), pauli_settings(2), 10**30,
+                                             np.random.default_rng(1)),
+                 id="frequency-copies-past-int64"),
+    pytest.param(lambda: delta_f(SettingProbabilities(n=2, P=[0.9, 0.5, 0.5]), [10**400, 1, 1]),
+                 id="spread-copies-past-float"),
+])
+def test_values_out_of_range_raise_a_library_error(call):
+    """A rate or deviation whose arithmetic leaves float range, a fractional
+    copy count, or one past 2**63 - 1 raises QcopiesError rather than a
+    bare OverflowError, a ZeroDivisionError, a RuntimeWarning or a silent
+    truncation."""
+    with pytest.raises(QcopiesError):
+        call()
 
 
 def _seed_entry_points():

@@ -194,6 +194,19 @@ def test_malformed_config_value_exits_2(tmp_path_factory, case):
     assert err.getvalue().startswith("config error"), err.getvalue()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["hoeffding", "--required", "--h", "1e-200", "--delta", "0.5"], 3),
+    (["tenphoton-cost", "--rate8", "1e300", "--copies", "5"], 3),
+    (["simulate", "--n", "3", "--fidelity", "0.8", "--trials", "2",
+      "--compare", "a:100000000000000000000000"], 2),
+], ids=["required-copies", "ten-photon-rate", "compare-count"])
+def test_values_out_of_range_exit_cleanly(argv, code, capsys):
+    """Values whose arithmetic leaves float or int64 range exit 2 or 3 with
+    a message, not 1 with a traceback."""
+    got, _, err = run_cli(argv, capsys)
+    assert (got, err.count("\n")) == (code, 1)
+
+
 class TestSimulate:
     def test_savings_report(self, tmp_path, capsys):
         code, out, _ = run_cli(

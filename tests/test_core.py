@@ -37,7 +37,6 @@ from qcopies import (
     white_noise_weight_for_fidelity,
 )
 from qcopies.core import MAX_DENSE_QUBITS, MAX_QUBITS
-from qcopies.witness import ROTATED, MeasurementSetting
 
 from _oracles import (born_probabilities, dense_depolarized_sc, dense_noisy_sc_state,
                       dense_rank_two_sc_state, density_json, fidelity_direct,
@@ -191,7 +190,7 @@ _CFG = AdaptiveConfig.geometric(0.01, 0.1, 0.0003)
     lambda: frobenius_distance(_RHO, np.eye(4) / 4),
     lambda: setting_probabilities(None, _WD),
     lambda: setting_probabilities(_RHO, None),
-    lambda: setting_probabilities(_RHO, _WD.settings),
+    lambda: setting_probabilities(_RHO, _WD.thetas),
     lambda: run_histogram_experiment(None, _WD, _ALLOC, 5, RngSeed(1)),
     lambda: compare_distributions(None, _WD, {"a": _ALLOC, "b": _ALLOC}, 5, RngSeed(1)),
     lambda: coverage_experiment(None, _WD, [10], 0.05, 5, RngSeed(1)),
@@ -464,8 +463,7 @@ class TestXState:
         assert rho.diagonal()[0] + rho.diagonal()[-1] == pytest.approx(0.947, abs=1e-12)
         assert sc_fidelity(rho) == pytest.approx(0.8414, abs=1e-12)
         for dense_use in (lambda: rho.matrix,
-                          lambda: born_probabilities(MeasurementSetting(n, ROTATED, np.pi / n),
-                                                     rho),
+                          lambda: born_probabilities(rho, n, np.pi / n),
                           lambda: pure_density(np.ones(2**n) / 2**(n / 2))):
             with pytest.raises(QcopiesError, match=f"up to {MAX_DENSE_QUBITS} qubits"):
                 dense_use()

@@ -232,7 +232,6 @@ def _valid_calls() -> dict:
         "BudgetProblem": (q.BudgetProblem, ([0.1, 0.2], 1e-3)),
         "CopyAllocation": (q.CopyAllocation, ([10, 20], 0.1, [9.5, 19.5])),
         "DensityMatrix": (q.DensityMatrix, (half,)),
-        "MeasurementSetting": (q.MeasurementSetting, (2, "rotated", np.pi / 2)),
         "ProductSetting": (q.ProductSetting, ("XZ",)),
         "ReconstructOptions": (q.ReconstructOptions, (100,)),
         "RngSeed": (q.RngSeed, (1, 0)),

@@ -27,24 +27,25 @@ from qcopies.witness import _fidelities
 from _oracles import born_probabilities, popcounts, pure_density
 
 
-def outcome_counts(rho, setting, copies, rng):
-    """Per-outcome counts of `copies` copies measured in one setting."""
-    return sample_counts(born_probabilities(setting, rho), copies, rng.generator())
+def outcome_counts(rho, theta, copies, rng):
+    """Per-outcome counts of `copies` copies measured in one setting: the
+    computational one without theta, else the rotated one at theta."""
+    return sample_counts(born_probabilities(rho, rho.n_qubits, theta), copies, rng.generator())
 
 
 class TestRngSeed:
     def test_replay_is_byte_identical(self):
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        c1 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=7))
-        c2 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=7))
+        c1 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=7))
+        c2 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=7))
         assert np.array_equal(c1, c2)
 
     def test_streams_differ(self):
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        c1 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=0))
-        c2 = outcome_counts(rho, wd.settings[1], 500, RngSeed(42, stream=1))
+        c1 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=0))
+        c2 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=1))
         assert not np.array_equal(c1, c2)
 
     @pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -1), (1.5, 0), ("3", 0),
@@ -59,8 +60,7 @@ class TestRngSeed:
 
 class TestSampleSetting:
     def test_zero_copies(self):
-        wd = build_settings(2)
-        counts = outcome_counts(depolarized_sc(2, 0.9), wd.settings[0], 0, RngSeed(1))
+        counts = outcome_counts(depolarized_sc(2, 0.9), None, 0, RngSeed(1))
         assert counts.shape == (4,)
         assert counts.sum() == 0
 
@@ -70,21 +70,18 @@ class TestSampleSetting:
         amps = np.zeros(2**n)
         amps[0] = 1.0
         rho = pure_density(amps)
-        wd = build_settings(n)
-        counts = outcome_counts(rho, wd.settings[0], 1000, RngSeed(3))
+        counts = outcome_counts(rho, None, 1000, RngSeed(3))
         assert counts[0] == 1000
 
     def test_negative_copies_rejected(self):
-        wd = build_settings(2)
         with pytest.raises(QcopiesError):
-            outcome_counts(depolarized_sc(2, 0.9), wd.settings[0], -1, RngSeed(1))
+            outcome_counts(depolarized_sc(2, 0.9), None, -1, RngSeed(1))
 
     def test_concentration_on_maximally_mixed(self):
         n = 3
         copies = 10**6
         rho = DensityMatrix(np.eye(2**n) / 2**n)
-        wd = build_settings(n)
-        counts = outcome_counts(rho, wd.settings[0], copies, RngSeed(11))
+        counts = outcome_counts(rho, None, copies, RngSeed(11))
         p = 1 / 2**n
         sigma = np.sqrt(p * (1 - p) / copies)
         assert np.all(np.abs(counts / copies - p) < 5 * sigma)
@@ -95,9 +92,9 @@ class TestSampleSetting:
         n = 3
         rho = depolarized_sc(n, 0.7)
         wd = build_settings(n)
-        probs = born_probabilities(wd.settings[2], rho)
+        probs = born_probabilities(rho, n, wd.thetas[1])
         copies = 20000
-        counts = outcome_counts(rho, wd.settings[2], copies, RngSeed(5))
+        counts = outcome_counts(rho, wd.thetas[1], copies, RngSeed(5))
         expected = probs * copies
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # 8 cells -> 7ish dof; mean 7, sd ~3.7; allow a wide pass band
@@ -306,8 +303,8 @@ class TestLawOfLargeNumbers:
         for rep in range(reps):
             gen = RngSeed(23).generator(rep)
             ok = True
-            for j, s in enumerate(wd.settings):
-                counts = sample_counts(born_probabilities(s, rho), copies, gen)
+            for j, theta in enumerate([None, *wd.thetas]):
+                counts = sample_counts(born_probabilities(rho, n, theta), copies, gen)
                 # corner mass (computational) or even-parity mass (rotated)
                 est = (counts[0] + counts[-1] if j == 0 else counts[even].sum()) / copies
                 bound = 5 * np.sqrt(p_true[j] * (1 - p_true[j]) / copies)

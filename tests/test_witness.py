@@ -21,7 +21,7 @@ from qcopies import (
     setting_probabilities,
 )
 from qcopies.core import MAX_QUBITS
-from qcopies.witness import COMPUTATIONAL, MeasurementSetting, ROTATED, _spreads
+from qcopies.witness import MeasurementSetting, _spreads
 
 from _oracles import (born_probabilities, fidelity_direct, ginibre_density, m_tensor_expectation,
                       popcounts, rotated_projovers, sc_projector, spread_one)
@@ -30,13 +30,13 @@ from _oracles import (born_probabilities, fidelity_direct, ginibre_density, m_te
 class TestBuildSettings:
     def test_three_qubits(self):
         wd = build_settings(3)
-        assert len(wd.settings) == 4
-        assert wd.settings[0].kind == "computational"
+        assert wd.n == 3
+        assert MeasurementSetting(3).kind == "computational"
         assert wd.thetas == pytest.approx([np.pi / 3, 2 * np.pi / 3, np.pi])
 
     def test_eight_qubits(self):
         wd = build_settings(8)
-        assert len(wd.settings) == 9
+        assert len(wd.thetas) == 8
         assert wd.thetas == pytest.approx([k * np.pi / 8 for k in range(1, 9)])
 
     @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
@@ -49,7 +49,7 @@ class TestBuildSettings:
         # the settings are fixed by n, so a decomposition takes nothing else
         assert WitnessDecomposition(n) == build_settings(n)
         with pytest.raises(TypeError):
-            WitnessDecomposition(n, build_settings(n).settings)
+            WitnessDecomposition(n, build_settings(n).thetas)
 
     @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1, 2.0])
     def test_decomposition_rejects_a_bad_qubit_count(self, n):
@@ -59,17 +59,7 @@ class TestBuildSettings:
     @pytest.mark.parametrize("n", [None, "x", 0, MAX_QUBITS + 1, 2.0])
     def test_setting_rejects_a_bad_qubit_count(self, n):
         with pytest.raises(QcopiesError):
-            MeasurementSetting(n, COMPUTATIONAL)
-
-    def test_rotated_angle_validated(self):
-        with pytest.raises(QcopiesError):
-            MeasurementSetting(4, ROTATED, 0.123)
-
-    def test_rotated_outcome_probabilities_not_computed(self):
-        rho = depolarized_sc(3, 0.9)
-        for setting in build_settings(3).settings[1:]:
-            with pytest.raises(QcopiesError, match="setting_probabilities"):
-                setting.born_probabilities(rho)
+            MeasurementSetting(n)
 
 
 class TestSettingProbabilities:
@@ -95,17 +85,16 @@ class TestSettingProbabilities:
     def test_outcome_probabilities_sum_to_one(self, rng):
         wd = build_settings(3)
         rho = DensityMatrix(ginibre_density(8, rng))
-        for setting in wd.settings:
-            assert born_probabilities(setting, rho).sum() == pytest.approx(1.0, abs=1e-10)
+        for theta in [None, *wd.thetas]:
+            assert born_probabilities(rho, 3, theta).sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_against_explicit_projectors(self, rng):
         # contraction path vs explicitly built rank-1 projector matrices
         wd = build_settings(3)
         rho = DensityMatrix(ginibre_density(8, rng))
-        for setting in wd.settings[1:]:
-            probs = born_probabilities(setting, rho)
-            ref = [np.trace(rho.matrix @ proj).real
-                   for proj in rotated_projovers(3, setting.theta)]
+        for theta in wd.thetas:
+            probs = born_probabilities(rho, 3, theta)
+            ref = [np.trace(rho.matrix @ proj).real for proj in rotated_projovers(3, theta)]
             assert probs == pytest.approx(ref, abs=1e-10)
 
     def test_parity_identity(self, rng):
@@ -118,12 +107,12 @@ class TestSettingProbabilities:
                 states += [noisy_sc_state(n, 0.8, 0.9), rank_two_sc_state(n, 0.7)]
             for rho in states:
                 p = setting_probabilities(rho, wd)
-                for j, setting in enumerate(wd.settings[1:], start=2):
-                    probs = born_probabilities(setting, rho)
+                for j, theta in enumerate(wd.thetas, start=2):
+                    probs = born_probabilities(rho, n, theta)
                     parity_sum = float(parity @ probs)
                     assert parity_sum == pytest.approx(2 * p.P[j - 1] - 1, abs=1e-12)
                     assert parity_sum == pytest.approx(
-                        m_tensor_expectation(rho.matrix, n, setting.theta), abs=1e-10)
+                        m_tensor_expectation(rho.matrix, n, theta), abs=1e-10)
 
 
     @pytest.mark.parametrize("n", range(1, 15))
