@@ -12,7 +12,7 @@ run with its own random stream, and every run gets the bytes it would get
 alone.  `run_adaptive` is the core with one run; `sweep_epsilon_ratio`
 passes all the repeats of a ratio at once.  Allocation, the spread check and
 the draws use the allocator's closed form, `delta_f`'s formula and the
-sampler behind `sample_counts` row-wise, one draw per run and pass.
+simulator's `_hit_counts` row-wise, one binomial per setting drawn.
 `run_adaptive` draws from the numpy Generator it is given and returns one
 frozen `AdaptiveState`, built once from the finished run.
 
@@ -31,7 +31,7 @@ from .core import DensityMatrix, XState
 from .errors import (MAX_COPIES, ConfigError, QcopiesError, _as_array, _as_list, _check_count,
                      _check_real, _check_type)
 from .reports import csv_text
-from .simulator import RngSeed, _multinomial
+from .simulator import RngSeed, _hit_counts
 from .witness import (
     SettingProbabilities,
     WitnessDecomposition,
@@ -187,20 +187,14 @@ def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
 
     Run r starts from prior `initial_P[r]` and pilot `t_initial[r]` and
     draws from `gens[r]` in the order it would alone: its pilot, then in
-    each top-up pass all its settings in one `_multinomial` call.  The
+    each top-up pass its settings in order, through `_hit_counts`.  The
     allocation, the budget check and the sampler act row-wise, so every
     run gets the bytes it would get alone.  Returns the final cumulative
     copies and estimates, and one `_Round` per budget of the schedule.
     """
-    # normalized as `sample_counts` normalizes, so the draws match its own
-    probs = np.column_stack([P_true, 1.0 - P_true])
-    pvals = probs / probs.sum(axis=1, keepdims=True)
-
-    def measure(rows, copies):
-        """Hit counts of one batch; a setting with no copies draws nothing."""
-        return np.array([_multinomial(pvals, c, gens[r])[:, 0] for r, c in zip(rows, copies)])
-
-    hits = measure(range(len(gens)), t_initial)
+    # [P, 1 - P] normalized as `sample_counts` normalizes it, so the draws match its own
+    p_hit = P_true / (P_true + (1.0 - P_true))
+    hits = _hit_counts(p_hit, t_initial, gens)
     cumulative = t_initial.astype(np.int64)
     P = initial_P.astype(float)
     target = np.zeros_like(cumulative)
@@ -222,7 +216,7 @@ def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
             live, increments = live[drawing], increments[drawing]
             if live.size == 0:
                 break
-            hits[live] += measure(live, increments)
+            hits[live] += _hit_counts(p_hit, increments, [gens[r] for r in live])
             cumulative[live] += increments
             round_increments[live] += increments
             P[live] = hits[live] / cumulative[live]

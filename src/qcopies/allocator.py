@@ -69,11 +69,15 @@ class CopyAllocation:
     real_t: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        counts = _as_array(self.t, "copies", object)
-        if counts.ndim != 1 or counts.size == 0:
-            raise DimensionMismatchError("t must be a nonempty vector")
-        for count in counts:
-            _check_count(count, "copies", most=MAX_COPIES)
+        counts = self.t
+        # no signed-integer entry passes MAX_COPIES; check such arrays by their least
+        if not (isinstance(counts, np.ndarray) and counts.dtype.kind == "i"
+                and counts.ndim == 1 and counts.size and counts.min() >= 1):
+            counts = _as_array(counts, "copies", object)
+            if counts.ndim != 1 or counts.size == 0:
+                raise DimensionMismatchError("t must be a nonempty vector")
+            for count in counts:
+                _check_count(count, "copies", most=MAX_COPIES)
         r = _as_array(self.real_t, "real copies", copy=True)
         _check_real(self.epsilon0, "epsilon0")  # NaN passes: an explicit allocation has no budget
         if counts.shape != r.shape:

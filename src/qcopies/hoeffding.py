@@ -40,7 +40,7 @@ def joint_success(t, h) -> float:
 
 
 def required_copies(h: float, delta: float) -> int:
-    """Smallest t with 2*exp(-2 t h^2) <= delta."""
+    """Smallest t with 2*exp(-2 t h^2) <= delta, at most MAX_COPIES."""
     if not 0 < _check_real(h, "deviation") < 1:
         raise QcopiesError(f"deviation must be in (0, 1), got {h}")
     if not 0 < _check_real(delta, "failure probability") < 1:
@@ -49,8 +49,8 @@ def required_copies(h: float, delta: float) -> int:
         return 1
     with np.errstate(divide="ignore", over="ignore"):
         copies = np.ceil(np.log(2.0 / delta) / (2.0 * h * h))
-    if copies == np.inf:
-        raise QcopiesError(f"deviation {h} needs more copies than a float can hold")
+    if copies > MAX_COPIES:
+        raise QcopiesError(f"deviation {h} needs more than {MAX_COPIES} copies")
     return int(copies)
 
 

@@ -9,13 +9,11 @@ outcome probabilities, validated once and drawn `size=trials` times; a
 trial is one row of those draws.  It yields one frozen `HistogramResult`; a
 comparison keeps one per allocation next to its row, and only the result's
 writers take a bin count.  `sample_counts` takes one copy count for all
-rows.  It validates its input and hands the normalized rows to
-`_multinomial`, the one draw behind every sample; the adaptive protocol,
-whose rows are valid by construction, calls `_multinomial` directly with
-one copy count per setting and draws all of a run's settings per pass in
-one call.  `run_histogram_experiment` and `compare_distributions` take an
-`RngSeed` and `CopyAllocation`s, and reject anything else with a
-`QcopiesError`.
+rows and draws every sample in one validated multinomial call; the
+adaptive protocol draws the same bytes with `_hit_counts`, one copy count
+and one scalar binomial per setting.  `run_histogram_experiment` and
+`compare_distributions` take an `RngSeed` and `CopyAllocation`s, and
+reject anything else with a `QcopiesError`.
 """
 from __future__ import annotations
 
@@ -80,14 +78,17 @@ def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndar
     if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
             and total.max(initial=0.0) < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
-    return _multinomial(p / total, copies, gen, size)
+    return gen.multinomial(copies, p / total, size=size).astype(np.int64)
 
 
-def _multinomial(pvals: np.ndarray, copies, gen: np.random.Generator,
-                 size=None) -> np.ndarray:
-    """Multinomial counts of `copies` over each row of normalized `pvals`,
-    unchecked, with numpy's `size`; a row of zero copies draws nothing."""
-    return gen.multinomial(copies, pvals, size=size).astype(np.int64)
+def _hit_counts(p_hit: np.ndarray, copies: np.ndarray, gens) -> np.ndarray:
+    """Hits of `copies[r, j]` copies at probability `p_hit[j]`, unchecked, row r drawn
+    from `gens[r]` setting by setting.  numpy's multinomial draws the first of two
+    outcomes with this binomial, and zero copies with no draw, so row r gets the bytes
+    and next state of `gens[r].multinomial(copies[r], pvals)[:, 0]` if p_hit is pvals[:, 0]."""
+    p = p_hit.tolist()
+    return np.array([[gen.binomial(c, p_j) if c else 0 for c, p_j in zip(row, p)]
+                     for row, gen in zip(copies.tolist(), gens)], dtype=np.int64)
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,8 @@ class TestLockstepMatchesOneRun:
     @given(n=st.integers(2, 5), fidelity=fidelities, seed=st.integers(0, 2**32 - 1),
            ratios=st.lists(st.floats(0.05, 0.5), min_size=1, max_size=3),
            repeats=st.integers(1, 4))
+    # the feedback benchmark's sweep shape, at its extreme ratios
+    @example(n=4, fidelity=0.98, seed=3001, ratios=[0.05, 0.3], repeats=50)
     def test_sweep(self, n, fidelity, seed, ratios, repeats):
         wd = build_settings(n)
         rho = depolarized_sc(n, fidelity)

@@ -42,6 +42,7 @@ from qcopies import (
     white_noise_weight_for_fidelity,
 )
 from qcopies.allocator import _round_up
+from qcopies.errors import MAX_COPIES
 
 from _oracles import minimize_budget_numeric, round_up_one
 
@@ -252,6 +253,30 @@ class TestCopyAllocationType:
         with pytest.raises(QcopiesError):
             CopyAllocation(t=np.array([0, 5]), epsilon0=0.1, real_t=np.array([0.0, 5.0]))
 
+    @pytest.mark.parametrize("t, message", [
+        (np.array([3, 0, 5], dtype=np.int64), "copies must be an integer >= 1, got 0"),
+        (np.array([3, -2], dtype=np.int8), "copies must be an integer >= 1, got -2"),
+        (np.array([3, 2**63], dtype=np.uint64), f"copies must be at most {MAX_COPIES}"),
+    ], ids=["int64-zero", "int8-negative", "uint64-past-max"])
+    def test_integer_arrays_keep_the_entry_messages(self, t, message):
+        # a signed array is checked by its least entry, an unsigned one entry
+        # by entry, and both report the first bad entry as a list would
+        with pytest.raises(QcopiesError) as caught:
+            CopyAllocation(t=t, epsilon0=0.1, real_t=t.astype(float))
+        assert str(caught.value) == message
+        with pytest.raises(QcopiesError) as listed:
+            CopyAllocation(t=t.tolist(), epsilon0=0.1, real_t=t.astype(float))
+        assert str(listed.value) == message
+
+    @pytest.mark.parametrize("t", [np.array([4, 1, 9], dtype=np.int64),
+                                   np.array([4, 1, 9], dtype=np.int16),
+                                   np.array([4, 1, 9], dtype=np.uint64), [4, 1, 9]],
+                             ids=["int64", "int16", "uint64", "list"])
+    def test_valid_counts_are_held_as_int64_copies(self, t):
+        alloc = CopyAllocation(t=t, epsilon0=0.1, real_t=[4.0, 1.0, 9.0])
+        assert alloc.t.dtype == np.int64 and alloc.t.tolist() == [4, 1, 9]
+        assert alloc.t is not t and not alloc.t.flags.writeable
+
     @pytest.mark.parametrize("t", [[], [[3, 4], [5, 6]], 5], ids=["empty", "2-D", "scalar"])
     def test_t_must_be_a_nonempty_vector(self, t):
         with pytest.raises(DimensionMismatchError, match="t must be a nonempty vector"):
@@ -296,6 +321,7 @@ def test_counts_are_integers_at_least_one(entry, count):
 @pytest.mark.parametrize("call", [
     pytest.param(lambda: required_copies(1e-200, 0.5), id="required-h-squared-underflows"),
     pytest.param(lambda: required_copies(1e-160, 0.5), id="required-count-past-float"),
+    pytest.param(lambda: required_copies(1e-10, 0.5), id="required-count-past-int64"),
     pytest.param(lambda: ten_photon_cost(1e300, 5), id="ten-photon-rate-overflows"),
     pytest.param(lambda: ten_photon_cost(1e-300, 5), id="ten-photon-rate-underflows"),
     pytest.param(lambda: ten_photon_cost(1.0, 10**400), id="ten-photon-copies-past-int64"),

@@ -19,6 +19,7 @@ from qcopies import (
     required_copies,
     setting_probabilities,
 )
+from qcopies.errors import MAX_COPIES
 from qcopies.hoeffding import CoverageRow, CoverageTable
 
 
@@ -95,6 +96,13 @@ class TestRequiredCopies:
             assert failure_probability(t, h) <= delta
             if t > 1:
                 assert failure_probability(t - 1, h) > delta
+
+    def test_largest_counts_are_usable(self):
+        # counts near MAX_COPIES are returned, and every entry point takes
+        # them; past it the call raises (test_allocator's out-of-range table)
+        t = required_copies(3e-10, 0.5)
+        assert 2**62 < t <= MAX_COPIES
+        assert 0 < hoeffding_radius(t, 0.5) < 1
 
     def test_domain(self):
         with pytest.raises(QcopiesError):

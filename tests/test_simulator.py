@@ -21,7 +21,7 @@ from qcopies import (
     setting_probabilities,
     uniform_allocation,
 )
-from qcopies.simulator import _experiment, _multinomial
+from qcopies.simulator import _experiment, _hit_counts
 from qcopies.witness import _fidelities
 
 from _oracles import born_probabilities, popcounts, pure_density
@@ -186,30 +186,39 @@ class TestSampleCounts:
             sample_counts(0.5, 10, RngSeed(1).generator())
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), outcomes=st.integers(2, 4),
+    @given(seed=st.integers(0, 2**32 - 1), runs=st.integers(1, 3), rows=st.integers(1, 6),
            data=st.data())
-    def test_per_row_copies_match_one_call_per_row(self, seed, rows, outcomes, data):
-        # the adaptive protocol's draw, one copy count per row: rows with
-        # zero copies are skipped, as a caller with nothing to measure makes
-        # no call; the streams must end in the same place
-        gen = np.random.default_rng(seed)
-        probs = gen.random((rows, outcomes)) * (gen.random((rows, outcomes)) < 0.8)
-        probs[:, 0] += 0.01
-        copies = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 7, 250, 10**6]),
-                                             min_size=rows, max_size=rows)))
-        stacked, alone = RngSeed(seed).generator(), RngSeed(seed).generator()
-        counts = _multinomial(probs / probs.sum(axis=-1, keepdims=True), copies, stacked)
-        expected = [sample_counts(p, int(c), alone) if c else np.zeros(outcomes, np.int64)
-                    for p, c in zip(probs, copies)]
+    def test_per_row_copies_match_one_call_per_row(self, seed, runs, rows, data):
+        # the adaptive protocol's draw, one copy count per setting and one
+        # generator per run: settings with zero copies are skipped, as a
+        # caller with nothing to measure makes no call, and a run's counts
+        # are the first column of its two-outcome multinomial; the streams
+        # must end in the same place
+        p = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]),
+                                                  st.floats(0.0, 1.0)),
+                                        min_size=rows, max_size=rows)))
+        probs = np.column_stack([p, 1.0 - p])
+        pvals = probs / probs.sum(axis=1, keepdims=True)
+        copies = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from([0, 0, 1, 7, 250, 10**6]), min_size=rows, max_size=rows),
+            min_size=runs, max_size=runs)), dtype=np.int64)
+        stacked = [RngSeed(seed, r).generator() for r in range(runs)]
+        alone = [RngSeed(seed, r).generator() for r in range(runs)]
+        multi = [RngSeed(seed, r).generator() for r in range(runs)]
+        counts = _hit_counts(pvals[:, 0], copies, stacked)
+        expected = [[sample_counts(p_row, int(c), gen)[0] if c else 0
+                     for p_row, c in zip(probs, row)] for row, gen in zip(copies, alone)]
         assert counts.dtype == np.int64
         assert np.array_equal(counts, expected)
-        assert stacked.random() == alone.random()
+        assert np.array_equal(counts, [gen.multinomial(row, pvals)[:, 0]
+                                       for row, gen in zip(copies, multi)])
+        for gens in zip(stacked, alone, multi):
+            assert len({gen.random() for gen in gens}) == 1
 
     def test_zero_copies_leave_the_stream_untouched(self):
         gen = RngSeed(3).generator()
-        counts = _multinomial(np.array([[0.3, 0.7], [0.5, 0.5]]), np.zeros(2, dtype=np.int64),
-                              gen)
-        assert not counts.any()
+        counts = _hit_counts(np.array([0.3, 0.5]), np.zeros((1, 2), dtype=np.int64), [gen])
+        assert counts.shape == (1, 2) and not counts.any()
         assert gen.bit_generator.state == RngSeed(3).generator().bit_generator.state
 
     @pytest.mark.parametrize("copies", [-1, np.array([3, -1]), 4.5, np.array([2.0, 3.0]),
