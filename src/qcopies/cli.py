@@ -9,6 +9,9 @@ configuration or usage, 3 numerical/domain error.
 Each command returns its stdout and its report files; `main` alone writes
 them, the files into --out first, so a run that fails prints nothing.  `main`
 builds the parser of the invoked command only; help and usage errors get all six.
+Each command imports the library modules it uses when it runs, so a command
+never loads another's modules (`allocate` loads no simulator, adaptive,
+hoeffding or phaselift).
 """
 from __future__ import annotations
 
@@ -20,24 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adaptive as adaptive_mod
-from . import hoeffding as hoeffding_mod
-from .allocator import (
-    BudgetProblem,
-    CopyAllocation,
-    EIGHT_PHOTON_EXPERIMENT_COPIES,
-    EIGHT_PHOTON_REPORTED_OPTIMUM,
-    allocate_sc,
-    explicit_allocation,
-    solve_budget,
-    uniform_allocation,
-)
 from .core import check_qubit_count, density_from_json, noisy_sc_state, rank_two_sc_state
 from .errors import ConfigError, QcopiesError, _check_count
-from .phaselift import ReconstructOptions, reconstruction_curve
 from .reports import csv_text, write_text
-from .simulator import RngSeed, compare_distributions
-from .witness import SettingProbabilities, build_settings, delta_f, setting_probabilities
 
 
 def _floats(text: str) -> list[float]:
@@ -49,12 +37,14 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     vals = _floats(text)
-    if any(v != int(v) for v in vals):
+    if not all(v.is_integer() for v in vals):  # inf and nan are not integers
         raise ConfigError(f"expected integers, got {text!r}")
     return [int(v) for v in vals]
 
 
-def _rng(args) -> RngSeed:
+def _rng(args):
+    from .simulator import RngSeed
+
     seed = args.seed
     if seed is None:
         env = os.environ.get("QCOPIES_SEED")
@@ -66,6 +56,8 @@ def _rng(args) -> RngSeed:
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
+    from .adaptive import geometric_schedule
+
     parts = str(text).split(":")
     if len(parts) == 3:
         try:
@@ -73,12 +65,14 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
         except ValueError as exc:
             raise ConfigError(f"schedule start:ratio:final needs three numbers, "
                               f"got {text!r}") from exc
-        return adaptive_mod.geometric_schedule(start, ratio, final)
+        return geometric_schedule(start, ratio, final)
     return tuple(_floats(text))
 
 
-def _parse_compare(specs, n_settings: int) -> dict[str, CopyAllocation]:
-    out: dict[str, CopyAllocation] = {}
+def _parse_compare(specs, n_settings: int) -> dict:
+    from .allocator import explicit_allocation, uniform_allocation
+
+    out = {}
     for spec in specs or []:
         if ":" not in spec:
             raise ConfigError(f"comparisons look like name:copies, got {spec!r}")
@@ -129,6 +123,10 @@ def _build_state(args, model=noisy_sc_state):
 # Each returns its stdout and its report files (name -> text); main writes both.
 
 def cmd_allocate(args) -> tuple[str, dict[str, str]]:
+    from .allocator import (EIGHT_PHOTON_EXPERIMENT_COPIES, EIGHT_PHOTON_REPORTED_OPTIMUM,
+                            BudgetProblem, allocate_sc, solve_budget)
+    from .witness import SettingProbabilities
+
     if args.k is not None:
         if args.epsilon is None:
             raise ConfigError("--k needs --epsilon (the squared budget)")
@@ -174,6 +172,10 @@ def cmd_allocate(args) -> tuple[str, dict[str, str]]:
 
 
 def cmd_simulate(args) -> tuple[str, dict[str, str]]:
+    from .allocator import allocate_sc, uniform_allocation
+    from .simulator import compare_distributions
+    from .witness import build_settings, delta_f, setting_probabilities
+
     if args.histogram:
         _check_count(args.bins, "bins")  # a bad --bins still exits 3, as it always has
         if not args.out:
@@ -207,6 +209,9 @@ def cmd_simulate(args) -> tuple[str, dict[str, str]]:
 
 
 def cmd_adaptive(args) -> tuple[str, dict[str, str]]:
+    from .adaptive import AdaptiveConfig, run_adaptive
+    from .witness import build_settings, setting_probabilities
+
     rho = _build_state(args)
     wd = build_settings(args.n)
     schedule = _parse_schedule(args.schedule)
@@ -216,22 +221,25 @@ def cmd_adaptive(args) -> tuple[str, dict[str, str]]:
         initial = np.asarray(_floats(args.initial_p))
     else:
         initial = None
-    cfg = adaptive_mod.AdaptiveConfig(
+    cfg = AdaptiveConfig(
         epsilon_schedule=schedule, initial_P=initial,
         t_initial=args.t_initial, t_min=args.t_min,
     )
-    state = adaptive_mod.run_adaptive(rho, wd, cfg, _rng(args).generator())
+    state = run_adaptive(rho, wd, cfg, _rng(args).generator())
     files = {"rounds.csv": state.history_csv(), "final.json": state.final_report_json()}
     return (files["rounds.csv"] + f"total={state.total_copies} fidelity={state.fidelity:.6g} "
             f"fidelity_std={state.fidelity_std:.6g}\n", files)
 
 
 def cmd_hoeffding(args) -> tuple[str, dict[str, str]]:
+    from .hoeffding import coverage_experiment, joint_success, required_copies
+    from .witness import build_settings
+
     if args.coverage:
         rho = _build_state(args)
         wd = build_settings(args.n)
         copies = _ints(args.copies)
-        table = hoeffding_mod.coverage_experiment(
+        table = coverage_experiment(
             rho, wd, copies, delta=args.delta, repeats=args.repeats, rng=_rng(args))
         csv = table.to_csv()
         return (csv + f"true_value={table.true_value:.6g} "
@@ -239,7 +247,7 @@ def cmd_hoeffding(args) -> tuple[str, dict[str, str]]:
     if args.required:
         if args.h is None:
             raise ConfigError("--required needs --h and --delta")
-        t = hoeffding_mod.required_copies(float(args.h), float(args.delta))
+        t = required_copies(float(args.h), float(args.delta))
         return json.dumps({"h": float(args.h), "delta": args.delta,
                            "required_copies": t}) + "\n", {}
     if args.t is None or args.h is None:
@@ -253,11 +261,13 @@ def cmd_hoeffding(args) -> tuple[str, dict[str, str]]:
         t_list = t_list * m
     if len(h_list) == 1:
         h_list = h_list * m
-    prob = hoeffding_mod.joint_success(t_list, h_list)
+    prob = joint_success(t_list, h_list)
     return json.dumps({"t": t_list, "h": h_list, "joint_success": prob}) + "\n", {}
 
 
 def cmd_tomography(args) -> tuple[str, dict[str, str]]:
+    from .phaselift import ReconstructOptions, reconstruction_curve
+
     if args.rank2 and (args.state is not None or args.corner_mass is not None):
         raise ConfigError("--rank2 builds its own state; it takes no --state or --corner-mass")
     rho = _build_state(args, (lambda n, f, _: rank_two_sc_state(n, f)) if args.rank2
@@ -274,9 +284,11 @@ def cmd_tomography(args) -> tuple[str, dict[str, str]]:
 
 
 def cmd_tenphoton_cost(args) -> tuple[str, dict[str, str]]:
+    from .adaptive import ten_photon_cost
+
     if args.rate8 is None or args.copies is None:
         raise ConfigError("tenphoton-cost needs --rate8 and --copies")
-    text = adaptive_mod.ten_photon_cost(args.rate8, args.copies).to_json()
+    text = ten_photon_cost(args.rate8, args.copies).to_json()
     return text + "\n", {"cost.json": text}
 
 

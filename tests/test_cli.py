@@ -708,6 +708,10 @@ BAD_INPUTS = [
     ("hoeffding --t , --h ,", {}, 3),
     ("hoeffding --t 110 --h 0.2 --settings -1", {}, 2),
     ("hoeffding --t 110 --h 0.2 --settings 0", {}, 2),
+    ("hoeffding --t inf --h 0.2", {}, 2),
+    ("hoeffding --t nan --h 0.2", {}, 2),
+    ("hoeffding --coverage --n 3 --fidelity 0.8 --copies 1e400", {}, 2),
+    ("tomography --n 2 --fidelity 0.8 --rank2 --settings inf", {}, 2),
     ("allocate --p 0.5 --epsilon0 0.1", {}, 3),
     ("tenphoton-cost --rate8 inf --copies 110", {}, 3),
     ("simulate --n 2 --fidelity 0.9 --compare uniform:10 --trials 5 --seed 1 --histogram",

@@ -1,7 +1,10 @@
 import ast
 import inspect
 import io
+import os
 import re
+import subprocess
+import sys
 import tokenize
 import types
 from collections import Counter
@@ -10,6 +13,33 @@ from pathlib import Path
 import qcopies
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The package's non-module public names.
+PUBLIC_NAMES = set('''
+AdaptiveConfig AdaptiveState AllocationInterval BudgetProblem ComparisonReport ConfigError
+CopyAllocation CoverageTable DegenerateProblemError DensityMatrix DimensionMismatchError
+EIGHT_PHOTON_EXPERIMENT_COPIES EIGHT_PHOTON_MEASURED_P EIGHT_PHOTON_REPORTED_OPTIMUM
+ProductSetting QcopiesError ReconstructOptions ReconstructionResult RngSeed
+SettingProbabilities TenPhotonCost WitnessDecomposition XState allocate_sc
+allocation_interval build_settings compare_distributions coverage_experiment delta_f
+density_from_json depolarized_sc exact_frequencies explicit_allocation failure_probability
+fidelity_from_probabilities frobenius_distance geometric_schedule hoeffding_radius
+joint_success noisy_sc_state pauli_settings protocol_timeline psd_project rank_two_sc_state
+reconstruct reconstruction_curve required_copies run_adaptive run_histogram_experiment
+sample_counts sampled_frequencies sc_fidelity sc_variance_weights setting_probabilities
+solve_budget sweep_epsilon_ratio ten_photon_cost tomography_projectors uniform_allocation
+white_noise_weight_for_fidelity
+'''.split())
+
+
+def _exported() -> dict:
+    """The non-module public names of `qcopies` and their objects, read
+    through `dir` and `getattr`, so that names the package loads on first
+    use are seen."""
+    objs = {name: getattr(qcopies, name) for name in dir(qcopies) if not name.startswith("_")}
+    exported = {name: obj for name, obj in objs.items() if not isinstance(obj, types.ModuleType)}
+    assert set(exported) == PUBLIC_NAMES
+    return exported
 
 
 def _code_names(text: str) -> Counter:
@@ -53,10 +83,7 @@ def test_every_public_name_has_a_user():
     alone.  Methods and attributes of the exported classes are not
     covered."""
     uses = _uses()
-    unused = [name for name in sorted(vars(qcopies))
-              if not name.startswith("_")
-              and not isinstance(getattr(qcopies, name), types.ModuleType)
-              and uses[name] < 1]
+    unused = [name for name in sorted(_exported()) if uses[name] < 1]
     assert unused == []
 
 
@@ -125,10 +152,7 @@ def _signatures():
     staticmethods those classes define; a bound method drops its first
     parameter.  Constructors and methods the classes inherit from builtins
     are skipped."""
-    for name in sorted(vars(qcopies)):
-        obj = getattr(qcopies, name)
-        if name.startswith("_") or isinstance(obj, types.ModuleType):
-            continue
+    for name, obj in sorted(_exported().items()):
         if inspect.isfunction(obj) and _own(obj):
             yield name, name, list(inspect.signature(obj).parameters.values())
         if not (inspect.isclass(obj) and _own(obj)):
@@ -290,9 +314,8 @@ def test_bad_arguments_raise_a_library_error():
     None takes only "x".  The table covers every exported callable but the
     exception classes and the result types only the library builds."""
     calls = _valid_calls()
-    exported = {name for name, obj in vars(qcopies).items()
-                if callable(obj) and not name.startswith("_")
-                and not (inspect.isclass(obj) and issubclass(obj, Exception))}
+    exported = {name for name, obj in _exported().items()
+                if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception))}
     assert set(calls) == exported - _LIBRARY_BUILT | {"AdaptiveConfig.geometric"}
     faults = []
     for label, (func, args) in calls.items():
@@ -311,3 +334,68 @@ def test_bad_arguments_raise_a_library_error():
                 else:
                     faults.append(f"{label}({param.name}={bad!r}): accepted")
     assert faults == []
+
+
+def _fresh(*args: str) -> str:
+    """Stdout and stderr of a fresh interpreter, run with `args`, that
+    imports the package from `src/`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout + proc.stderr
+
+
+LOADED = "import sys; print(sorted(m for m in sys.modules if m.startswith('qcopies.')))"
+
+
+def test_import_loads_no_module():
+    assert _fresh("-c", f"import qcopies; {LOADED}").strip() == "[]"
+
+
+def test_a_name_loads_only_its_home_module_and_what_it_imports():
+    out = _fresh("-c", f"import qcopies; qcopies.rank_two_sc_state; {LOADED}")
+    assert out.strip() == "['qcopies.core', 'qcopies.errors']"
+
+
+def test_allocate_command_loads_only_what_it_uses():
+    out = _fresh("-X", "importtime", "-m", "qcopies", "allocate", "--k", "0.01,0.01",
+                 "--epsilon", "0.001")
+    assert "total=40" in out
+    loaded = {line.rsplit("|", 1)[1].strip() for line in out.splitlines()
+              if line.startswith("import time:")}
+    assert {"qcopies.cli", "qcopies.allocator"} <= loaded
+    assert loaded.isdisjoint({"qcopies.phaselift", "qcopies.adaptive", "qcopies.hoeffding",
+                              "qcopies.simulator"})
+
+
+def test_each_name_is_its_home_module_object():
+    out = _fresh("-c", "import importlib, qcopies\n"
+                 "for name, home in qcopies._HOME.items():\n"
+                 "    module = importlib.import_module(f'qcopies.{home}')\n"
+                 "    assert getattr(qcopies, name) is getattr(module, name), name\n"
+                 "print(len(qcopies._HOME))")
+    assert out.strip() == str(len(PUBLIC_NAMES))
+
+
+def test_star_import_binds_the_public_names():
+    out = _fresh("-c", "ns = {}; exec('from qcopies import *', ns); "
+                 "print(' '.join(sorted(set(ns) - {'__builtins__'})))")
+    assert set(out.split()) == PUBLIC_NAMES
+
+
+def test_a_rebound_name_is_seen_and_restored():
+    """The benchmark tracer swaps a function in its module and restores it;
+    the package must hand out whichever is bound there now, first access
+    included."""
+    out = _fresh("-c", "import qcopies\n"
+                 "from qcopies import witness\n"
+                 "original = witness.setting_probabilities\n"
+                 "def w(*args): pass\n"
+                 "setattr(witness, 'setting_probabilities', w)\n"
+                 "swapped = qcopies.setting_probabilities is w\n"
+                 "setattr(witness, 'setting_probabilities', original)\n"
+                 "print(swapped, qcopies.setting_probabilities is original)")
+    assert out.split() == ["True", "True"]
