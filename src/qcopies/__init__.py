@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _NAMES = {
     "adaptive": "AdaptiveConfig AdaptiveState TenPhotonCost geometric_schedule "
                 "protocol_timeline run_adaptive sweep_epsilon_ratio ten_photon_cost",
-    "allocator": "BudgetProblem CopyAllocation EIGHT_PHOTON_EXPERIMENT_COPIES "
+    "allocator": "CopyAllocation EIGHT_PHOTON_EXPERIMENT_COPIES "
                  "EIGHT_PHOTON_MEASURED_P EIGHT_PHOTON_REPORTED_OPTIMUM allocate_sc "
                  "explicit_allocation sc_variance_weights solve_budget uniform_allocation",
     "cli": "",

@@ -84,8 +84,8 @@ class AdaptiveConfig:
             raise ConfigError("budgets must be positive and finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise ConfigError("schedule must be strictly decreasing")
-        _check_count(self.t_initial, "t_initial", ConfigError, least=0)
-        _check_count(self.t_min, "t_min", ConfigError)
+        _check_count(self.t_initial, "t_initial", ConfigError, least=0, most=MAX_COPIES)
+        _check_count(self.t_min, "t_min", ConfigError, most=MAX_COPIES)
         if self.initial_P is not None:
             P = _as_array(self.initial_P, "initial_P", error=ConfigError)
             if not np.all((P >= 0) & (P <= 1)):
@@ -133,7 +133,7 @@ class AdaptiveState:
 
     @property
     def total_copies(self) -> int:
-        return int(self.cumulative_t.sum())
+        return sum(self.cumulative_t.tolist())  # exact: an int64 sum wraps past 2**63 - 1
 
     def history_csv(self) -> str:
         rows = []
@@ -205,17 +205,12 @@ def _run_lockstep(P_true: np.ndarray, n: int, schedule, initial_P: np.ndarray,
         round_increments = np.zeros_like(cumulative)
         met = np.zeros(len(gens), dtype=bool)
         live = np.arange(len(gens))
-        # Top up until each run's cumulative counts meet the budget at its
-        # refreshed estimates (one pass when nothing drifts).
+        # Top up until each run's counts meet the budget at its refreshed estimates;
+        # a pass with nothing to draw (a covering pilot) still pools the counts.
         for _ in range(_TOP_UP_PASSES):
             k = _sc_weights(n, _clamped(P[live], cumulative[live]))
             target[live] = _round_up(k, eps0**2, t_min)[1]
             increments = np.maximum(target[live] - cumulative[live], 0)
-            drawing = increments.any(axis=1)
-            met[live[~drawing]] = True
-            live, increments = live[drawing], increments[drawing]
-            if live.size == 0:
-                break
             hits[live] += _hit_counts(p_hit, increments, [gens[r] for r in live])
             cumulative[live] += increments
             round_increments[live] += increments
@@ -367,14 +362,11 @@ def protocol_timeline(state: AdaptiveState, switch_cost_hours: float,
     m = state.n + 1
     rows = []
     pilot = state.cumulative_t - sum(rec.increments for rec in state.rounds)
-    if pilot.sum() > 0:
-        rows.append(TimelineRow("pilot", int(pilot.sum()),
-                                float(pilot.sum() / copy_rate_per_hour),
-                                int(np.count_nonzero(pilot))))
-    for rec in state.rounds:
-        visited = int(np.count_nonzero(rec.increments))
-        rows.append(TimelineRow(f"round {rec.index}", int(rec.increments.sum()),
-                                float(rec.increments.sum() / copy_rate_per_hour), visited))
+    stages = [("pilot", pilot)] if pilot.any() else []
+    for label, counts in stages + [(f"round {rec.index}", rec.increments) for rec in state.rounds]:
+        copies = sum(counts.tolist())  # exact: an int64 sum wraps past 2**63 - 1
+        rows.append(TimelineRow(label, copies, float(copies / copy_rate_per_hour),
+                                int(np.count_nonzero(counts))))
     switches = sum(r.switches for r in rows)
     return TimelineReport(
         rows=tuple(rows),

@@ -41,25 +41,6 @@ EIGHT_PHOTON_MEASURED_P = (0.8068, 0.2, 0.1869, 0.2, 0.1909, 0.2072, 0.1792, 0.2
 
 
 @dataclass(frozen=True)
-class BudgetProblem:
-    """Variance weights k_j and the squared error budget eps = eps0**2."""
-
-    k: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        arr = _as_array(self.k, "variance weights", copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionMismatchError("k must be a nonempty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise QcopiesError("variance weights must be finite and nonnegative")
-        if not 0 < _check_real(self.epsilon, "error budget") < np.inf:
-            raise QcopiesError(f"error budget must be positive and finite, got {self.epsilon}")
-        object.__setattr__(self, "k", arr)
-        self.k.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class CopyAllocation:
     """Integer copies per setting, each in [1, MAX_COPIES], plus the
     pre-rounding real solution."""
@@ -89,7 +70,7 @@ class CopyAllocation:
 
     @property
     def total(self) -> int:
-        return int(self.t.sum())
+        return sum(self.t.tolist())  # exact: an int64 sum wraps past 2**63 - 1
 
 
 def explicit_allocation(t) -> CopyAllocation:
@@ -150,19 +131,30 @@ def _squared_budget(epsilon0: float) -> float:
     return eps
 
 
-def solve_budget(problem: BudgetProblem, t_min: int = 1) -> CopyAllocation:
-    """Closed-form minimizer of total copies under sum(k_j / t_j) <= eps.
+def _plan(k: np.ndarray, eps: float, epsilon0: float, t_min: int) -> CopyAllocation:
+    """Both solvers' integer plan of weights k under the squared budget eps."""
+    _check_count(t_min, "t_min", most=MAX_COPIES)
+    real_t, t = _round_up(k[None], eps, t_min)
+    return CopyAllocation(t=t[0], epsilon0=epsilon0, real_t=real_t[0])
+
+
+def solve_budget(k, epsilon: float, t_min: int = 1) -> CopyAllocation:
+    """Closed-form minimizer of total copies under sum(k_j / t_j) <= epsilon,
+    for variance weights k and the squared error budget epsilon = eps0**2.
 
     Zero-weight settings get t_min copies so every setting is still
     observed.  Raises DegenerateProblemError if every weight is zero.
     """
-    _check_type(problem, BudgetProblem)
-    _check_count(t_min, "t_min")
-    k, eps = problem.k, problem.epsilon
+    k = _as_array(k, "variance weights")
+    if k.ndim != 1 or k.size == 0:
+        raise DimensionMismatchError("k must be a nonempty vector")
+    if not np.all(np.isfinite(k)) or np.any(k < 0):
+        raise QcopiesError("variance weights must be finite and nonnegative")
+    if not 0 < _check_real(epsilon, "error budget") < np.inf:
+        raise QcopiesError(f"error budget must be positive and finite, got {epsilon}")
     if not (k > 0).any():
         raise DegenerateProblemError("all variance weights are zero")
-    real_t, t = _round_up(k[None], eps, t_min)
-    return CopyAllocation(t=t[0], epsilon0=float(np.sqrt(eps)), real_t=real_t[0])
+    return _plan(k, epsilon, float(np.sqrt(epsilon)), t_min)
 
 
 def sc_variance_weights(p: SettingProbabilities) -> np.ndarray:
@@ -188,7 +180,5 @@ def allocate_sc(p: SettingProbabilities, epsilon0: float, t_min: int = 1) -> Cop
     budget is met trivially; each setting then receives t_min copies.
     """
     eps = _squared_budget(epsilon0)
-    _check_count(t_min, "t_min")
-    real_t, t = _round_up(sc_variance_weights(p)[None], eps, t_min)
-    return CopyAllocation(t=t[0], epsilon0=float(epsilon0), real_t=real_t[0])
+    return _plan(sc_variance_weights(p), eps, float(epsilon0), t_min)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_qubit_count, density_from_json, noisy_sc_state, rank_two_sc_state
-from .errors import ConfigError, QcopiesError, _check_count
+from .errors import MAX_COPIES, ConfigError, QcopiesError, _check_count
 from .reports import csv_text, write_text
 
 
@@ -124,15 +124,14 @@ def _build_state(args, model=noisy_sc_state):
 
 def cmd_allocate(args) -> tuple[str, dict[str, str]]:
     from .allocator import (EIGHT_PHOTON_EXPERIMENT_COPIES, EIGHT_PHOTON_REPORTED_OPTIMUM,
-                            BudgetProblem, allocate_sc, solve_budget)
+                            allocate_sc, solve_budget)
     from .witness import SettingProbabilities
 
     if args.k is not None:
         if args.epsilon is None:
             raise ConfigError("--k needs --epsilon (the squared budget)")
         k = np.asarray(_floats(args.k))
-        alloc = solve_budget(BudgetProblem(k=k, epsilon=float(args.epsilon)),
-                             t_min=args.t_min)
+        alloc = solve_budget(k, float(args.epsilon), t_min=args.t_min)
         label = "budget"
     elif args.p is not None:
         p_list = _floats(args.p)
@@ -177,7 +176,7 @@ def cmd_simulate(args) -> tuple[str, dict[str, str]]:
     from .witness import build_settings, delta_f, setting_probabilities
 
     if args.histogram:
-        _check_count(args.bins, "bins")  # a bad --bins still exits 3, as it always has
+        _check_count(args.bins, "bins", most=MAX_COPIES)  # a bad --bins exits 3, as it always has
         if not args.out:
             raise ConfigError("--histogram writes report files; it needs --out")
     rho = _build_state(args)
@@ -470,6 +469,9 @@ def main(argv=None) -> int:
         return 2
     except QcopiesError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy could not allocate what a valid request needs
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .allocator import _squared_budget, real_optimum, sc_variance_weights
+from .allocator import _sc_weights, _squared_budget, real_optimum
 from .core import DensityMatrix, XState
 from .errors import (MAX_COPIES, DimensionMismatchError, QcopiesError, _as_array, _as_list,
                      _check_count, _check_real, _check_type)
@@ -92,16 +92,12 @@ def allocation_interval(p_hat: SettingProbabilities, h, epsilon0: float) -> Allo
         raise QcopiesError(f"h must be a scalar or {p_hat.P.size} bounds in [0, 1), got {h!r}")
     lo = np.clip(p_hat.P - hh, 0.0, 1.0)
     hi = np.clip(p_hat.P + hh, 0.0, 1.0)
-
-    def weights(P):
-        return sc_variance_weights(SettingProbabilities(n=p_hat.n, P=P))
-
-    k_minus = np.minimum(weights(lo), weights(hi))
-    k_plus = weights(np.clip(0.5, lo, hi))
+    k_minus = np.minimum(_sc_weights(p_hat.n, lo), _sc_weights(p_hat.n, hi))
+    k_plus = _sc_weights(p_hat.n, np.clip(0.5, lo, hi))
     return AllocationInterval(
         P_minus=lo, P_plus=hi, k_minus=k_minus, k_plus=k_plus,
         t_minus=real_optimum(k_minus, eps), t_plus=real_optimum(k_plus, eps),
-        t_point=real_optimum(sc_variance_weights(p_hat), eps),
+        t_point=real_optimum(_sc_weights(p_hat.n, p_hat.P), eps),
     )
 
 
@@ -148,7 +144,7 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
     Copy count i reads the stream `rng.generator(i)` and draws all its
     repeats in one call."""
     _check_type(rng, RngSeed)
-    _check_count(repeats, "repeats")
+    _check_count(repeats, "repeats", most=MAX_COPIES)
     copy_counts = _as_list(copy_counts, "copy counts")
     true_value = float(setting_probabilities(rho, wd).P[0])
     rows = []

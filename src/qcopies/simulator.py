@@ -8,10 +8,10 @@ the hit counts of all its trials in one call: the setting's one row of
 outcome probabilities, validated once and drawn `size=trials` times; a
 trial is one row of those draws.  It yields one frozen `HistogramResult`; a
 comparison keeps one per allocation next to its row, and only the result's
-writers take a bin count.  `sample_counts` takes one copy count for all
-rows and draws every sample in one validated multinomial call; the
-adaptive protocol draws the same bytes with `_hit_counts`, one copy count
-and one scalar binomial per setting.  `run_histogram_experiment` and
+writers take a bin count.  `sample_counts` draws one row of outcome
+probabilities, `size` times if asked, in one validated multinomial call;
+the adaptive protocol draws the same bytes with `_hit_counts`, one copy
+count and one scalar binomial per setting.  `run_histogram_experiment` and
 `compare_distributions` take an `RngSeed` and `CopyAllocation`s, and
 reject anything else with a `QcopiesError`.
 """
@@ -54,29 +54,24 @@ class RngSeed:
 
 
 def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndarray:
-    """Draw multinomial counts of `copies` copies over outcome probabilities.
+    """Draw multinomial counts of `copies` copies over one row of outcome
+    probabilities.
 
-    The last axis of `probs` holds the outcomes; each row along the leading
-    axes is one independent draw, so a stack of k rows costs one call and
-    gives the same counts as k single-row calls on the same generator.  A
-    row's weights need not be normalized, but must be finite, nonnegative
-    and not all zero.  One draw costs O(outcomes), independent of `copies`,
-    the one nonnegative integer count every row draws.  With `size`, an
-    integer >= 1, every row is validated once and drawn `size` times on a
-    new leading axis: the counts and the generator's next state are those
-    of the stack `np.broadcast_to(probs, (size, *probs.shape))`.
+    The weights need not be normalized, but must be finite, nonnegative and
+    not all zero.  One draw costs O(outcomes), independent of `copies`, a
+    nonnegative integer count.  With `size`, an integer >= 1, the row is
+    validated once and drawn `size` times on a new leading axis: exactly
+    `gen.multinomial(copies, p / p.sum(), size=size)`.
     """
     p = _as_array(probs, "probabilities")
-    if p.ndim == 0:
-        raise QcopiesError("probabilities need an outcome axis")
+    if p.ndim != 1:
+        raise DimensionMismatchError("probabilities must be one row of outcomes")
     _check_count(copies, "copies", least=0, most=MAX_COPIES)
     _check_type(gen, np.random.Generator)
     if size is not None:
-        _check_count(size, "size")
-        size = (size, *p.shape[:-1])
-    total = p.sum(axis=-1, keepdims=True)
-    if not (p.min(initial=0.0) >= 0 and total.min(initial=np.inf) > 0
-            and total.max(initial=0.0) < np.inf):
+        _check_count(size, "size", most=MAX_COPIES)
+    total = p.sum()
+    if not (p.min(initial=0.0) >= 0 and 0 < total < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
     return gen.multinomial(copies, p / total, size=size).astype(np.int64)
 
@@ -103,7 +98,7 @@ class HistogramResult:
 
     def events(self, bins: int = 50) -> np.ndarray:
         """Trials per bin, `bins` equal bins over [0, 1]."""
-        _check_count(bins, "bins")
+        _check_count(bins, "bins", most=MAX_COPIES)
         return np.histogram(self.fidelities, bins=bins, range=(0.0, 1.0))[0]
 
     def to_csv(self, bins: int = 50) -> str:
@@ -112,7 +107,7 @@ class HistogramResult:
         return csv_text(["bin_low", "bin_high", "events"], zip(edges, edges[1:], events))
 
     def summary_json(self, bins: int = 50) -> str:
-        _check_count(bins, "bins")
+        _check_count(bins, "bins", most=MAX_COPIES)
         return json.dumps({
             "trials": int(self.fidelities.size),
             "mean": self.mean,
@@ -132,7 +127,7 @@ def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
     only its hit counts: t_j copies split between P_j and 1 - P_j, one row
     per trial, in one call.
     """
-    _check_count(trials, "trials")
+    _check_count(trials, "trials", most=MAX_COPIES)
     _check_type(allocation, CopyAllocation)
     t = allocation.t
     if t.shape != p_true.P.shape:

@@ -434,9 +434,6 @@ def run_adaptive_one(rho, wd, cfg, gen, pilot=None, passes=64):
             t = (np.full(m, cfg.t_min, dtype=np.int64) if not np.any(k > 0)
                  else round_up_one(k, eps0**2, cfg.t_min))
             increments = np.maximum(t - cumulative, 0)
-            if increments.sum() == 0:
-                met = True
-                break
             hits += measure(increments)
             cumulative = cumulative + increments
             round_increments += increments

@@ -12,7 +12,6 @@ import pytest
 
 from qcopies import (
     AdaptiveConfig,
-    BudgetProblem,
     DensityMatrix,
     RngSeed,
     SettingProbabilities,
@@ -70,7 +69,7 @@ def test_acceptance_02_allocator_oracle():
         m = int(rng.integers(2, 13))
         k = rng.uniform(1e-4, 0.06, size=m)
         eps = float(rng.uniform(1e-4, 1e-2))
-        alloc = solve_budget(BudgetProblem(k=k, epsilon=eps))
+        alloc = solve_budget(k, eps)
         t_num = minimize_budget_numeric(k, eps)
         worst_coord = max(worst_coord, float(np.max(np.abs(alloc.real_t - t_num) / t_num)))
         worst_obj = max(worst_obj, abs(alloc.real_t.sum() - t_num.sum()) / t_num.sum())

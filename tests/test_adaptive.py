@@ -16,6 +16,7 @@ from qcopies import (
     geometric_schedule,
     protocol_timeline,
     run_adaptive,
+    sample_counts,
     setting_probabilities,
     sweep_epsilon_ratio,
 )
@@ -84,6 +85,33 @@ class TestRunAdaptive:
                          state.cumulative_t.astype(float))
         assert spread <= 0.02 * (1 + 1e-9)
         assert state.round == 1
+
+    def test_pilot_that_covers_the_targets_feeds_the_estimates(self):
+        # 50 copies a setting cover the first allocation at the 1/2 priors, so
+        # the round draws nothing more; the estimates are still the pooled
+        # pilot hits over copies, not the priors
+        n = 4
+        wd = build_settings(n)
+        rho = depolarized_sc(n, 0.9374)
+        cfg = AdaptiveConfig((0.01,), t_initial=50)
+        state = run_adaptive(rho, wd, cfg, RngSeed(0).generator())
+        gen = RngSeed(0).generator()
+        hits = [sample_counts([p, 1.0 - p], 50, gen)[0] for p in setting_probabilities(rho, wd).P]
+        assert not state.rounds[0].increments.any()
+        assert state.cumulative_t.tolist() == [50] * (n + 1)
+        assert state.current_P.tolist() == (np.array(hits) / 50).tolist()
+        assert abs(state.fidelity - 0.9374) <= 3 * state.fidelity_std
+
+    def test_total_copies_is_exact_past_int64(self):
+        cfg = AdaptiveConfig((0.01, 0.001), t_initial=2**62)
+        state = run_adaptive(depolarized_sc(2, 0.9), build_settings(2), cfg,
+                             RngSeed(0).generator())
+        assert state.cumulative_t.tolist() == [2**62] * 3
+        assert state.total_copies == 3 * 2**62
+        assert '"total_copies": 13835058055282163712' in state.final_report_json()
+        pilot, *rounds = protocol_timeline(state, 0.1, 8.88).rows
+        assert (pilot.label, pilot.copies, pilot.switches) == ("pilot", 3 * 2**62, 3)
+        assert [r.copies for r in rounds] == [0, 0]
 
     def test_negative_pilot_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,6 +250,9 @@ class TestLockstepMatchesOneRun:
     # no pilot at the pure state's own P: every variance weight is zero
     @example(n=3, fidelity=1.0, seed=1, start=0.01, ratio=0.1, prior="target", t_initial=0,
              t_min=2)
+    # a pilot that covers round 1's targets: the round pools it and draws nothing
+    @example(n=4, fidelity=0.9374, seed=0, start=0.01, ratio=0.1, prior="half", t_initial=50,
+             t_min=1)
     def test_run_adaptive(self, n, fidelity, seed, start, ratio, prior, t_initial, t_min):
         wd = build_settings(n)
         rho = depolarized_sc(n, fidelity)

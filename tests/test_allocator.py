@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcopies import (
-    BudgetProblem,
+    AdaptiveConfig,
     CopyAllocation,
     DegenerateProblemError,
     DimensionMismatchError,
@@ -49,7 +49,7 @@ from _oracles import minimize_budget_numeric, round_up_one
 
 class TestSolveBudget:
     def test_symmetric_split(self):
-        alloc = solve_budget(BudgetProblem(k=np.full(5, 0.01), epsilon=0.001))
+        alloc = solve_budget(np.full(5, 0.01), 0.001)
         assert alloc.real_t == pytest.approx([50.0] * 5, rel=1e-12)
         assert list(alloc.t) == [50] * 5
         assert alloc.total == 250
@@ -57,30 +57,29 @@ class TestSolveBudget:
     def test_hand_value_eight_qubit_profile(self):
         # P1=0.8, Pj=0.2 at n=8 gives k1=0.04 and kj=0.0025
         k = np.array([0.04] + [0.0025] * 8)
-        alloc = solve_budget(BudgetProblem(k=k, epsilon=0.016**2))
+        alloc = solve_budget(k, 0.016**2)
         assert alloc.real_t[0] == pytest.approx(468.75, rel=1e-12)
         assert alloc.real_t[1] == pytest.approx(117.1875, rel=1e-12)
         assert list(alloc.t) == [469] + [118] * 8
 
     def test_halving_budget_doubles_counts(self, rng):
         k = rng.uniform(0.001, 0.05, size=6)
-        a1 = solve_budget(BudgetProblem(k=k, epsilon=0.002))
-        a2 = solve_budget(BudgetProblem(k=k, epsilon=0.001))
+        a1 = solve_budget(k, 0.002)
+        a2 = solve_budget(k, 0.001)
         assert a2.real_t == pytest.approx(2 * a1.real_t, rel=1e-12)
 
     def test_zero_weight_settings_get_t_min(self):
-        alloc = solve_budget(BudgetProblem(k=np.array([0.01, 0.0, 0.02]), epsilon=1e-3),
-                             t_min=3)
+        alloc = solve_budget(np.array([0.01, 0.0, 0.02]), 1e-3, t_min=3)
         assert alloc.t[1] == 3
         assert alloc.real_t[1] == 0.0
 
     def test_all_zero_degenerate(self):
         with pytest.raises(DegenerateProblemError):
-            solve_budget(BudgetProblem(k=np.zeros(4), epsilon=1e-3))
+            solve_budget(np.zeros(4), 1e-3)
 
     def test_bad_epsilon(self):
         with pytest.raises(QcopiesError):
-            BudgetProblem(k=np.array([0.01]), epsilon=0.0)
+            solve_budget(np.array([0.01]), 0.0)
 
     def test_near_tie_within_the_slack_gets_no_extra_copy(self):
         # the rounded-up optimum overshoots the budget by a relative 1e-13,
@@ -88,7 +87,7 @@ class TestSolveBudget:
         k = np.array([1.0, 1.0])
         eps = 0.002 / (1 + 1e-13)
         assert np.sum(k / 1000) > eps
-        assert list(solve_budget(BudgetProblem(k=k, epsilon=eps)).t) == [1000, 1000]
+        assert list(solve_budget(k, eps).t) == [1000, 1000]
         assert _round_up(np.stack([k, k]), eps, 1)[1].tolist() == [[1000, 1000]] * 2
 
     def test_constraint_tight_before_and_satisfied_after_rounding(self, rng):
@@ -96,7 +95,7 @@ class TestSolveBudget:
             m = int(rng.integers(2, 13))
             k = rng.uniform(1e-4, 0.06, size=m)
             eps = float(rng.uniform(1e-4, 1e-2))
-            alloc = solve_budget(BudgetProblem(k=k, epsilon=eps))
+            alloc = solve_budget(k, eps)
             assert np.sum(k / alloc.real_t) == pytest.approx(eps, abs=1e-9 * eps + 1e-15)
             assert np.sum(k / alloc.t) <= eps * (1 + 1e-9)
 
@@ -106,14 +105,14 @@ class TestSolveBudget:
             m = int(rng.integers(2, 13))
             k = rng.uniform(1e-4, 0.06, size=m)
             eps = float(rng.uniform(1e-4, 1e-2))
-            alloc = solve_budget(BudgetProblem(k=k, epsilon=eps))
+            alloc = solve_budget(k, eps)
             t_num = minimize_budget_numeric(k, eps)
             assert np.max(np.abs(alloc.real_t - t_num) / t_num) < 1e-3
             assert abs(alloc.real_t.sum() - t_num.sum()) / t_num.sum() < 1e-4
 
     def test_ratio_law(self, rng):
         k = rng.uniform(1e-4, 0.05, size=8)
-        alloc = solve_budget(BudgetProblem(k=k, epsilon=1e-3))
+        alloc = solve_budget(k, 1e-3)
         for i in range(8):
             for j in range(8):
                 assert alloc.real_t[i] / alloc.real_t[j] == pytest.approx(
@@ -121,11 +120,11 @@ class TestSolveBudget:
 
     def test_monotone_in_weights(self, rng):
         k = rng.uniform(1e-3, 0.05, size=6)
-        base = solve_budget(BudgetProblem(k=k, epsilon=1e-3)).real_t
+        base = solve_budget(k, 1e-3).real_t
         for j in range(6):
             bumped = k.copy()
             bumped[j] *= 1.5
-            grown = solve_budget(BudgetProblem(k=bumped, epsilon=1e-3)).real_t
+            grown = solve_budget(bumped, 1e-3).real_t
             assert np.all(grown >= base - 1e-9)
 
 
@@ -133,16 +132,16 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("k", [[np.inf, 0.01], [np.nan, 0.01, 0.01], [0.01, -np.inf]])
     def test_weights_rejected(self, k):
         with pytest.raises(QcopiesError):
-            BudgetProblem(k=np.array(k), epsilon=1e-3)
+            solve_budget(np.array(k), 1e-3)
 
     @pytest.mark.parametrize("eps", [np.inf, np.nan, -1e-3])
     def test_budget_rejected(self, eps):
         with pytest.raises(QcopiesError):
-            BudgetProblem(k=np.array([0.01, 0.01]), epsilon=eps)
+            solve_budget(np.array([0.01, 0.01]), eps)
 
     def test_overflowing_plan_rejected(self):
         with np.errstate(over="ignore"), pytest.raises(QcopiesError):
-            solve_budget(BudgetProblem(k=np.array([1e300, 1e300]), epsilon=1e-300))
+            solve_budget(np.array([1e300, 1e300]), 1e-300)
 
     def test_infinite_epsilon0_rejected_on_noiseless_profile(self):
         # every weight is zero here, so the budget solver is never reached
@@ -156,10 +155,10 @@ class TestNonFiniteInput:
        st.floats(1e-4, 1.0), st.floats(0.01, 1.0), st.integers(1, 5))
 def test_solve_budget_feasible_near_minimal_and_monotone(k, eps, shrink, t_min):
     k = np.array(k)
-    plan = solve_budget(BudgetProblem(k=k, epsilon=eps), t_min=t_min)
+    plan = solve_budget(k, eps, t_min=t_min)
     assert np.sum(k / plan.t) <= eps * (1 + 1e-9)
     assert np.all(plan.t <= np.maximum(t_min, np.ceil(plan.real_t)) + 1)
-    tighter = solve_budget(BudgetProblem(k=k, epsilon=eps * shrink), t_min=t_min)
+    tighter = solve_budget(k, eps * shrink, t_min=t_min)
     assert tighter.total >= plan.total
 
 
@@ -241,7 +240,7 @@ class TestInputsCheckedOnce:
         with pytest.raises(QcopiesError, match="t_min"):
             allocate_sc(p, 0.3, t_min=t_min)
         with pytest.raises(QcopiesError, match="t_min"):
-            solve_budget(BudgetProblem(k=np.array([0.01, 0.02]), epsilon=1e-3), t_min=t_min)
+            solve_budget(np.array([0.01, 0.02]), 1e-3, t_min=t_min)
 
     def test_numpy_integer_t_min_accepted(self):
         p = SettingProbabilities(n=2, P=np.array([0.9, 0.3, 0.6]))
@@ -276,6 +275,12 @@ class TestCopyAllocationType:
         alloc = CopyAllocation(t=t, epsilon0=0.1, real_t=[4.0, 1.0, 9.0])
         assert alloc.t.dtype == np.int64 and alloc.t.tolist() == [4, 1, 9]
         assert alloc.t is not t and not alloc.t.flags.writeable
+
+    def test_total_is_exact_past_int64(self):
+        # each count fits int64, their sum does not; the total must not wrap
+        plan = allocate_sc(SettingProbabilities(n=1, P=[0.5, 0.5]), 0.1, t_min=MAX_COPIES)
+        assert plan.t.tolist() == [MAX_COPIES] * 2
+        assert plan.total == explicit_allocation([MAX_COPIES] * 2).total == 2 * MAX_COPIES
 
     @pytest.mark.parametrize("t", [[], [[3, 4], [5, 6]], 5], ids=["empty", "2-D", "scalar"])
     def test_t_must_be_a_nonempty_vector(self, t):
@@ -337,11 +342,28 @@ def test_counts_are_integers_at_least_one(entry, count):
     pytest.param(lambda: uniform_allocation(3, 10**30), id="uniform-past-int64"),
     pytest.param(lambda: sample_counts([0.5, 0.5], 2**63, np.random.default_rng(1)),
                  id="sample-copies-past-int64"),
+    pytest.param(lambda: sample_counts([0.5, 0.5], 2, np.random.default_rng(1), size=10**20),
+                 id="sample-size-past-int64"),
     pytest.param(lambda: sampled_frequencies(rank_two_sc_state(2, 0.8), pauli_settings(2), 10**30,
                                              np.random.default_rng(1)),
                  id="frequency-copies-past-int64"),
     pytest.param(lambda: delta_f(SettingProbabilities(n=2, P=[0.9, 0.5, 0.5]), [10**400, 1, 1]),
                  id="spread-copies-past-float"),
+    pytest.param(lambda: allocate_sc(SettingProbabilities(n=1, P=[0.5, 0.5]), 0.1, 10**20),
+                 id="allocate-t_min-past-int64"),
+    pytest.param(lambda: solve_budget([0.01, 0.01], 1e-3, 10**20), id="budget-t_min-past-int64"),
+    pytest.param(lambda: AdaptiveConfig((0.01,), t_min=10**20), id="adaptive-t_min-past-int64"),
+    pytest.param(lambda: AdaptiveConfig((0.01,), t_initial=10**20),
+                 id="adaptive-pilot-past-int64"),
+    pytest.param(lambda: run_histogram_experiment(noisy_sc_state(2, 0.9), build_settings(2),
+                                                  uniform_allocation(3, 10), 2**63, RngSeed(1)),
+                 id="histogram-trials-past-int64"),
+    pytest.param(lambda: coverage_experiment(noisy_sc_state(2, 0.9), build_settings(2), [50],
+                                             0.01, 2**63, RngSeed(1)),
+                 id="coverage-repeats-past-int64"),
+    pytest.param(lambda: run_histogram_experiment(noisy_sc_state(2, 0.9), build_settings(2),
+                                                  uniform_allocation(3, 10), 2, RngSeed(1))
+                 .events(2**63), id="histogram-bins-past-int64"),
 ])
 def test_values_out_of_range_raise_a_library_error(call):
     """A rate or deviation whose arithmetic leaves float range, a fractional

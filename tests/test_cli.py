@@ -42,6 +42,12 @@ class TestAllocate:
         assert code == 0
         assert out.strip().endswith("total=250")
 
+    def test_total_past_int64_is_exact(self, capsys):
+        code, out, _ = run_cli(["allocate", "--p", "0.5,0.5", "--epsilon0", "0.1",
+                                "--t-min", "9223372036854775807"], capsys)
+        assert code == 0
+        assert out.endswith("\ntotal=18446744073709551614\n")
+
     def test_missing_flags_exit_2(self, capsys):
         code, _, err = run_cli(["allocate"], capsys)
         assert code == 2
@@ -723,6 +729,18 @@ BAD_INPUTS = [
      "--repeats 1", {}, 2),
     ("tomography --n 2 --fidelity 0.8 --rank2 --corner-mass 0.9 --settings 4 --counts 100 "
      "--repeats 1", {}, 2),
+    # counts past MAX_COPIES = 2**63 - 1
+    ("allocate --p 0.5,0.5 --epsilon0 0.1 --t-min 99999999999999999999", {}, 3),
+    ("allocate --k 0.01,0.01 --epsilon 0.001 --t-min 99999999999999999999", {}, 3),
+    ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 2 --t-min 99999999999999999999",
+     {}, 3),
+    ("adaptive --n 2 --fidelity 0.9 --schedule 0.01 --t-min 99999999999999999999", {}, 2),
+    ("adaptive --n 2 --fidelity 0.9 --schedule 0.01 --t-initial 99999999999999999999", {}, 2),
+    ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 99999999999999999999", {}, 3),
+    ("hoeffding --coverage --n 2 --fidelity 0.9 --copies 50 --repeats 99999999999999999999",
+     {}, 3),
+    ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 2 --histogram "
+     "--bins 99999999999999999999 --out never_written", {}, 3),
 ]
 
 
@@ -735,6 +753,23 @@ def test_bad_input_exit_code(command, env, code, capsys, monkeypatch):
     assert got == code
     assert out == ""
     assert "Traceback" not in err and err.startswith(("config error: ", "error: "))
+    assert err.count("\n") == 1
+
+
+def test_out_of_memory_exit_3(capsys, monkeypatch):
+    # a count under the bound can still ask numpy for more memory than the host
+    # has; the library call is replaced, so no large array is ever requested
+    from qcopies import simulator
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array with shape "
+                          "(1000000000000, 2) and data type int64")
+
+    monkeypatch.setattr(simulator, "compare_distributions", no_memory)
+    code, out, err = run_cli("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 5".split(),
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: out of memory: Unable to allocate") and err.count("\n") == 1
 
 
 def test_unwritable_out_exit_2(tmp_path, capsys):

@@ -206,7 +206,7 @@ _CFG = AdaptiveConfig.geometric(0.01, 0.1, 0.0003)
     lambda: fidelity_from_probabilities(None),
     lambda: allocate_sc(None, 0.1),
     lambda: sc_variance_weights(None),
-    lambda: solve_budget(None),
+    lambda: solve_budget(None, 1e-3),
     lambda: allocation_interval(None, 0.01, 0.1),
     lambda: protocol_timeline(None, 0.1, 8.88),
     lambda: run_adaptive(_RHO, _WD, None, RngSeed(1).generator()),

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # The package's non-module public names.
 PUBLIC_NAMES = set('''
-AdaptiveConfig AdaptiveState AllocationInterval BudgetProblem ComparisonReport ConfigError
+AdaptiveConfig AdaptiveState AllocationInterval ComparisonReport ConfigError
 CopyAllocation CoverageTable DegenerateProblemError DensityMatrix DimensionMismatchError
 EIGHT_PHOTON_EXPERIMENT_COPIES EIGHT_PHOTON_MEASURED_P EIGHT_PHOTON_REPORTED_OPTIMUM
 ProductSetting QcopiesError ReconstructOptions ReconstructionResult RngSeed
@@ -253,7 +253,6 @@ def _valid_calls() -> dict:
     return {
         "AdaptiveConfig": (q.AdaptiveConfig, ((0.01, 0.001), [0.5, 0.5, 0.5], 5, 1)),
         "AdaptiveConfig.geometric": (q.AdaptiveConfig.geometric, (0.01, 0.1, 1e-3)),
-        "BudgetProblem": (q.BudgetProblem, ([0.1, 0.2], 1e-3)),
         "CopyAllocation": (q.CopyAllocation, ([10, 20], 0.1, [9.5, 19.5])),
         "DensityMatrix": (q.DensityMatrix, (half,)),
         "ProductSetting": (q.ProductSetting, ("XZ",)),
@@ -298,7 +297,7 @@ def _valid_calls() -> dict:
         "sc_fidelity": (q.sc_fidelity, (rho,)),
         "sc_variance_weights": (q.sc_variance_weights, (p,)),
         "setting_probabilities": (q.setting_probabilities, (rho, wd)),
-        "solve_budget": (q.solve_budget, (q.BudgetProblem([0.1, 0.2], 1e-3), 1)),
+        "solve_budget": (q.solve_budget, ([0.1, 0.2], 1e-3, 1)),
         "sweep_epsilon_ratio": (q.sweep_epsilon_ratio, (rho, wd, [0.3], 1, q.RngSeed(1))),
         "ten_photon_cost": (q.ten_photon_cost, (2.8e-5, 110)),
         "tomography_projectors": (q.tomography_projectors, (1,)),
