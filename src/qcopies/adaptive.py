@@ -87,9 +87,11 @@ class AdaptiveConfig:
         _check_count(self.t_initial, "t_initial", ConfigError, least=0, most=MAX_COPIES)
         _check_count(self.t_min, "t_min", ConfigError, most=MAX_COPIES)
         if self.initial_P is not None:
-            P = _as_array(self.initial_P, "initial_P", error=ConfigError)
+            P = _as_array(self.initial_P, "initial_P", copy=True, error=ConfigError)
             if not np.all((P >= 0) & (P <= 1)):
                 raise ConfigError("initial_P must be finite and lie in [0, 1]")
+            P.flags.writeable = False
+            object.__setattr__(self, "initial_P", P)
         object.__setattr__(self, "epsilon_schedule", sched)
 
     @classmethod
@@ -243,12 +245,9 @@ def run_adaptive(rho: DensityMatrix | XState, wd: WitnessDecomposition, cfg: Ada
     _check_type(cfg, AdaptiveConfig)
     _check_type(gen, np.random.Generator)
     n, m = wd.n, wd.n + 1
-    if cfg.initial_P is None:
-        P0 = np.full(m, 0.5)
-    else:
-        P0 = np.asarray(cfg.initial_P, dtype=float)
-        if P0.shape != (m,):
-            raise ConfigError(f"initial_P must have length {m}")
+    P0 = np.full(m, 0.5) if cfg.initial_P is None else cfg.initial_P
+    if P0.shape != (m,):
+        raise ConfigError(f"initial_P must have length {m}")
     cumulative, P, rounds = _run_lockstep(P_true, n, cfg.epsilon_schedule, P0[None],
                                           np.full((1, m), cfg.t_initial, dtype=np.int64),
                                           cfg.t_min, [gen])

@@ -96,25 +96,18 @@ def _round_up(k: np.ndarray, eps: float, t_min: int) -> tuple[np.ndarray, np.nda
     """Real optimum and integer copies of every row of k (shape (R, m))
     under the budget sum(k/t) <= eps.
 
-    The real optimum is rounded up, zero weights get t_min, every setting
-    at least t_min, and a row still over the budget after rounding gains
-    one copy at a time where that lowers sum(k/t) the most.  A row with
-    no positive weight gets t_min everywhere.  Rows never interact, so a
-    row gets the same copies alone or stacked.
+    The real optimum is rounded up, zero weights get t_min, and every
+    setting at least t_min.  The tie guard puts no count more than a
+    relative 2e-12 below the optimum, so sum(k/t) <= eps * (1 + 1e-9).
+    A row with no positive weight gets t_min everywhere.  Rows never
+    interact, so a row gets the same copies alone or stacked.
     """
     real_t = real_optimum(k, eps)
     if not real_t.max() < 2.0**62:
         raise QcopiesError("copy counts overflow: the budget is too small for these weights")
     # Guard against ties like 50.000000000000007 before rounding up.
     t = np.where(k > 0, np.ceil(real_t * (1 - 1e-12) - 1e-12), t_min).astype(np.int64)
-    t = np.maximum(t, t_min)
-    limit = eps * (1 + 1e-9)
-    over = np.flatnonzero(np.sum(k / t, axis=-1) > limit)
-    while over.size:
-        k_o, t_o = k[over], t[over]
-        t[over, np.argmax(k_o / t_o - k_o / (t_o + 1), axis=-1)] += 1
-        over = over[np.sum(k[over] / t[over], axis=-1) > limit]
-    return real_t, t
+    return real_t, np.maximum(t, t_min)
 
 
 def _squared_budget(epsilon0: float) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import check_qubit_count, density_from_json, noisy_sc_state, rank_two_sc_state
-from .errors import MAX_COPIES, ConfigError, QcopiesError, _check_count
+from .errors import _MAX_SIZE, ConfigError, QcopiesError, _check_count
 from .reports import csv_text, write_text
 
 
@@ -70,7 +70,7 @@ def _parse_schedule(text: str) -> tuple[float, ...]:
 
 
 def _parse_compare(specs, n_settings: int) -> dict:
-    from .allocator import explicit_allocation, uniform_allocation
+    from .allocator import explicit_allocation
 
     out = {}
     for spec in specs or []:
@@ -85,14 +85,12 @@ def _parse_compare(specs, n_settings: int) -> dict:
         if name in out:
             raise ConfigError(f"comparison name {name!r} is given twice")
         try:
-            if "/" in payload:
-                counts = [int(x) for x in payload.split("/")]
-                if len(counts) != n_settings:
-                    raise ConfigError(
-                        f"{name!r} lists {len(counts)} settings, expected {n_settings}")
-                out[name] = explicit_allocation(counts)
-            else:
-                out[name] = uniform_allocation(n_settings, int(payload))
+            counts = [int(x) for x in payload.split("/")]  # name:c means name:c/.../c
+            if len(counts) == 1:
+                counts *= n_settings
+            if len(counts) != n_settings:
+                raise ConfigError(f"{name!r} lists {len(counts)} settings, expected {n_settings}")
+            out[name] = explicit_allocation(counts)
         except ConfigError:
             raise
         except ValueError as exc:
@@ -176,7 +174,7 @@ def cmd_simulate(args) -> tuple[str, dict[str, str]]:
     from .witness import build_settings, delta_f, setting_probabilities
 
     if args.histogram:
-        _check_count(args.bins, "bins", most=MAX_COPIES)  # a bad --bins exits 3, as it always has
+        _check_count(args.bins, "bins", most=_MAX_SIZE)  # a bad --bins exits 3, as it always has
         if not args.out:
             raise ConfigError("--histogram writes report files; it needs --out")
     rho = _build_state(args)

@@ -25,6 +25,9 @@ class ConfigError(QcopiesError):
 
 # the largest copy count: copies are held and drawn as 64-bit integers
 MAX_COPIES = 2**63 - 1
+# the most trials, repeats, bins or draws: a (count, 2) int64 array must fit
+# numpy's 2**63 - 1 bytes
+_MAX_SIZE = MAX_COPIES // 16
 
 
 def _check_count(value, name: str, error=QcopiesError, least: int = 1,

@@ -12,8 +12,8 @@ import numpy as np
 
 from .allocator import _sc_weights, _squared_budget, real_optimum
 from .core import DensityMatrix, XState
-from .errors import (MAX_COPIES, DimensionMismatchError, QcopiesError, _as_array, _as_list,
-                     _check_count, _check_real, _check_type)
+from .errors import (_MAX_SIZE, MAX_COPIES, DimensionMismatchError, QcopiesError, _as_array,
+                     _as_list, _check_count, _check_real, _check_type)
 from .reports import csv_text
 from .simulator import RngSeed, sample_counts
 from .witness import SettingProbabilities, WitnessDecomposition, setting_probabilities
@@ -144,7 +144,7 @@ def coverage_experiment(rho: DensityMatrix | XState, wd: WitnessDecomposition, c
     Copy count i reads the stream `rng.generator(i)` and draws all its
     repeats in one call."""
     _check_type(rng, RngSeed)
-    _check_count(repeats, "repeats", most=MAX_COPIES)
+    _check_count(repeats, "repeats", most=_MAX_SIZE)
     copy_counts = _as_list(copy_counts, "copy counts")
     true_value = float(setting_probabilities(rho, wd).P[0])
     rows = []

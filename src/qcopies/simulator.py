@@ -24,8 +24,8 @@ import numpy as np
 
 from .allocator import CopyAllocation
 from .core import DensityMatrix, XState
-from .errors import (MAX_COPIES, ConfigError, DimensionMismatchError, QcopiesError, _as_array,
-                     _check_count, _check_type)
+from .errors import (_MAX_SIZE, MAX_COPIES, ConfigError, DimensionMismatchError, QcopiesError,
+                     _as_array, _check_count, _check_type)
 from .reports import csv_text
 from .witness import (
     SettingProbabilities,
@@ -38,18 +38,17 @@ from .witness import (
 
 @dataclass(frozen=True)
 class RngSeed:
-    """Deterministic random stream: same (seed, stream) replays identically."""
+    """Deterministic random stream: the same seed replays identically, and
+    `generator(*path)` forks it."""
 
     seed: int
-    stream: int = 0
 
     def __post_init__(self):
         _check_count(self.seed, "seed", ConfigError, least=0)
-        _check_count(self.stream, "stream", ConfigError, least=0)
 
     def generator(self, *path: int) -> np.random.Generator:
-        """Generator for this stream, optionally forked by an index path."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream, *path))
+        """Generator for this seed, optionally forked by an index path."""
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, *path))
         return np.random.default_rng(ss)
 
 
@@ -69,7 +68,7 @@ def sample_counts(probs, copies, gen: np.random.Generator, size=None) -> np.ndar
     _check_count(copies, "copies", least=0, most=MAX_COPIES)
     _check_type(gen, np.random.Generator)
     if size is not None:
-        _check_count(size, "size", most=MAX_COPIES)
+        _check_count(size, "size", most=_MAX_SIZE)
     total = p.sum()
     if not (p.min(initial=0.0) >= 0 and 0 < total < np.inf):
         raise QcopiesError("probabilities must be finite, nonnegative and not all zero")
@@ -98,7 +97,7 @@ class HistogramResult:
 
     def events(self, bins: int = 50) -> np.ndarray:
         """Trials per bin, `bins` equal bins over [0, 1]."""
-        _check_count(bins, "bins", most=MAX_COPIES)
+        _check_count(bins, "bins", most=_MAX_SIZE)
         return np.histogram(self.fidelities, bins=bins, range=(0.0, 1.0))[0]
 
     def to_csv(self, bins: int = 50) -> str:
@@ -107,7 +106,7 @@ class HistogramResult:
         return csv_text(["bin_low", "bin_high", "events"], zip(edges, edges[1:], events))
 
     def summary_json(self, bins: int = 50) -> str:
-        _check_count(bins, "bins", most=MAX_COPIES)
+        _check_count(bins, "bins", most=_MAX_SIZE)
         return json.dumps({
             "trials": int(self.fidelities.size),
             "mean": self.mean,
@@ -127,7 +126,7 @@ def _experiment(p_true: SettingProbabilities, allocation, trials, rng,
     only its hit counts: t_j copies split between P_j and 1 - P_j, one row
     per trial, in one call.
     """
-    _check_count(trials, "trials", most=MAX_COPIES)
+    _check_count(trials, "trials", most=_MAX_SIZE)
     _check_type(allocation, CopyAllocation)
     t = allocation.t
     if t.shape != p_true.P.shape:

@@ -138,6 +138,22 @@ class TestRunAdaptive:
         with pytest.raises(ConfigError):
             AdaptiveConfig(epsilon_schedule=(0.01,), **kwargs)
 
+    def test_prior_is_held_as_a_read_only_copy(self):
+        # editing the caller's array after the config is built changes
+        # neither the config nor the run, which starts from the prior 1/2
+        prior = np.array([0.5, 0.5, 0.5])
+        cfg = AdaptiveConfig(epsilon_schedule=(0.01, 0.001), initial_P=prior, t_initial=0)
+        prior[0] = 2.0
+        assert cfg.initial_P.tolist() == [0.5, 0.5, 0.5]
+        assert cfg.initial_P.dtype == float and not cfg.initial_P.flags.writeable
+        rho, wd = depolarized_sc(2, 0.9), build_settings(2)
+        state = run_adaptive(rho, wd, cfg, np.random.default_rng(0))
+        fresh = AdaptiveConfig(epsilon_schedule=(0.01, 0.001), initial_P=[0.5] * 3,
+                               t_initial=0)
+        again = run_adaptive(rho, wd, fresh, np.random.default_rng(0))
+        assert state.rounds[0].P_used.tolist() == [0.5, 0.5, 0.5]
+        assert state.history_csv() == again.history_csv()
+
     def test_edge_priors_accepted(self):
         cfg = AdaptiveConfig(epsilon_schedule=(0.01,), initial_P=[0.0, 1.0, 0.5])
         state = run_adaptive(depolarized_sc(2, 0.9), build_settings(2), cfg,

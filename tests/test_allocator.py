@@ -83,7 +83,7 @@ class TestSolveBudget:
 
     def test_near_tie_within_the_slack_gets_no_extra_copy(self):
         # the rounded-up optimum overshoots the budget by a relative 1e-13,
-        # inside the 1e-9 slack, so no setting gains a copy
+        # inside the 1e-9 that plans allow, and no setting gains a copy
         k = np.array([1.0, 1.0])
         eps = 0.002 / (1 + 1e-13)
         assert np.sum(k / 1000) > eps
@@ -174,6 +174,24 @@ def test_stacked_rounding_matches_one_row_at_a_time(seed, rows, m, t_min):
         roots = np.sqrt(k[r])
         assert real_t[r].tobytes() == (roots * roots.sum() / eps).tobytes()
         assert t[r].tobytes() == round_up_one(k[r], eps, t_min).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.floats(-1e-11, 1e-11)),
+                min_size=1, max_size=21).filter(lambda r: any(n for n, _ in r)),
+       st.floats(-150, 0), st.integers(1, 3))
+def test_rounded_plan_meets_the_budget_with_no_top_up(rows, log_scale, t_min):
+    # weights whose optimum lands within a relative 1e-11 of an integer (or
+    # at zero): sqrt(k_j) = c * target_j and eps = c**2 * sum(target) put
+    # real_t at target, with k as small as 1e-300
+    target = np.array([n * (1 + rel) for n, rel in rows])
+    c = 10.0**log_scale
+    k, eps = (c * target) ** 2, c**2 * target.sum()
+    _, t = _round_up(k[None], eps, t_min)
+    assert np.sum(k / t[0]) <= eps * (1 + 1e-9)
+    assert np.all(t[0] >= t_min)
+    # the oracle's top-up loop adds nothing
+    assert t[0].tobytes() == round_up_one(k, eps, t_min).tobytes()
 
 
 class TestAllocateSc:
@@ -364,10 +382,23 @@ def test_counts_are_integers_at_least_one(entry, count):
     pytest.param(lambda: run_histogram_experiment(noisy_sc_state(2, 0.9), build_settings(2),
                                                   uniform_allocation(3, 10), 2, RngSeed(1))
                  .events(2**63), id="histogram-bins-past-int64"),
+    # 2**59 rows of two int64 outcomes pass numpy's 2**63 - 1 bytes
+    pytest.param(lambda: sample_counts([0.5, 0.5], 2, np.random.default_rng(1), size=2**59),
+                 id="sample-size-past-array-bound"),
+    pytest.param(lambda: run_histogram_experiment(noisy_sc_state(2, 0.9), build_settings(2),
+                                                  uniform_allocation(3, 10), 2**59, RngSeed(1)),
+                 id="histogram-trials-past-array-bound"),
+    pytest.param(lambda: coverage_experiment(noisy_sc_state(2, 0.9), build_settings(2), [50],
+                                             0.01, 2**59, RngSeed(1)),
+                 id="coverage-repeats-past-array-bound"),
+    pytest.param(lambda: run_histogram_experiment(noisy_sc_state(2, 0.9), build_settings(2),
+                                                  uniform_allocation(3, 10), 2, RngSeed(1))
+                 .summary_json(2**59), id="histogram-bins-past-array-bound"),
 ])
 def test_values_out_of_range_raise_a_library_error(call):
     """A rate or deviation whose arithmetic leaves float range, a fractional
-    copy count, or one past 2**63 - 1 raises QcopiesError rather than a
+    copy count, or one past its bound (2**63 - 1 copies, 2**59 - 1 trials,
+    repeats, bins or draws) raises QcopiesError rather than a
     bare OverflowError, a ZeroDivisionError, a RuntimeWarning or a silent
     truncation."""
     with pytest.raises(QcopiesError):

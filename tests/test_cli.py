@@ -271,6 +271,12 @@ class TestSimulate:
         assert code == 0
         assert "lab" in out
 
+    def test_lone_count_means_every_setting(self, capsys):
+        runs = [run_cli(["simulate", "--n", "2", "--fidelity", "0.9", "--compare", spec,
+                         "--trials", "10", "--seed", "2"], capsys) for spec in ("a:7", "a:7/7/7")]
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
     def test_budget_only_gets_uniform_reference(self, capsys):
         # with --epsilon0 and no comparison, a matching uniform split is
         # synthesized as the baseline
@@ -635,9 +641,11 @@ def test_readme_adaptive_out_files_are_pinned(tmp_path, capsys):
             for name in README_ADAPTIVE_OUT_DIGESTS} == README_ADAPTIVE_OUT_DIGESTS
 
 
-# SHA-256 of the stdout and of every report file of each README command run
-# with --out (and --histogram on simulate).  The simulate and coverage runs
-# draw from the sampler, so a deliberate sampler change may move them.
+# Each README command, with the SHA-256 of its stdout and of every report
+# file it writes with --out (and --histogram on simulate).  The closed-form
+# allocations, the joint Hoeffding bound and the rate arithmetic draw
+# nothing; the simulate, adaptive, coverage and tomography runs draw from
+# the sampler, so only a deliberate sampler change may move them.
 README_RUNS = [
     ("allocate --n 8 --epsilon0 0.016 --p " + MEASURED_P,
      "b9d2a37d60954c508d8d4c55f4c5117e773421cb406d62c698e641bfc5e99957",
@@ -648,7 +656,7 @@ README_RUNS = [
      {"allocation.csv": "57f2388d4dc568b82aa044cf3b4c715f9ada4ff0bfb1d579295f266af6d31f97",
       "allocation.json": "0349d240beee539e0da5ce84b3e052c1d1ab5a60e847a701e758adc84567f0f6"}),
     ("simulate --n 10 --fidelity 0.8414 --corner-mass 0.947 --compare uniform:100 "
-     "--trials 100 --seed 7 --histogram",
+     "--trials 100 --seed 7",
      "9a714dad3b326de8e5cb4ee95aed36b1504b5e59ce5885968623e0f61888c034",
      {"comparison.csv": "35429ecb7df28dc18194071c8f73b72fc81997a1a55dd605f5d07f7e6d55206a",
       "comparison.json": "07907b5fd80f4e6496b5de28635de558d22c7982092e23eb444a86b47a17ab40",
@@ -680,9 +688,13 @@ README_RUNS = [
 @pytest.mark.parametrize("command, stdout, files", README_RUNS,
                          ids=[c.split()[0] + str(i) for i, (c, _, _) in enumerate(README_RUNS)])
 def test_readme_stdout_and_out_files_are_pinned(command, stdout, files, tmp_path, capsys):
-    code, out, _ = run_cli(command.split() + ["--out", str(tmp_path)], capsys)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == stdout
+    # run as the README prints it, then with --out: both print the same stdout
+    argv = command.split()
+    out_argv = argv + ["--out", str(tmp_path)] + ["--histogram"] * (argv[0] == "simulate")
+    for args in (argv, out_argv):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == files
 
@@ -741,6 +753,13 @@ BAD_INPUTS = [
      {}, 3),
     ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 2 --histogram "
      "--bins 99999999999999999999 --out never_written", {}, 3),
+    # counts past 2**59 - 1, where a (count, 2) int64 array passes numpy's
+    # 2**63 - 1 bytes: numpy rejects these sizes before it allocates anything
+    ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 576460752303423488", {}, 3),
+    ("hoeffding --coverage --n 2 --fidelity 0.9 --copies 10 --repeats 576460752303423488",
+     {}, 3),
+    ("simulate --n 2 --fidelity 0.9 --epsilon0 0.1 --trials 2 --histogram "
+     "--bins 576460752303423488 --out never_written", {}, 3),
 ]
 
 

@@ -225,7 +225,7 @@ def test_calls_count_positions_keywords_and_splats():
 
 def test_readme_code_keeps_only_python():
     code = _readme_code()
-    assert "RngSeed(seed, stream)" in code
+    assert "RngSeed(seed)" in code
     assert not any(span.lstrip().startswith("qcopies allocate") for span in code)
 
 
@@ -257,7 +257,7 @@ def _valid_calls() -> dict:
         "DensityMatrix": (q.DensityMatrix, (half,)),
         "ProductSetting": (q.ProductSetting, ("XZ",)),
         "ReconstructOptions": (q.ReconstructOptions, (100,)),
-        "RngSeed": (q.RngSeed, (1, 0)),
+        "RngSeed": (q.RngSeed, (1,)),
         "SettingProbabilities": (q.SettingProbabilities, (2, [0.9, 0.5, 0.5])),
         "WitnessDecomposition": (q.WitnessDecomposition, (2,)),
         "XState": (q.XState, ([0.5, 0, 0, 0.5], [0.5, 0, 0, 0.5])),

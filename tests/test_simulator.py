@@ -27,35 +27,37 @@ from qcopies.witness import _fidelities
 from _oracles import born_probabilities, popcounts, pure_density
 
 
-def outcome_counts(rho, theta, copies, rng):
-    """Per-outcome counts of `copies` copies measured in one setting: the
-    computational one without theta, else the rotated one at theta."""
-    return sample_counts(born_probabilities(rho, rho.n_qubits, theta), copies, rng.generator())
+def outcome_counts(rho, theta, copies, rng, *path):
+    """Per-outcome counts of `copies` copies measured in one setting (the
+    computational one without theta, else the rotated one at theta), drawn
+    from the stream of `rng` forked by `path`."""
+    return sample_counts(born_probabilities(rho, rho.n_qubits, theta), copies,
+                         rng.generator(*path))
 
 
 class TestRngSeed:
     def test_replay_is_byte_identical(self):
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        c1 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=7))
-        c2 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=7))
+        c1 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42), 7)
+        c2 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42), 7)
         assert np.array_equal(c1, c2)
 
     def test_streams_differ(self):
+        # forks of one seed differ from each other and from the seed's own stream
         wd = build_settings(3)
         rho = depolarized_sc(3, 0.7)
-        c1 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=0))
-        c2 = outcome_counts(rho, wd.thetas[0], 500, RngSeed(42, stream=1))
-        assert not np.array_equal(c1, c2)
+        counts = [outcome_counts(rho, wd.thetas[0], 500, RngSeed(42), *path).tobytes()
+                  for path in [(), (0,), (1,)]]
+        assert len(set(counts)) == 3
 
-    @pytest.mark.parametrize("seed, stream", [(-1, 0), (1, -1), (1.5, 0), ("3", 0),
-                                              (None, 0), (True, 0), (1, 2.0)])
-    def test_rejects_what_is_not_a_non_negative_integer(self, seed, stream):
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
+    def test_rejects_what_is_not_a_non_negative_integer(self, seed):
         with pytest.raises(ConfigError):
-            RngSeed(seed, stream=stream)
+            RngSeed(seed)
 
     def test_numpy_integers_accepted(self):
-        assert RngSeed(np.int64(3), stream=np.uint8(1)) == RngSeed(3, stream=1)
+        assert RngSeed(np.int64(3)) == RngSeed(np.uint8(3)) == RngSeed(3)
 
 
 class TestSampleSetting:
@@ -181,9 +183,9 @@ class TestSampleCounts:
         copies = np.array(data.draw(st.lists(
             st.lists(st.sampled_from([0, 0, 1, 7, 250, 10**6]), min_size=rows, max_size=rows),
             min_size=runs, max_size=runs)), dtype=np.int64)
-        stacked = [RngSeed(seed, r).generator() for r in range(runs)]
-        alone = [RngSeed(seed, r).generator() for r in range(runs)]
-        multi = [RngSeed(seed, r).generator() for r in range(runs)]
+        stacked = [RngSeed(seed).generator(r) for r in range(runs)]
+        alone = [RngSeed(seed).generator(r) for r in range(runs)]
+        multi = [RngSeed(seed).generator(r) for r in range(runs)]
         counts = _hit_counts(pvals[:, 0], copies, stacked)
         expected = [[sample_counts(p_row, int(c), gen)[0] if c else 0
                      for p_row, c in zip(probs, row)] for row, gen in zip(copies, alone)]
@@ -225,8 +227,8 @@ class TestSimulateFidelities:
         rho = depolarized_sc(n, 0.75)
         p = setting_probabilities(rho, wd)
         alloc = explicit_allocation([40, 17, 23, 31])
-        res = run_histogram_experiment(rho, wd, alloc, trials=trials, rng=RngSeed(12, 3))
-        gen = RngSeed(12, 3).generator()
+        res = run_histogram_experiment(rho, wd, alloc, trials=trials, rng=RngSeed(12))
+        gen = RngSeed(12).generator()
         hits = np.column_stack([gen.multinomial(t_j, [p_j, 1.0 - p_j], size=trials)[:, 0]
                                 for p_j, t_j in zip(p.P, alloc.t)])
         expected = [fidelity_from_probabilities(SettingProbabilities(n, h / alloc.t))
@@ -256,7 +258,7 @@ class TestSimulateFidelities:
         alloc = uniform_allocation(n + 1, 60)
 
         def run(path):
-            return _experiment(p, alloc, 40, RngSeed(5, stream=2), path).fidelities
+            return _experiment(p, alloc, 40, RngSeed(5), path).fidelities
 
         assert np.array_equal(run((0,)), run((0,)))
         assert not np.array_equal(run((0,)), run((1,)))
